@@ -9,9 +9,10 @@ while the high-frequency content stays free for the sampler to enhance.
 
 Each iteration maps the current noise eps to
 
-    eps' = predict(x_t0) + (signal_scale/noise_scale) * (f_h(x0_hat) - f_h(x_ref))
+    eps' = predict(x_t0) + (signal_scale/noise_scale) * f_h(x0_hat - x_ref)
 
-with x_t0 rebuilt from eps and x0_hat the one-shot clean estimate.  The
+with x_t0 rebuilt from eps and x0_hat the one-shot clean estimate; the
+filters are linear, so every band comparison filters one difference.  The
 equivalent view (replace_low_freq) overwrites the low band of x_t0 with the
 reference's; both produce identical iterates up to float roundoff.
 """
@@ -116,8 +117,7 @@ def calibrate_noise(
         trace.entries.append(
             TraceEntry(k, content_objective(x_ref, x0_hat, cfg.nu), k)
         )
-        band_gap = high_pass(x0_hat, cfg.nu) - high_pass(x_ref, cfg.nu)
-        eps = _freeze(eps_pred + coef * band_gap)
+        eps = _freeze(eps_pred + coef * high_pass(x0_hat - x_ref, cfg.nu))
     trace.calibration_calls = cfg.n_iters
     trace.eps = eps
     return eps, trace
@@ -138,8 +138,7 @@ def replace_low_freq(
     """
     _require_same_shape(x_t0, x_ref)
     _require_same_shape(x_t0, x0_hat)
-    shift = low_pass(x_ref, nu) - low_pass(x0_hat, nu)
-    return _freeze(x_t0 + s.signal_scale(t0) * shift)
+    return _freeze(x_t0 + s.signal_scale(t0) * low_pass(x_ref - x0_hat, nu))
 
 
 def nc_sdedit(
@@ -152,26 +151,28 @@ def nc_sdedit(
     """Full enhancement pipeline: draw noise, calibrate, noise to t0, sample.
 
     With n_iters=0 this is the plain SDEdit baseline.  The returned trace
-    carries the objective after every update (n_iters+1 entries when the
-    sampling grid is nonempty) and exact call totals.
+    carries the objective after every update (n_iters+1 entries) and exact
+    call totals.  A t0 below the first sampling grid step is an error: there
+    would be nothing to sample.
     """
     if sampler.t0 != cfg.t0:
         raise ValueError(f"sampler.t0={sampler.t0} != calibration t0={cfg.t0}")
+    grid = ddim_grid(s, sampler.num_steps, cfg.t0)
+    if not grid:
+        lowest = ddim_grid(s, sampler.num_steps, s.num_steps)[-1]
+        raise ValueError(
+            f"t0={cfg.t0} is below {lowest}, the lowest step of the "
+            f"{sampler.num_steps}-step sampling grid"
+        )
     counter = CountingDenoiser(d)
     eps0 = gaussian_noise(x_ref.shape, cfg.rng)
     eps, trace = calibrate_noise(x_ref, eps0, cfg, counter, s)
     x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)
     trace.x_t0 = x_t0
-    grid = ddim_grid(s, sampler.num_steps, cfg.t0)
-
-    def record_post_loop(x0_hat: VideoTensor) -> None:
-        # first sampling evaluation doubles as the final objective reading
-        trace.entries.append(
-            TraceEntry(cfg.n_iters,
-                       content_objective(x_ref, x0_hat, cfg.nu),
-                       cfg.n_iters)
-        )
-
-    x0 = denoise_from(x_t0, grid, counter, s, sampler, on_first_x0=record_post_loop)
+    x0, first_x0_hat = denoise_from(x_t0, grid, counter, s, sampler)
+    # first sampling evaluation doubles as the final objective reading
+    trace.entries.append(
+        TraceEntry(cfg.n_iters, content_objective(x_ref, first_x0_hat, cfg.nu), cfg.n_iters)
+    )
     trace.sampling_calls = counter.calls - trace.calibration_calls
     return x0, trace

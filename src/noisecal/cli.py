@@ -61,7 +61,10 @@ class RunConfig:
 
 
 def resolve_t0(raw, t_max: int) -> int:
-    """Integers are absolute timesteps; floats are fractions of t_max."""
+    """Integers are absolute timesteps; floats are fractions of t_max.
+
+    The resolved timestep must lie in [1, t_max]; nothing is clamped.
+    """
     if isinstance(raw, bool):
         raise ConfigError(f"t0 must be a number, got {raw!r}")
     if isinstance(raw, int):
@@ -72,7 +75,8 @@ def resolve_t0(raw, t_max: int) -> int:
         t0 = round(raw * t_max)
     else:
         raise ConfigError(f"t0 must be a number, got {raw!r}")
-    t0 = min(max(t0, 1), t_max)
+    if not 1 <= t0 <= t_max:
+        raise ConfigError(f"t0={raw!r} resolves to timestep {t0}, outside [1, {t_max}]")
     return t0
 
 
@@ -92,6 +96,8 @@ def _num(block: dict, key: str, default, kind=float):
     v = block[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{key} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, Infinity, or an int beyond float range
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
     if kind is int and not isinstance(v, int):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
     return kind(v)

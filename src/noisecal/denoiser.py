@@ -147,13 +147,6 @@ class GmmDenoiser(Denoiser):
         return _freeze((x_t - schedule.signal_scale(t) * x0) / schedule.noise_scale(t))
 
 
-def gmm_posterior_mean(
-    d: GmmDenoiser, x_t: VideoTensor, t: int, schedule: NoiseSchedule
-) -> VideoTensor:
-    """Mixture posterior mean E[x0 | x_t] under the forward noising at level t."""
-    return d.posterior_mean(x_t, t, schedule)
-
-
 class CountingDenoiser(Denoiser):
     """Delegating wrapper that counts predict_eps invocations (thread-safe)."""
 

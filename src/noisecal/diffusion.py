@@ -9,7 +9,6 @@ deterministic limit, eta=1 recovers ancestral sampling on consecutive steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -75,8 +74,12 @@ def ddim_step(
     s: NoiseSchedule,
     cfg: SamplerConfig,
     rng: RngSeed,
-) -> VideoTensor:
-    """Generalized reverse step t -> t_prev across an arbitrary gap."""
+) -> tuple[VideoTensor, VideoTensor]:
+    """Generalized reverse step t -> t_prev across an arbitrary gap.
+
+    Returns the iterate at t_prev and the clean estimate x0_hat at t that the
+    step is built on.
+    """
     s._check_t(t)
     if not 1 <= t_prev < t:
         raise ValueError(f"need 1 <= t_prev < t, got t_prev={t_prev}, t={t}")
@@ -98,7 +101,7 @@ def ddim_step(
     if cfg.eta > 0 and sigma > 0:
         z = rng.generator().standard_normal(size=x_t.shape, dtype=np.float64)
         out = out + sigma * z
-    return _freeze(out)
+    return _freeze(out), x0_hat
 
 
 def sdedit_init(x_ref: VideoTensor, t0: int, eps: VideoTensor, s: NoiseSchedule) -> VideoTensor:
@@ -107,59 +110,36 @@ def sdedit_init(x_ref: VideoTensor, t0: int, eps: VideoTensor, s: NoiseSchedule)
     return forward_noise(x_ref, t0, eps, s)
 
 
-class _EpsRecorder(Denoiser):
-    """Remembers the last predicted noise so callers can recover x0_hat
-    without a second model evaluation."""
-
-    def __init__(self, inner: Denoiser) -> None:
-        self.inner = inner
-        self.last_eps: VideoTensor | None = None
-
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        eps = self.inner.predict_eps(x_t, t, schedule)
-        self.last_eps = eps
-        return eps
-
-
 def denoise_from(
     x_t0: VideoTensor,
     grid: TimestepGrid,
     d: Denoiser,
     s: NoiseSchedule,
     cfg: SamplerConfig,
-    on_first_x0: Callable[[VideoTensor], None] | None = None,
-) -> VideoTensor:
+) -> tuple[VideoTensor, VideoTensor | None]:
     """Run the reverse pass along a decreasing timestep grid down to t=0.
 
     Steps pairwise along the grid, then projects to the clean estimate at the
-    smallest grid timestep (no noise injected at the end).  An empty grid
-    returns the input unchanged.  Per-step noise draws use substreams keyed
-    by timestep, so the step budget does not reshuffle unrelated draws.
-    Exactly one denoiser evaluation per grid entry.
+    smallest grid timestep (no noise injected at the end).  Per-step noise
+    draws use substreams keyed by timestep, so the step budget does not
+    reshuffle unrelated draws.  Exactly one denoiser evaluation per grid entry.
 
-    on_first_x0, when given, receives the clean estimate from the first
-    denoiser evaluation; it costs no extra evaluation.
+    Returns the clean output and the clean estimate from the first denoiser
+    evaluation, which costs nothing extra.  An empty grid returns
+    (x_t0, None).
     """
     if not grid:
-        return x_t0
+        return x_t0, None
     if grid[0] > cfg.t0:
         raise ValueError(f"grid max {grid[0]} exceeds configured t0 {cfg.t0}")
-    x = x_t0
-    for i in range(len(grid) - 1):
-        t, t_prev = grid[i], grid[i + 1]
-        if i == 0 and on_first_x0 is not None:
-            rec = _EpsRecorder(d)
-            x_next = ddim_step(x, t, t_prev, rec, s, cfg, cfg.rng.substream(t))
-            on_first_x0(estimate_x0(x, t, rec.last_eps, s))
-            x = x_next
-        else:
-            x = ddim_step(x, t, t_prev, d, s, cfg, cfg.rng.substream(t))
+    x, first_x0_hat = x_t0, None
+    for t, t_prev in zip(grid, grid[1:]):
+        x, x0_hat = ddim_step(x, t, t_prev, d, s, cfg, cfg.rng.substream(t))
+        if first_x0_hat is None:
+            first_x0_hat = x0_hat
     t_last = grid[-1]
-    eps = d.predict_eps(x, t_last, s)
-    x0 = estimate_x0(x, t_last, eps, s)
-    if len(grid) == 1 and on_first_x0 is not None:
-        on_first_x0(x0)
-    return x0
+    x0 = estimate_x0(x, t_last, d.predict_eps(x, t_last, s), s)
+    return x0, x0 if first_x0_hat is None else first_x0_hat
 
 
 def ddpm_chain(x_start: VideoTensor, d: Denoiser, s: NoiseSchedule, rng: RngSeed) -> VideoTensor:

@@ -3,98 +3,65 @@
 A cutoff nu in [0, 1] selects the set of 2-D FFT bins whose normalized
 frequency radius is at most nu.  Filtering is spatial only, applied
 independently per frame and channel; the complementary masks make the
-low/high split an exact orthogonal decomposition.
+low/high split an exact orthogonal decomposition.  The mask is conjugate
+symmetric, so filtering runs on the real FFT's half-plane and the output is
+real by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .tensor import NumericError, VideoTensor, _freeze, _require_same_shape, l2_norm
-
-_GEOMETRIES = ("box", "radial")
+from .tensor import VideoTensor, _freeze, _require_same_shape, l2_norm
 
 
-@dataclass(frozen=True)
-class FrequencyMask:
-    """Boolean pass-map over the (H, W) FFT bins for a cutoff nu."""
+@lru_cache(maxsize=64)
+def frequency_mask(height: int, width: int, nu: float) -> np.ndarray:
+    """Read-only (H, W) bool pass-map of the FFT bins with box radius <= nu.
 
-    nu: float
-    height: int
-    width: int
-    geometry: str = "box"
-    pass_map: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValueError(f"nu must be in [0, 1], got {self.nu}")
-        if self.geometry not in _GEOMETRIES:
-            raise ValueError(f"geometry must be one of {_GEOMETRIES}, got {self.geometry!r}")
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"invalid mask size {self.height}x{self.width}")
-        if self.pass_map is None:
-            object.__setattr__(self, "pass_map", _build_pass_map(
-                self.height, self.width, self.nu, self.geometry))
-
-
-def _radius_grid(height: int, width: int, geometry: str) -> np.ndarray:
-    """Normalized frequency radius per FFT bin, in [0, 1]."""
-    # signed bin index scaled by ceil(n/2): Nyquist bin of an even axis sits
-    # exactly at 1, the largest odd-axis bin strictly below it
-    ky = np.abs(np.fft.fftfreq(height) * height) / ((height + 1) // 2)
-    kx = np.abs(np.fft.fftfreq(width) * width) / ((width + 1) // 2)
-    if geometry == "box":
-        return np.maximum(ky[:, None], kx[None, :])
-    return np.sqrt((ky[:, None] ** 2 + kx[None, :] ** 2) / 2.0)
-
-
-def _build_pass_map(height: int, width: int, nu: float, geometry: str) -> np.ndarray:
+    The radius of a bin is max(|ky|, |kx|), each signed bin index scaled by
+    ceil(n/2): the Nyquist bin of an even axis sits exactly at 1, the largest
+    odd-axis bin strictly below it.  nu=0 passes nothing, DC included.
+    """
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError(f"nu must be in [0, 1], got {nu}")
+    if height < 1 or width < 1:
+        raise ValueError(f"invalid mask size {height}x{width}")
     if nu == 0.0:
-        m = np.zeros((height, width), dtype=bool)  # empty mask, DC excluded
+        m = np.zeros((height, width), dtype=bool)
     else:
-        m = _radius_grid(height, width, geometry) <= nu
+        ky = np.abs(np.fft.fftfreq(height) * height) / ((height + 1) // 2)
+        kx = np.abs(np.fft.fftfreq(width) * width) / ((width + 1) // 2)
+        m = np.maximum(ky[:, None], kx[None, :]) <= nu
     m.flags.writeable = False
     return m
 
 
-_mask_cache: dict[tuple[int, int, float, str], FrequencyMask] = {}
+def _half_plane(x: VideoTensor, nu: float) -> np.ndarray:
+    """The mask's columns that the real FFT of x keeps."""
+    height, width = x.shape[-2:]
+    return frequency_mask(height, width, nu)[:, : width // 2 + 1]
 
 
-def frequency_mask(height: int, width: int, nu: float, geometry: str = "box") -> FrequencyMask:
-    key = (height, width, float(nu), geometry)
-    if key not in _mask_cache:
-        _mask_cache[key] = FrequencyMask(nu=float(nu), height=height, width=width,
-                                         geometry=geometry)
-    return _mask_cache[key]
+def _filter(x: VideoTensor, keep: np.ndarray) -> VideoTensor:
+    spectrum = np.fft.rfft2(x)
+    spectrum *= keep
+    return _freeze(np.fft.irfft2(spectrum, s=x.shape[-2:]))
 
 
-def _apply_mask(x: VideoTensor, pass_map: np.ndarray, x_norm: float) -> VideoTensor:
-    spectrum = np.fft.fft2(x, axes=(-2, -1))
-    spectrum *= pass_map
-    out = np.fft.ifft2(spectrum, axes=(-2, -1))
-    imag_norm = float(np.linalg.norm(out.imag.ravel()))
-    if imag_norm > 1e-9 * x_norm:
-        raise NumericError(
-            f"filtered output has imaginary residue {imag_norm:.3e} (input norm {x_norm:.3e})")
-    return _freeze(np.ascontiguousarray(out.real))
-
-
-def low_pass(x: VideoTensor, nu: float, geometry: str = "box") -> VideoTensor:
+def low_pass(x: VideoTensor, nu: float) -> VideoTensor:
     """Keep only FFT bins with normalized radius <= nu (empty set at nu=0)."""
-    mask = frequency_mask(x.shape[-2], x.shape[-1], nu, geometry)
-    return _apply_mask(x, mask.pass_map, l2_norm(x))
+    return _filter(x, _half_plane(x, nu))
 
 
-def high_pass(x: VideoTensor, nu: float, geometry: str = "box") -> VideoTensor:
+def high_pass(x: VideoTensor, nu: float) -> VideoTensor:
     """Complement of low_pass: bins with normalized radius > nu."""
-    mask = frequency_mask(x.shape[-2], x.shape[-1], nu, geometry)
-    return _apply_mask(x, ~mask.pass_map, l2_norm(x))
+    return _filter(x, ~_half_plane(x, nu))
 
 
-def content_objective(x_ref: VideoTensor, x0_hat: VideoTensor, nu: float,
-                      geometry: str = "box") -> float:
+def content_objective(x_ref: VideoTensor, x0_hat: VideoTensor, nu: float) -> float:
     """L2 distance between the low-frequency bands of reference and estimate."""
     _require_same_shape(x_ref, x0_hat)
-    return l2_norm(low_pass(x_ref, nu, geometry) - low_pass(x0_hat, nu, geometry))
+    return l2_norm(low_pass(x0_hat - x_ref, nu))

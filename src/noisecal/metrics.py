@@ -63,7 +63,8 @@ def mse(a: VideoTensor, b: VideoTensor) -> float:
 def mse_low(a: VideoTensor, b: VideoTensor, nu: float = 0.5) -> float:
     """Mean squared difference restricted to the low-frequency band."""
     _require_same_shape(a, b)
-    return mse(low_pass(a, nu), low_pass(b, nu))
+    diff = low_pass(a - b, nu)
+    return float(np.mean(diff * diff))
 
 
 def _gaussian_kernel() -> np.ndarray:

@@ -114,12 +114,6 @@ def gaussian_noise(shape: tuple[int, ...], rng: RngSeed) -> VideoTensor:
     return _freeze(out)
 
 
-def axpy(a: float, x: VideoTensor, b: float, y: VideoTensor) -> VideoTensor:
-    """Elementwise a*x + b*y for tensors of identical shape."""
-    _require_same_shape(x, y)
-    return _freeze(a * x + b * y)
-
-
 def l2_norm(x: VideoTensor) -> float:
     """Euclidean norm over all elements."""
     return float(np.linalg.norm(x.ravel()))

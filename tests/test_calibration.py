@@ -194,7 +194,7 @@ def test_pipeline_n0_equals_plain_sdedit(tiny_sched, toy_gmm):
     eps0 = gaussian_noise(x_ref.shape, cal.rng)
     x_t0 = sdedit_init(x_ref, cal.t0, eps0, tiny_sched)
     grid = ddim_grid(tiny_sched, samp.num_steps, cal.t0)
-    baseline = denoise_from(x_t0, grid, toy_gmm, tiny_sched, samp)
+    baseline, _ = denoise_from(x_t0, grid, toy_gmm, tiny_sched, samp)
     assert out.tobytes() == baseline.tobytes()
 
 

@@ -58,8 +58,16 @@ def test_resolve_t0_conventions():
     assert resolve_t0(600, 1000) == 600
     assert resolve_t0(0.6, 1000) == 600
     assert resolve_t0(1.0, 1000) == 1000
-    assert resolve_t0(0.0, 1000) == 1  # clamped into [1, T]
-    assert resolve_t0(2000, 1000) == 1000
+    with pytest.raises(ConfigError):
+        resolve_t0(0.0, 1000)  # outside [1, T]: rejected, not clamped
+    with pytest.raises(ConfigError):
+        resolve_t0(2000, 1000)
+    with pytest.raises(ConfigError):
+        resolve_t0(0, 1000)
+    with pytest.raises(ConfigError):
+        resolve_t0(-5, 1000)
+    with pytest.raises(ConfigError):
+        resolve_t0(0.0004, 1000)  # fraction that rounds to timestep 0
     with pytest.raises(ConfigError):
         resolve_t0(True, 1000)
     with pytest.raises(ConfigError):
@@ -191,6 +199,40 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t0", [0.0, -5, 20])
+def test_enhance_rejects_t0_outside_sampling_range(tmp_path, capsys, t0):
+    # T=1000 with 5 steps puts the first grid step at 200: t0=20 has nothing to sample
+    cfg = setup_workdir(tmp_path, {"schedule": {"T": 1000}, "calibration": {"t0": t0}})
+    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_NUMERIC_KEYS = [
+    ("schedule", "T"),
+    ("schedule", "beta_start"),
+    ("schedule", "beta_end"),
+    ("sampler", "num_steps"),
+    ("sampler", "eta"),
+    ("sampler", "seed"),
+    ("calibration", "t0"),
+    ("calibration", "N"),
+    ("calibration", "nu"),
+]
+
+
+@pytest.mark.parametrize("section,key", _NUMERIC_KEYS)
+def test_enhance_rejects_non_finite_config_number(tmp_path, capsys, section, key):
+    # json reads NaN, Infinity and -Infinity as floats; each is a config error
+    for i, bad in enumerate((float("nan"), float("inf"), float("-inf"))):
+        root = tmp_path / str(i)
+        root.mkdir()
+        cfg = setup_workdir(root, {section: {key: bad}})
+        assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (root / "out").exists()
+
+
 def test_numeric_failure_maps_to_exit3(tmp_path, capsys, monkeypatch):
     cfg = setup_workdir(tmp_path)
 
@@ -284,6 +326,16 @@ def test_sweep_empty_list_is_config_error(tmp_path, capsys):
     cfg = setup_workdir(tmp_path)
     rc = main(["sweep", "--config", str(cfg), "--t0-list", ",", "--nu-list", "1.0"])
     assert rc == EXIT_CONFIG
+
+
+def test_sweep_t0_below_first_grid_step_is_config_error(tmp_path, capsys):
+    # T=50 with 5 steps puts the first grid step at 10
+    cfg = setup_workdir(tmp_path)
+    rc = main(["sweep", "--config", str(cfg), "--t0-list", "5", "--nu-list", "1.0"])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
 
 
 # ---------------------------------------------------------------- sample

@@ -13,7 +13,6 @@ from noisecal import (
     RngSeed,
     as_video,
     gaussian_noise,
-    gmm_posterior_mean,
     linear_beta_schedule,
     write_tensor,
     write_video,
@@ -33,7 +32,7 @@ def quarter_sched():
 def test_posterior_mean_single_component(quarter_sched):
     # mu=0, sigma^2=1, abar=0.25, x_t=1 -> 0.5
     d = GmmDenoiser([(1.0, one_pixel(0.0), 1.0)])
-    out = gmm_posterior_mean(d, one_pixel(1.0), 1, quarter_sched)
+    out = d.posterior_mean(one_pixel(1.0), 1, quarter_sched)
     assert out.ravel()[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -41,7 +40,7 @@ def test_posterior_mean_symmetry(quarter_sched):
     mu = as_video(np.full((1, 1, 2, 2), 1.5))
     neg = as_video(-np.asarray(mu))
     d = GmmDenoiser([(0.5, mu, 0.0), (0.5, neg, 0.0)])
-    out = gmm_posterior_mean(d, as_video(np.zeros((1, 1, 2, 2))), 1, quarter_sched)
+    out = d.posterior_mean(as_video(np.zeros((1, 1, 2, 2))), 1, quarter_sched)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -49,7 +48,7 @@ def test_zero_variance_output_is_convex_combination(quarter_sched):
     rng = RngSeed(3)
     mus = [gaussian_noise((1, 1, 3, 3), rng.substream(i)) for i in range(3)]
     d = GmmDenoiser([(1 / 3, m, 0.0) for m in mus])
-    out = gmm_posterior_mean(d, gaussian_noise((1, 1, 3, 3), rng.substream(9)), 1, quarter_sched)
+    out = d.posterior_mean(gaussian_noise((1, 1, 3, 3), rng.substream(9)), 1, quarter_sched)
     stack = np.stack(mus).reshape(3, -1)
     coef, *_ = np.linalg.lstsq(stack.T, np.asarray(out).ravel(), rcond=None)
     assert np.allclose(stack.T @ coef, np.asarray(out).ravel(), atol=1e-9)
@@ -107,7 +106,7 @@ def test_weights_normalized():
 def test_responsibility_stability_for_far_means(sched):
     # means separated by 1e6 must not overflow the softmax
     d = GmmDenoiser([(0.5, one_pixel(-1e6), 1.0), (0.5, one_pixel(1e6), 1.0)])
-    out = gmm_posterior_mean(d, one_pixel(1e6), 500, sched)
+    out = d.posterior_mean(one_pixel(1e6), 500, sched)
     assert np.isfinite(out).all()
 
 

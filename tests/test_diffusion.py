@@ -141,12 +141,15 @@ def test_ddim_step_eta0_matches_formula(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(15))
     eps = gaussian_noise((1, 1, 4, 4), RngSeed(16))
     t, t_prev = 8, 3
-    out = ddim_step(x, t, t_prev, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0, 10), RngSeed(0))
+    out, x0_out = ddim_step(
+        x, t, t_prev, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0, 10), RngSeed(0)
+    )
     abar_t = tiny_sched.alpha_bar[t]
     abar_p = tiny_sched.alpha_bar[t_prev]
     x0_hat = (x - np.sqrt(1 - abar_t) * eps) / np.sqrt(abar_t)
     expected = np.sqrt(abar_p) * x0_hat + np.sqrt(1 - abar_p) * eps
     np.testing.assert_allclose(out, expected, atol=1e-12)
+    np.testing.assert_allclose(x0_out, x0_hat, atol=1e-12)
 
 
 def test_ddim_step_exact_eps_recovers_prev_level(tiny_sched):
@@ -156,15 +159,18 @@ def test_ddim_step_exact_eps_recovers_prev_level(tiny_sched):
     x0 = gaussian_noise((2, 1, 4, 4), rng.substream(0))
     eps = gaussian_noise((2, 1, 4, 4), rng.substream(1))
     x_t = forward_noise(x0, 9, eps, tiny_sched)
-    out = ddim_step(x_t, 9, 4, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0, 10), RngSeed(0))
+    out, x0_hat = ddim_step(
+        x_t, 9, 4, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0, 10), RngSeed(0)
+    )
     np.testing.assert_allclose(out, forward_noise(x0, 4, eps, tiny_sched), atol=1e-10)
+    np.testing.assert_allclose(x0_hat, x0, atol=1e-10)
 
 
 def test_ddim_step_eta1_reproducible(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(18))
     d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(19)))
-    a = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, 10), RngSeed(5))
-    b = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, 10), RngSeed(5))
+    a, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, 10), RngSeed(5))
+    b, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, 10), RngSeed(5))
     np.testing.assert_array_equal(a, b)
 
 
@@ -228,8 +234,9 @@ def test_sdedit_init_rejects_t0_zero(sched):
 def test_denoise_from_empty_grid_is_identity(sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(27))
     d = ConstantDenoiser(np.zeros_like(x))
-    out = denoise_from(x, [], d, sched, cfg_for(1.0, 0))
+    out, first_x0_hat = denoise_from(x, [], d, sched, cfg_for(1.0, 0))
     np.testing.assert_array_equal(out, x)
+    assert first_x0_hat is None
 
 
 def test_denoise_from_rejects_grid_above_t0(sched):
@@ -245,8 +252,9 @@ def test_denoise_from_single_component_lands_on_mean(sched):
     d = GmmDenoiser([(1.0, mu, 0.0)])
     x_start = gaussian_noise((1, 1, 4, 4), RngSeed(30))
     grid = ddim_grid(sched, 30, sched.num_steps)
-    out = denoise_from(x_start, grid, d, sched, cfg_for(0.0, sched.num_steps))
+    out, first_x0_hat = denoise_from(x_start, grid, d, sched, cfg_for(0.0, sched.num_steps))
     np.testing.assert_allclose(out, mu, atol=1e-9)
+    np.testing.assert_allclose(first_x0_hat, mu, atol=1e-9)
 
 
 def test_denoise_from_bit_identical_across_runs(sched):
@@ -259,9 +267,10 @@ def test_denoise_from_bit_identical_across_runs(sched):
     )
     x = gaussian_noise((1, 1, 4, 4), rng.substream(2))
     grid = ddim_grid(sched, 30, 600)
-    a = denoise_from(x, grid, d, sched, cfg_for(1.0, 600, seed=3))
-    b = denoise_from(x, grid, d, sched, cfg_for(1.0, 600, seed=3))
+    a, a_first = denoise_from(x, grid, d, sched, cfg_for(1.0, 600, seed=3))
+    b, b_first = denoise_from(x, grid, d, sched, cfg_for(1.0, 600, seed=3))
     assert a.tobytes() == b.tobytes()
+    assert a_first.tobytes() == b_first.tobytes()
 
 
 def test_denoise_from_one_call_per_grid_entry(sched):
@@ -279,13 +288,20 @@ def test_denoise_from_hook_costs_nothing_extra(sched):
     counter = CountingDenoiser(inner)
     x = gaussian_noise((1, 1, 4, 4), RngSeed(35))
     grid = ddim_grid(sched, 30, 600)
-    seen = []
-    denoise_from(x, grid, counter, sched, cfg_for(1.0, 600), on_first_x0=seen.append)
+    _, first_x0_hat = denoise_from(x, grid, counter, sched, cfg_for(1.0, 600))
     assert counter.calls == len(grid)
-    assert len(seen) == 1
     t_first = grid[0]
     eps = inner.predict_eps(x, t_first, sched)
-    np.testing.assert_allclose(seen[0], estimate_x0(x, t_first, eps, sched), atol=1e-12)
+    np.testing.assert_allclose(first_x0_hat, estimate_x0(x, t_first, eps, sched), atol=1e-12)
+
+
+def test_denoise_from_single_entry_grid_returns_output_twice(sched):
+    mu = gaussian_noise((1, 1, 4, 4), RngSeed(38))
+    counter = CountingDenoiser(GmmDenoiser([(1.0, mu, 0.2)]))
+    x = gaussian_noise((1, 1, 4, 4), RngSeed(39))
+    out, first_x0_hat = denoise_from(x, [300], counter, sched, cfg_for(1.0, 600))
+    assert counter.calls == 1
+    assert first_x0_hat is out
 
 
 def test_ddpm_chain_shape_and_determinism(tiny_sched):
@@ -306,9 +322,8 @@ def test_steps_finite_at_large_magnitude(sched, scale):
     assert np.isfinite(forward_noise(x, 900, np.zeros_like(x), sched)).all()
     assert np.isfinite(estimate_x0(x, 900, np.zeros_like(x), sched)).all()
     assert np.isfinite(ddpm_step(x, 900, d, sched, RngSeed(0))).all()
-    assert np.isfinite(
-        ddim_step(x, 900, 500, d, sched, cfg_for(1.0, 900), RngSeed(0))
-    ).all()
+    for out in ddim_step(x, 900, 500, d, sched, cfg_for(1.0, 900), RngSeed(0)):
+        assert np.isfinite(out).all()
 
 
 def test_sampler_config_validation():

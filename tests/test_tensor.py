@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from noisecal import NonFiniteError, RngSeed, as_video, axpy, gaussian_noise, l2_norm
+from noisecal import NonFiniteError, RngSeed, as_video, gaussian_noise, l2_norm
 
 
 def test_as_video_accepts_rank4_and_freezes():
@@ -33,21 +33,6 @@ def test_as_video_rejects_nan_and_inf():
     bad[0, 0, 0, 0] = np.inf
     with pytest.raises(NonFiniteError):
         as_video(bad)
-
-
-def test_axpy_example():
-    # 0.5*1 + sqrt(0.75)*2 = 2.2320508...
-    x = as_video(np.full((1, 1, 1, 1), 1.0))
-    y = as_video(np.full((1, 1, 1, 1), 2.0))
-    out = axpy(0.5, x, np.sqrt(0.75), y)
-    assert out.ravel()[0] == pytest.approx(2.232050807568877, abs=1e-12)
-
-
-def test_axpy_shape_mismatch():
-    x = as_video(np.zeros((1, 1, 2, 2)))
-    y = as_video(np.zeros((1, 1, 2, 3)))
-    with pytest.raises(ValueError):
-        axpy(1.0, x, 1.0, y)
 
 
 def test_l2_norm():
@@ -92,14 +77,3 @@ def test_substreams_with_distinct_tokens_decorrelate(seed, token):
     a = gaussian_noise((1, 1, 4, 4), root.substream(token))
     b = gaussian_noise((1, 1, 4, 4), root.substream(token + 1))
     assert not np.array_equal(a, b)
-
-
-@given(
-    st.floats(-10, 10, allow_nan=False),
-    st.floats(-10, 10, allow_nan=False),
-    st.integers(0, 2**32 - 1),
-)
-def test_axpy_matches_direct_arithmetic(a, b, seed):
-    x = gaussian_noise((1, 1, 3, 3), RngSeed(seed, 0))
-    y = gaussian_noise((1, 1, 3, 3), RngSeed(seed, 1))
-    assert np.allclose(axpy(a, x, b, y), a * x + b * y, atol=1e-12)
