@@ -22,7 +22,7 @@ from noisecal import (
 def run(ref, den, root, t0, n_iters, num_steps):
     sched = toy_schedule()
     cal = CalibrationConfig(t0=t0, n_iters=n_iters, nu=1.0, rng=root.substream(3))
-    samp = SamplerConfig(eta=1.0, num_steps=num_steps, t0=t0, rng=root.substream(4))
+    samp = SamplerConfig(eta=1.0, num_steps=num_steps, rng=root.substream(4))
     out, trace = nc_sdedit(ref, cal, samp, den, sched)
     return np.clip(out, 0.0, 1.0), trace
 

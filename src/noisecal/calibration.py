@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
-from .denoiser import CountingDenoiser, Denoiser
+from .denoiser import Denoiser
 from .diffusion import SamplerConfig, denoise_from, estimate_x0, sdedit_init
 from .frequency import content_objective, high_pass, low_pass
 from .schedule import NoiseSchedule, ddim_grid
@@ -31,7 +31,8 @@ from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Start level t0, iteration count, band cutoff, and noise-draw stream."""
+    """Start level t0 (shared with the sampler), iteration count, band cutoff,
+    and noise-draw stream."""
 
     t0: int
     n_iters: int
@@ -47,29 +48,17 @@ class CalibrationConfig:
             raise ValueError(f"nu must be in [0, 1], got {self.nu}")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """Objective after `iteration` noise updates, costing `denoiser_calls`
-    extra evaluations over the plain baseline."""
-
-    iteration: int
-    objective: float
-    denoiser_calls: int
-
-
 @dataclass
 class CalibrationTrace:
-    """Objective descent record plus call accounting and final state.
+    """Objective descent record plus call accounting.
 
-    entries[k] holds the objective of the noise after k updates; entry 0 is
+    objectives[k] is the objective of the noise after k updates; entry 0 is
     the uncalibrated baseline.  The full pipeline appends the post-loop entry
     by reusing its first sampling evaluation, so a run with N iterations
     carries N+1 entries while spending exactly N extra evaluations.
     """
 
-    entries: list[TraceEntry] = field(default_factory=list)
-    eps: VideoTensor | None = None
-    x_t0: VideoTensor | None = None
+    objectives: list[float] = field(default_factory=list)
     calibration_calls: int = 0
     sampling_calls: int = 0
 
@@ -77,15 +66,11 @@ class CalibrationTrace:
     def total_calls(self) -> int:
         return self.calibration_calls + self.sampling_calls
 
-    @property
-    def objectives(self) -> list[float]:
-        return [e.objective for e in self.entries]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("iteration,objective,denoiser_calls\n")
-        for e in self.entries:
-            buf.write(f"{e.iteration},{e.objective!r},{e.denoiser_calls}\n")
+        buf.write("iteration,objective\n")
+        for k, obj in enumerate(self.objectives):
+            buf.write(f"{k},{obj!r}\n")
         buf.write(f"# calibration_calls={self.calibration_calls}\n")
         buf.write(f"# sampling_calls={self.sampling_calls}\n")
         buf.write(f"# total_calls={self.total_calls}\n")
@@ -101,25 +86,21 @@ def calibrate_noise(
 ) -> tuple[VideoTensor, CalibrationTrace]:
     """Run n_iters noise updates; one denoiser evaluation per iteration.
 
-    Returns the calibrated noise and a trace whose k-th entry records the
+    Returns the calibrated noise and a trace whose objectives[k] is the
     objective of the noise after k updates (measured by iteration k+1's
     evaluation); with n_iters=0 the noise and trace pass through untouched.
     """
     _require_same_shape(x_ref, eps0)
     s._check_t(cfg.t0)
     coef = s.signal_scale(cfg.t0) / s.noise_scale(cfg.t0)
-    trace = CalibrationTrace()
+    trace = CalibrationTrace(calibration_calls=cfg.n_iters)
     eps = eps0
-    for k in range(cfg.n_iters):
+    for _ in range(cfg.n_iters):
         x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)
         eps_pred = d.predict_eps(x_t0, cfg.t0, s)
         x0_hat = estimate_x0(x_t0, cfg.t0, eps_pred, s)
-        trace.entries.append(
-            TraceEntry(k, content_objective(x_ref, x0_hat, cfg.nu), k)
-        )
+        trace.objectives.append(content_objective(x_ref, x0_hat, cfg.nu))
         eps = _freeze(eps_pred + coef * high_pass(x0_hat - x_ref, cfg.nu))
-    trace.calibration_calls = cfg.n_iters
-    trace.eps = eps
     return eps, trace
 
 
@@ -152,11 +133,10 @@ def nc_sdedit(
 
     With n_iters=0 this is the plain SDEdit baseline.  The returned trace
     carries the objective after every update (n_iters+1 entries) and exact
-    call totals.  A t0 below the first sampling grid step is an error: there
-    would be nothing to sample.
+    call totals: n_iters calibration evaluations plus one per grid entry.  A
+    t0 below the first sampling grid step is an error: there would be
+    nothing to sample.
     """
-    if sampler.t0 != cfg.t0:
-        raise ValueError(f"sampler.t0={sampler.t0} != calibration t0={cfg.t0}")
     grid = ddim_grid(s, sampler.num_steps, cfg.t0)
     if not grid:
         lowest = ddim_grid(s, sampler.num_steps, s.num_steps)[-1]
@@ -164,15 +144,11 @@ def nc_sdedit(
             f"t0={cfg.t0} is below {lowest}, the lowest step of the "
             f"{sampler.num_steps}-step sampling grid"
         )
-    counter = CountingDenoiser(d)
     eps0 = gaussian_noise(x_ref.shape, cfg.rng)
-    eps, trace = calibrate_noise(x_ref, eps0, cfg, counter, s)
+    eps, trace = calibrate_noise(x_ref, eps0, cfg, d, s)
     x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)
-    trace.x_t0 = x_t0
-    x0, first_x0_hat = denoise_from(x_t0, grid, counter, s, sampler)
+    x0, first_x0_hat = denoise_from(x_t0, grid, d, s, sampler)
     # first sampling evaluation doubles as the final objective reading
-    trace.entries.append(
-        TraceEntry(cfg.n_iters, content_objective(x_ref, first_x0_hat, cfg.nu), cfg.n_iters)
-    )
-    trace.sampling_calls = counter.calls - trace.calibration_calls
+    trace.objectives.append(content_objective(x_ref, first_x0_hat, cfg.nu))
+    trace.sampling_calls = len(grid)
     return x0, trace

@@ -23,7 +23,7 @@ from .diffusion import SamplerConfig, ddpm_chain
 from .metrics import metric_report
 from .schedule import NoiseSchedule, linear_beta_schedule
 from .tensor import NumericError, RngSeed, VideoTensor, gaussian_noise
-from .vio import PnmFormatError, TensorFormatError, read_video, write_pnm, write_video
+from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,6 +35,9 @@ _STREAM_CALIBRATION = 1
 _STREAM_SAMPLER = 2
 _STREAM_SAMPLE_CMD = 3
 _STREAM_SWEEP = 4
+
+# every schedule in use has T <= 1000; the bound stops a typo from allocating gigabytes
+_T_LIMIT = 100_000
 
 
 class ConfigError(ValueError):
@@ -123,8 +126,8 @@ def load_config(path) -> RunConfig:
     io_block = _section(doc, "io", {"input", "output"})
 
     t_max = _num(sched, "T", 1000, int)
-    if t_max < 1:
-        raise ConfigError(f"T must be >= 1, got {t_max}")
+    if not 1 <= t_max <= _T_LIMIT:
+        raise ConfigError(f"T must be in [1, {_T_LIMIT}], got {t_max}")
     t0 = resolve_t0(cal.get("t0", 0.6), t_max)
     n_iters = _num(cal, "N", 3, int)
     if n_iters < 0:
@@ -140,8 +143,12 @@ def load_config(path) -> RunConfig:
     if (kind is None) != (spec is None):
         raise ConfigError("denoiser needs both 'kind' and 'spec'")
 
-    def _resolve(p):
-        return None if p is None else str((path.parent / p))
+    def _resolve(key: str, p):
+        if p is None:
+            return None
+        if not isinstance(p, str):
+            raise ConfigError(f"{key} must be a path string, got {p!r}")
+        return str(path.parent / p)
 
     return RunConfig(
         t_max=t_max,
@@ -154,9 +161,9 @@ def load_config(path) -> RunConfig:
         n_iters=n_iters,
         nu=nu,
         denoiser_kind=kind,
-        denoiser_spec=_resolve(spec),
-        input_dir=_resolve(io_block.get("input")),
-        output_dir=_resolve(io_block.get("output")),
+        denoiser_spec=_resolve("denoiser.spec", spec),
+        input_dir=_resolve("io.input", io_block.get("input")),
+        output_dir=_resolve("io.output", io_block.get("output")),
     )
 
 
@@ -191,30 +198,22 @@ def build_denoiser(cfg: RunConfig, n_frames: int | None) -> GmmDenoiser:
 
 
 def _run_pipeline(
-    cfg: RunConfig, x_ref: VideoTensor, d: Denoiser, s: NoiseSchedule, master: RngSeed
+    cfg: RunConfig,
+    x_ref: VideoTensor,
+    d: Denoiser,
+    s: NoiseSchedule,
+    rng: RngSeed,
+    t0: int,
+    nu: float,
 ):
+    """One calibrated enhancement at (t0, nu); all its draws hang off rng."""
     cal = CalibrationConfig(
-        t0=cfg.t0, n_iters=cfg.n_iters, nu=cfg.nu, rng=master.substream(_STREAM_CALIBRATION)
+        t0=t0, n_iters=cfg.n_iters, nu=nu, rng=rng.substream(_STREAM_CALIBRATION)
     )
     samp = SamplerConfig(
-        eta=cfg.eta, num_steps=cfg.num_steps, t0=cfg.t0, rng=master.substream(_STREAM_SAMPLER)
+        eta=cfg.eta, num_steps=cfg.num_steps, rng=rng.substream(_STREAM_SAMPLER)
     )
     return nc_sdedit(x_ref, cal, samp, d, s)
-
-
-def _write_frames(x: VideoTensor, dir_path: Path, threads: int) -> None:
-    dir_path.mkdir(parents=True, exist_ok=True)
-    ext = "pgm" if x.shape[1] == 1 else "ppm"
-    if threads <= 1:
-        write_video(x, dir_path)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        jobs = [
-            pool.submit(write_pnm, x[i], dir_path / f"frame_{i:05d}.{ext}")
-            for i in range(x.shape[0])
-        ]
-        for j in jobs:
-            j.result()
 
 
 def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
@@ -226,10 +225,10 @@ def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
     x_ref = read_video(cfg.input_dir)
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
-    x0, trace = _run_pipeline(cfg, x_ref, d, s, RngSeed(cfg.seed))
+    x0, trace = _run_pipeline(cfg, x_ref, d, s, RngSeed(cfg.seed), cfg.t0, cfg.nu)
 
     out = Path(cfg.output_dir)
-    _write_frames(x0, out, threads)
+    write_video(x0, out, threads)
     (out / "trace.csv").write_text(trace.to_csv())
     (out / "metrics.json").write_text(metric_report(x0, x_ref).to_json() + "\n")
     print(
@@ -286,11 +285,7 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
 
     def run_cell(t0: int, nu: float, k: int):
         cell_rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
-        cal = CalibrationConfig(t0=t0, n_iters=cfg.n_iters, nu=nu, rng=cell_rng.substream(1))
-        samp = SamplerConfig(
-            eta=cfg.eta, num_steps=cfg.num_steps, t0=t0, rng=cell_rng.substream(2)
-        )
-        x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
+        x0, trace = _run_pipeline(cfg, x_ref, d, s, cell_rng, t0, nu)
         rep = metric_report(x0, x_ref)
         return (rep.mse_low, rep.mse, rep.ssim, rep.d_sf, trace.objectives)
 
@@ -402,10 +397,7 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(cfg, args.count)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (PnmFormatError, TensorFormatError, FileNotFoundError, NotADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (PnmFormatError, TensorFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except NumericError as e:

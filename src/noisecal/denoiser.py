@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -38,8 +39,10 @@ class Denoiser(abc.ABC):
         return _freeze((x_t - schedule.noise_scale(t) * eps) / schedule.signal_scale(t))
 
 
-def _check_level(t: int, schedule: NoiseSchedule) -> None:
-    schedule._check_t(t)  # rejects t outside [1, T]; t=0 has no noise to predict
+def _finite_number(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
 
 
 class ConstantDenoiser(Denoiser):
@@ -53,7 +56,7 @@ class ConstantDenoiser(Denoiser):
         self.fixed_eps = as_video(fixed_eps)
 
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        _check_level(t, schedule)
+        schedule._check_t(t)  # t=0 has no noise to predict
         if x_t.shape != self.fixed_eps.shape:
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.fixed_eps.shape}")
         return self.fixed_eps
@@ -115,15 +118,24 @@ class GmmDenoiser(Denoiser):
             raise ValueError(f"{path}: expected a nonempty JSON list of components")
         components = []
         for i, entry in enumerate(spec):
+            where = f"{path}: component {i}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} must be an object, got {entry!r}")
             unknown = set(entry) - {"weight", "mean", "variance"}
             if unknown:
-                raise ValueError(f"{path}: component {i} has unknown keys {sorted(unknown)}")
-            mean = read_tensor(path.parent / entry["mean"])
-            components.append((entry["weight"], mean, entry.get("variance", 0.0)))
+                raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+            missing = {"weight", "mean"} - set(entry)
+            if missing:
+                raise ValueError(f"{where} lacks keys {sorted(missing)}")
+            if not isinstance(entry["mean"], str):
+                raise ValueError(f"{where} mean must be a file path, got {entry['mean']!r}")
+            weight = _finite_number(entry["weight"], f"{where} weight")
+            variance = _finite_number(entry.get("variance", 0.0), f"{where} variance")
+            components.append((weight, read_tensor(path.parent / entry["mean"]), variance))
         return cls(components)
 
     def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        _check_level(t, schedule)
+        schedule._check_t(t)
         if x_t.shape != self.means.shape[1:]:
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.means.shape[1:]}")
         abar = float(schedule.alpha_bar[t])

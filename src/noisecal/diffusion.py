@@ -19,11 +19,10 @@ from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reverse-pass parameters: stochasticity, step budget, start level, seed."""
+    """Reverse-pass parameters: stochasticity, step budget, seed."""
 
     eta: float
     num_steps: int
-    t0: int
     rng: RngSeed
 
     def __post_init__(self) -> None:
@@ -31,8 +30,6 @@ class SamplerConfig:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if self.t0 < 0:
-            raise ValueError(f"t0 must be >= 0, got {self.t0}")
 
 
 def forward_noise(x0: VideoTensor, t: int, eps: VideoTensor, s: NoiseSchedule) -> VideoTensor:
@@ -130,8 +127,6 @@ def denoise_from(
     """
     if not grid:
         return x_t0, None
-    if grid[0] > cfg.t0:
-        raise ValueError(f"grid max {grid[0]} exceeds configured t0 {cfg.t0}")
     x, first_x0_hat = x_t0, None
     for t, t_prev in zip(grid, grid[1:]):
         x, x0_hat = ddim_step(x, t, t_prev, d, s, cfg, cfg.rng.substream(t))

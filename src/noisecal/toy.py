@@ -31,11 +31,7 @@ def band_limited_field(
     hi: float = 0.75,
 ) -> VideoTensor:
     """Random field with spectrum confined below `cutoff`, rescaled to [lo, hi]."""
-    field = low_pass(gaussian_noise(shape, rng), cutoff)
-    f_lo, f_hi = float(field.min()), float(field.max())
-    if f_hi - f_lo < 1e-12:
-        return _freeze(np.full(shape, (lo + hi) / 2.0))
-    return _freeze(lo + (hi - lo) * (field - f_lo) / (f_hi - f_lo))
+    return blurred(gaussian_noise(shape, rng), cutoff, lo, hi)
 
 
 def blurred(x: VideoTensor, cutoff: float = 0.2, lo: float = 0.25, hi: float = 0.75) -> VideoTensor:
@@ -55,12 +51,6 @@ def toy_dataset(
 ) -> list[VideoTensor]:
     """n_fields independent sharp fields drawn from substreams of rng."""
     return [band_limited_field(shape, rng.substream(i), cutoff) for i in range(n_fields)]
-
-
-def empirical_denoiser(videos: list[VideoTensor]) -> GmmDenoiser:
-    """Exact Bayes denoiser for the uniform distribution over the videos."""
-    n = len(videos)
-    return GmmDenoiser([(1.0 / n, v, 0.0) for v in videos])
 
 
 def toy_schedule() -> NoiseSchedule:

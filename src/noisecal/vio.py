@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import re
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,16 +145,25 @@ def read_video(dir_path) -> VideoTensor:
     return as_video(np.stack(frames))
 
 
-def write_video(x: VideoTensor, dir_path) -> None:
-    """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3)."""
+def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
+    """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3).
+
+    threads > 1 writes the frames from a thread pool; the bytes on disk do
+    not depend on it.
+    """
     channels = x.shape[1]
     if channels not in (1, 3):
         raise ValueError(f"video has {channels} channels; PNM supports 1 or 3")
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     ext = "pgm" if channels == 1 else "ppm"
-    for i in range(x.shape[0]):
-        write_pnm(x[i], dir_path / f"frame_{i:05d}.{ext}")
+    paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(x.shape[0])]
+    if threads <= 1:
+        for frame, p in zip(x, paths):
+            write_pnm(frame, p)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(write_pnm, x, paths))
 
 
 # -- raw tensor container --

@@ -60,7 +60,7 @@ def random_gmm(root: RngSeed, shape, n_components, var_hi=0.5):
 
 def run_toy(ref, den, root, t0, n_iters, nu=1.0):
     cal = CalibrationConfig(t0=t0, n_iters=n_iters, nu=nu, rng=root.substream(3))
-    samp = SamplerConfig(eta=1.0, num_steps=30, t0=t0, rng=root.substream(4))
+    samp = SamplerConfig(eta=1.0, num_steps=30, rng=root.substream(4))
     return nc_sdedit(ref, cal, samp, den, TOY_SCHED)
 
 
@@ -321,7 +321,7 @@ def test_acceptance_10_call_accounting():
     for n in range(4):
         counter = CountingDenoiser(den)
         cal = CalibrationConfig(t0=600, n_iters=n, nu=1.0, rng=root.substream(3))
-        samp = SamplerConfig(eta=1.0, num_steps=30, t0=600, rng=root.substream(4))
+        samp = SamplerConfig(eta=1.0, num_steps=30, rng=root.substream(4))
         _, trace = nc_sdedit(ref, cal, samp, counter, TOY_SCHED)
         assert counter.calls == n + grid_len
         assert trace.calibration_calls == n

@@ -1,22 +1,34 @@
 """Command-line frontend: subcommands, config parsing, exit codes."""
 
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisecal import NumericError, RngSeed, as_video, gaussian_noise, write_tensor, write_video
+from noisecal import (
+    NumericError,
+    RngSeed,
+    as_video,
+    gaussian_noise,
+    toy_schedule,
+    write_tensor,
+    write_video,
+)
 from noisecal.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    build_schedule,
     load_config,
     main,
     resolve_t0,
 )
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 _BASE = {
     "schedule": {"T": 50, "beta_start": 0.001, "beta_end": 0.02},
@@ -114,6 +126,17 @@ def test_load_config_rejects_lonely_denoiser_kind(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("t_max", [10**12, 100_001])
+def test_load_config_bounds_schedule_length(tmp_path, t_max):
+    # checked before build_schedule, so the bad value never allocates
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schedule": {"T": t_max}}))
+    with pytest.raises(ConfigError, match="T must be in"):
+        load_config(p)
+    p.write_text(json.dumps({"schedule": {"T": 100_000}}))
+    assert load_config(p).t_max == 100_000
+
+
 # ---------------------------------------------------------------- enhance
 
 
@@ -130,7 +153,7 @@ def test_enhance_end_to_end(tmp_path, capsys):
         "frame_00001.pgm",
     ]
     trace_lines = (out / "trace.csv").read_text().strip().split("\n")
-    assert trace_lines[0] == "iteration,objective,denoiser_calls"
+    assert trace_lines[0] == "iteration,objective"
     assert len([ln for ln in trace_lines if not ln.startswith("#")]) == 4  # header + N+1
     report = json.loads((out / "metrics.json").read_text())
     assert list(report) == ["mse", "mse_low", "ssim", "sf_a", "sf_b", "d_sf"]
@@ -231,6 +254,49 @@ def test_enhance_rejects_non_finite_config_number(tmp_path, capsys, section, key
         assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (root / "out").exists()
+
+
+_GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
+
+
+@pytest.mark.parametrize(
+    "overrides,spec",
+    [
+        pytest.param({"denoiser": {"kind": "gmm", "spec": 5}}, None, id="spec-not-a-path"),
+        pytest.param({"io": {"input": ["a"]}}, None, id="input-not-a-path"),
+        pytest.param(_GMM, [3], id="component-not-an-object"),
+        pytest.param(_GMM, [{"weight": 1.0}], id="component-without-mean"),
+        pytest.param(_GMM, [{"weight": None, "mean": "m0.vnt"}], id="null-weight"),
+        pytest.param(_GMM, [{"weight": 1.0, "mean": 7}], id="mean-not-a-path"),
+    ],
+)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spec):
+    write_tensor(small_video(212, frames=1), tmp_path / "m0.vnt")
+    if spec is not None:
+        (tmp_path / "gmm.json").write_text(json.dumps(spec))
+    cfg = setup_workdir(tmp_path, overrides)
+    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quick_start_calibration_beats_baseline(tmp_path):
+    """The README quick start runs where calibration pays: on the workspace
+    from make_toy_data.py, enhance keeps more of the low band than --baseline."""
+    spec = importlib.util.spec_from_file_location("make_toy_data", SCRIPTS / "make_toy_data.py")
+    make_toy_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_toy_data)
+    work = tmp_path / "work"
+    make_toy_data.main([str(work), "--seed", "3"])
+    cfg = work / "enhance.json"
+    np.testing.assert_array_equal(build_schedule(load_config(cfg)).alpha_bar, toy_schedule().alpha_bar)
+
+    mse_low = {}
+    for name, extra in (("cal", []), ("base", ["--baseline"])):
+        out = work / name
+        assert main(["enhance", "--config", str(cfg), "--output", str(out)] + extra) == EXIT_OK
+        mse_low[name] = json.loads((out / "metrics.json").read_text())["mse_low"]
+    assert mse_low["cal"] < mse_low["base"]
 
 
 def test_numeric_failure_maps_to_exit3(tmp_path, capsys, monkeypatch):

@@ -36,8 +36,8 @@ def one_pixel(v):
     return as_video(np.array([[[[v]]]]))
 
 
-def cfg_for(eta, t0, seed=0):
-    return SamplerConfig(eta=eta, num_steps=30, t0=t0, rng=RngSeed(seed))
+def cfg_for(eta, seed=0):
+    return SamplerConfig(eta=eta, num_steps=30, rng=RngSeed(seed))
 
 
 # ---------------------------------------------------------------- forward
@@ -142,7 +142,7 @@ def test_ddim_step_eta0_matches_formula(tiny_sched):
     eps = gaussian_noise((1, 1, 4, 4), RngSeed(16))
     t, t_prev = 8, 3
     out, x0_out = ddim_step(
-        x, t, t_prev, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0, 10), RngSeed(0)
+        x, t, t_prev, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0), RngSeed(0)
     )
     abar_t = tiny_sched.alpha_bar[t]
     abar_p = tiny_sched.alpha_bar[t_prev]
@@ -160,7 +160,7 @@ def test_ddim_step_exact_eps_recovers_prev_level(tiny_sched):
     eps = gaussian_noise((2, 1, 4, 4), rng.substream(1))
     x_t = forward_noise(x0, 9, eps, tiny_sched)
     out, x0_hat = ddim_step(
-        x_t, 9, 4, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0, 10), RngSeed(0)
+        x_t, 9, 4, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0), RngSeed(0)
     )
     np.testing.assert_allclose(out, forward_noise(x0, 4, eps, tiny_sched), atol=1e-10)
     np.testing.assert_allclose(x0_hat, x0, atol=1e-10)
@@ -169,8 +169,8 @@ def test_ddim_step_exact_eps_recovers_prev_level(tiny_sched):
 def test_ddim_step_eta1_reproducible(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(18))
     d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(19)))
-    a, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, 10), RngSeed(5))
-    b, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, 10), RngSeed(5))
+    a, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0), RngSeed(5))
+    b, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0), RngSeed(5))
     np.testing.assert_array_equal(a, b)
 
 
@@ -178,16 +178,16 @@ def test_ddim_step_rejects_oversized_eta(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(20))
     d = ConstantDenoiser(np.zeros_like(x))
     with pytest.raises(ValueError, match="sigma"):
-        ddim_step(x, 10, 1, d, tiny_sched, cfg_for(4.0, 10), RngSeed(0))
+        ddim_step(x, 10, 1, d, tiny_sched, cfg_for(4.0), RngSeed(0))
 
 
 def test_ddim_step_rejects_bad_ordering(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(21))
     d = ConstantDenoiser(np.zeros_like(x))
     with pytest.raises(ValueError):
-        ddim_step(x, 5, 5, d, tiny_sched, cfg_for(0.0, 10), RngSeed(0))
+        ddim_step(x, 5, 5, d, tiny_sched, cfg_for(0.0), RngSeed(0))
     with pytest.raises(ValueError):
-        ddim_step(x, 5, 0, d, tiny_sched, cfg_for(0.0, 10), RngSeed(0))
+        ddim_step(x, 5, 0, d, tiny_sched, cfg_for(0.0), RngSeed(0))
 
 
 def test_ddim_sigma_matches_ddpm_on_consecutive_steps(sched):
@@ -234,16 +234,9 @@ def test_sdedit_init_rejects_t0_zero(sched):
 def test_denoise_from_empty_grid_is_identity(sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(27))
     d = ConstantDenoiser(np.zeros_like(x))
-    out, first_x0_hat = denoise_from(x, [], d, sched, cfg_for(1.0, 0))
+    out, first_x0_hat = denoise_from(x, [], d, sched, cfg_for(1.0))
     np.testing.assert_array_equal(out, x)
     assert first_x0_hat is None
-
-
-def test_denoise_from_rejects_grid_above_t0(sched):
-    x = gaussian_noise((1, 1, 4, 4), RngSeed(28))
-    d = ConstantDenoiser(np.zeros_like(x))
-    with pytest.raises(ValueError, match="exceeds"):
-        denoise_from(x, [700, 300], d, sched, cfg_for(1.0, 600))
 
 
 def test_denoise_from_single_component_lands_on_mean(sched):
@@ -252,7 +245,7 @@ def test_denoise_from_single_component_lands_on_mean(sched):
     d = GmmDenoiser([(1.0, mu, 0.0)])
     x_start = gaussian_noise((1, 1, 4, 4), RngSeed(30))
     grid = ddim_grid(sched, 30, sched.num_steps)
-    out, first_x0_hat = denoise_from(x_start, grid, d, sched, cfg_for(0.0, sched.num_steps))
+    out, first_x0_hat = denoise_from(x_start, grid, d, sched, cfg_for(0.0))
     np.testing.assert_allclose(out, mu, atol=1e-9)
     np.testing.assert_allclose(first_x0_hat, mu, atol=1e-9)
 
@@ -267,8 +260,8 @@ def test_denoise_from_bit_identical_across_runs(sched):
     )
     x = gaussian_noise((1, 1, 4, 4), rng.substream(2))
     grid = ddim_grid(sched, 30, 600)
-    a, a_first = denoise_from(x, grid, d, sched, cfg_for(1.0, 600, seed=3))
-    b, b_first = denoise_from(x, grid, d, sched, cfg_for(1.0, 600, seed=3))
+    a, a_first = denoise_from(x, grid, d, sched, cfg_for(1.0, seed=3))
+    b, b_first = denoise_from(x, grid, d, sched, cfg_for(1.0, seed=3))
     assert a.tobytes() == b.tobytes()
     assert a_first.tobytes() == b_first.tobytes()
 
@@ -278,7 +271,7 @@ def test_denoise_from_one_call_per_grid_entry(sched):
     counter = CountingDenoiser(GmmDenoiser([(1.0, mu, 0.2)]))
     x = gaussian_noise((1, 1, 4, 4), RngSeed(33))
     grid = ddim_grid(sched, 30, 600)
-    denoise_from(x, grid, counter, sched, cfg_for(1.0, 600))
+    denoise_from(x, grid, counter, sched, cfg_for(1.0))
     assert counter.calls == len(grid)
 
 
@@ -288,7 +281,7 @@ def test_denoise_from_hook_costs_nothing_extra(sched):
     counter = CountingDenoiser(inner)
     x = gaussian_noise((1, 1, 4, 4), RngSeed(35))
     grid = ddim_grid(sched, 30, 600)
-    _, first_x0_hat = denoise_from(x, grid, counter, sched, cfg_for(1.0, 600))
+    _, first_x0_hat = denoise_from(x, grid, counter, sched, cfg_for(1.0))
     assert counter.calls == len(grid)
     t_first = grid[0]
     eps = inner.predict_eps(x, t_first, sched)
@@ -299,7 +292,7 @@ def test_denoise_from_single_entry_grid_returns_output_twice(sched):
     mu = gaussian_noise((1, 1, 4, 4), RngSeed(38))
     counter = CountingDenoiser(GmmDenoiser([(1.0, mu, 0.2)]))
     x = gaussian_noise((1, 1, 4, 4), RngSeed(39))
-    out, first_x0_hat = denoise_from(x, [300], counter, sched, cfg_for(1.0, 600))
+    out, first_x0_hat = denoise_from(x, [300], counter, sched, cfg_for(1.0))
     assert counter.calls == 1
     assert first_x0_hat is out
 
@@ -322,14 +315,12 @@ def test_steps_finite_at_large_magnitude(sched, scale):
     assert np.isfinite(forward_noise(x, 900, np.zeros_like(x), sched)).all()
     assert np.isfinite(estimate_x0(x, 900, np.zeros_like(x), sched)).all()
     assert np.isfinite(ddpm_step(x, 900, d, sched, RngSeed(0))).all()
-    for out in ddim_step(x, 900, 500, d, sched, cfg_for(1.0, 900), RngSeed(0)):
+    for out in ddim_step(x, 900, 500, d, sched, cfg_for(1.0), RngSeed(0)):
         assert np.isfinite(out).all()
 
 
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(eta=-0.1, num_steps=30, t0=600, rng=RngSeed(0))
+        SamplerConfig(eta=-0.1, num_steps=30, rng=RngSeed(0))
     with pytest.raises(ValueError):
-        SamplerConfig(eta=1.0, num_steps=0, t0=600, rng=RngSeed(0))
-    with pytest.raises(ValueError):
-        SamplerConfig(eta=1.0, num_steps=30, t0=-1, rng=RngSeed(0))
+        SamplerConfig(eta=1.0, num_steps=0, rng=RngSeed(0))

@@ -100,7 +100,7 @@ def test_calibration_step_matches_four_filter_oracle(h, w, nu):
     cfg = CalibrationConfig(t0=600, n_iters=1, nu=nu, rng=RngSeed(0))
     eps, trace = calibrate_noise(x_ref, eps0, cfg, d, SCHED)
     objective, eps_oracle = oracle_update(x_ref, eps0, 600, nu, d, SCHED)
-    assert trace.entries[0].objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
+    assert trace.objectives[0] == pytest.approx(objective, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(eps, eps_oracle, rtol=0, atol=1e-12)
 
 

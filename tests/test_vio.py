@@ -121,6 +121,23 @@ def test_video_shape_mismatch_names_frame(tmp_path):
         read_video(tmp_path / "v")
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_video_threaded_write_matches_serial(tmp_path, channels):
+    x = quantized_video((5, channels, 4, 6), 116)
+    write_video(x, tmp_path / "serial")
+    write_video(x, tmp_path / "pooled", threads=3)
+    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+    pooled = {p.name: p.read_bytes() for p in (tmp_path / "pooled").iterdir()}
+    assert len(serial) == 5
+    assert pooled == serial
+
+
+def test_video_threaded_write_raises_frame_error(tmp_path):
+    (tmp_path / "v" / "frame_00002.pgm").mkdir(parents=True)  # a frame path that cannot be replaced
+    with pytest.raises(OSError):
+        write_video(quantized_video((4, 1, 4, 4), 117), tmp_path / "v", threads=2)
+
+
 def test_video_rejects_two_channels(tmp_path):
     x = gaussian_noise((1, 2, 4, 4), RngSeed(115))
     with pytest.raises(ValueError, match="channels"):
