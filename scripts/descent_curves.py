@@ -1,4 +1,4 @@
-"""Plot-free descent study: how the high-band objective falls with each
+"""Plot-free descent study: how the low-band objective falls with each
 calibration update, averaged over toy instances, for several noising
 depths.  Emits a CSV-style table to stdout.
 """

@@ -20,7 +20,7 @@ reference's; both produce identical iterates up to float roundoff.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .denoiser import Denoiser
 from .diffusion import SamplerConfig, denoise_from, estimate_x0, sdedit_init
@@ -31,8 +31,8 @@ from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Start level t0 (shared with the sampler), iteration count, band cutoff,
-    and noise-draw stream."""
+    """Start level t0, iteration count, band cutoff, and noise-draw stream.
+    nc_sdedit starts at the largest sampling grid step <= t0."""
 
     t0: int
     n_iters: int
@@ -129,13 +129,14 @@ def nc_sdedit(
     d: Denoiser,
     s: NoiseSchedule,
 ) -> tuple[VideoTensor, CalibrationTrace]:
-    """Full enhancement pipeline: draw noise, calibrate, noise to t0, sample.
+    """Full enhancement pipeline: draw noise, calibrate, noise, sample.
 
-    With n_iters=0 this is the plain SDEdit baseline.  The returned trace
-    carries the objective after every update (n_iters+1 entries) and exact
-    call totals: n_iters calibration evaluations plus one per grid entry.  A
-    t0 below the first sampling grid step is an error: there would be
-    nothing to sample.
+    All of it starts at grid[0], the largest sampling grid step <= cfg.t0, so
+    every objective is read at one level.  With n_iters=0 this is the plain
+    SDEdit baseline.  The returned trace carries the objective after every
+    update (n_iters+1 entries) and exact call totals: n_iters calibration
+    evaluations plus one per grid entry.  A t0 below the first sampling grid
+    step is an error: there would be nothing to sample.
     """
     grid = ddim_grid(s, sampler.num_steps, cfg.t0)
     if not grid:
@@ -144,6 +145,7 @@ def nc_sdedit(
             f"t0={cfg.t0} is below {lowest}, the lowest step of the "
             f"{sampler.num_steps}-step sampling grid"
         )
+    cfg = replace(cfg, t0=grid[0])
     eps0 = gaussian_noise(x_ref.shape, cfg.rng)
     eps, trace = calibrate_noise(x_ref, eps0, cfg, d, s)
     x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)

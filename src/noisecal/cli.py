@@ -19,9 +19,9 @@ import numpy as np
 
 from .calibration import CalibrationConfig, nc_sdedit
 from .denoiser import Denoiser, GmmDenoiser
-from .diffusion import SamplerConfig, ddpm_chain
+from .diffusion import SamplerConfig, denoise_from
 from .metrics import metric_report
-from .schedule import NoiseSchedule, linear_beta_schedule
+from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import NumericError, RngSeed, VideoTensor, gaussian_noise
 from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
@@ -226,11 +226,12 @@ def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
     x0, trace = _run_pipeline(cfg, x_ref, d, s, RngSeed(cfg.seed), cfg.t0, cfg.nu)
+    report = metric_report(x0, x_ref)  # before any write: frames too small for SSIM fail here
 
     out = Path(cfg.output_dir)
     write_video(x0, out, threads)
     (out / "trace.csv").write_text(trace.to_csv())
-    (out / "metrics.json").write_text(metric_report(x0, x_ref).to_json() + "\n")
+    (out / "metrics.json").write_text(report.to_json() + "\n")
     print(
         f"enhance: wrote {x0.shape[0]} frames to {out} "
         f"(calibration calls {trace.calibration_calls}, sampling calls {trace.sampling_calls})",
@@ -255,17 +256,17 @@ def _float_bits(x: float) -> int:
 
 def _parse_number_list(text: str) -> list:
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in filter(None, map(str.strip, text.split(","))):
         try:
-            out.append(int(piece))
+            v = int(piece)
         except ValueError:
             try:
-                out.append(float(piece))
+                v = float(piece)
             except ValueError:
                 raise ConfigError(f"not a number: {piece!r}") from None
+        if not abs(v) <= sys.float_info.max:  # NaN, inf, or an int beyond float range
+            raise ConfigError(f"not a finite number: {piece!r}")
+        out.append(v)
     if not out:
         raise ConfigError("empty list")
     return out
@@ -325,9 +326,11 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     shape = tuple(d.means.shape[1:])
     master = RngSeed(cfg.seed)
     out = Path(cfg.output_dir)
+    grid = ddim_grid(s, s.num_steps, s.num_steps)  # the full ancestral chain; sampler.* unused
     for j in range(count):
-        x_start = gaussian_noise(shape, master.substream(_STREAM_SAMPLE_CMD, j, 0))
-        x0 = ddpm_chain(x_start, d, s, master.substream(_STREAM_SAMPLE_CMD, j, 1))
+        rng = master.substream(_STREAM_SAMPLE_CMD, j)
+        chain = SamplerConfig(eta=1.0, num_steps=s.num_steps, rng=rng.substream(1))
+        x0, _ = denoise_from(gaussian_noise(shape, rng.substream(0)), grid, d, s, chain)
         write_video(x0, out / f"sample_{j:03d}")
     print(f"sample: wrote {count} sample dirs to {out}", file=sys.stderr)
     return EXIT_OK

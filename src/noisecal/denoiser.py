@@ -1,12 +1,11 @@
 """Noise-prediction models with closed-form posteriors.
 
 A denoiser maps a noisy tensor x_t at level t to the noise it believes was
-added.  The two views, predicted noise eps and posterior clean estimate
-E[x0 | x_t], are interchangeable through
+added; predict_eps is the whole protocol.  The posterior clean estimate
+E[x0 | x_t] is the same information, through
 
-    x_t = signal_scale(t) * E[x0 | x_t] + noise_scale(t) * eps,
+    x_t = signal_scale(t) * E[x0 | x_t] + noise_scale(t) * eps.
 
-so subclasses implement whichever is natural and inherit the other.
 GmmDenoiser is the exact Bayes-optimal denoiser for a Gaussian-mixture data
 distribution; with all component variances zero it is the optimal denoiser
 for a finite dataset (the empirical denoiser).
@@ -32,11 +31,6 @@ class Denoiser(abc.ABC):
     @abc.abstractmethod
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         """Predicted noise at level t; same shape as x_t.  Requires t >= 1."""
-
-    def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        """E[x0 | x_t], derived from predict_eps unless overridden."""
-        eps = self.predict_eps(x_t, t, schedule)
-        return _freeze((x_t - schedule.noise_scale(t) * eps) / schedule.signal_scale(t))
 
 
 def _finite_number(v, what: str) -> float:
@@ -74,8 +68,8 @@ class GmmDenoiser(Denoiser):
         if not components:
             raise ValueError("GmmDenoiser needs at least one component")
         weights = np.array([float(w) for w, _, _ in components], dtype=np.float64)
-        if np.any(weights <= 0):
-            raise ValueError("component weights must be positive")
+        if np.any(weights <= 0) or not np.isfinite(sum(weights.tolist())):  # no overflow warning
+            raise ValueError("component weights must be positive, with a finite sum")
         means = [as_video(m) for _, m, _ in components]
         shape = means[0].shape
         for i, m in enumerate(means):
@@ -135,6 +129,7 @@ class GmmDenoiser(Denoiser):
         return cls(components)
 
     def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
+        """E[x0 | x_t] in closed form; predict_eps is derived from it."""
         schedule._check_t(t)
         if x_t.shape != self.means.shape[1:]:
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.means.shape[1:]}")
@@ -165,18 +160,9 @@ class CountingDenoiser(Denoiser):
     def __init__(self, inner: Denoiser) -> None:
         self.inner = inner
         self._lock = threading.Lock()
-        self._calls = 0
-
-    @property
-    def calls(self) -> int:
-        return self._calls
+        self.calls = 0
 
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         with self._lock:
-            self._calls += 1
+            self.calls += 1
         return self.inner.predict_eps(x_t, t, schedule)
-
-    def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        with self._lock:
-            self._calls += 1
-        return self.inner.posterior_mean(x_t, t, schedule)

@@ -1,9 +1,11 @@
 """Forward noising and reverse sampling.
 
-The reverse direction offers a stochastic ancestral step (ddpm_step) and a
-generalized step over arbitrary timestep gaps (ddim_step) whose noise scale
-is eta * the largest variance consistent with the marginals; eta=0 is the
-deterministic limit, eta=1 recovers ancestral sampling on consecutive steps.
+The reverse direction has one step, ddim_step, over an arbitrary timestep
+gap; its noise scale is eta * the largest variance consistent with the
+marginals.  eta=0 is the deterministic limit, and eta=1 on consecutive
+steps is the DDPM ancestral step.  A step to t_prev=0 lands on its clean
+estimate, so every reverse pass, the full ancestral chain included, is
+denoise_from over a grid.
 """
 
 from __future__ import annotations
@@ -46,23 +48,6 @@ def estimate_x0(x_t: VideoTensor, t: int, eps_pred: VideoTensor, s: NoiseSchedul
     return _freeze((x_t - s.noise_scale(t) * eps_pred) / s.signal_scale(t))
 
 
-def ddpm_step(
-    x_t: VideoTensor, t: int, d: Denoiser, s: NoiseSchedule, rng: RngSeed
-) -> VideoTensor:
-    """Ancestral reverse step t -> t-1 with the posterior variance."""
-    s._check_t(t)
-    alpha = s.alpha(t)
-    abar_t = float(s.alpha_bar[t])
-    abar_prev = float(s.alpha_bar[t - 1])
-    eps = d.predict_eps(x_t, t, s)
-    mean = (x_t - ((1.0 - alpha) / np.sqrt(1.0 - abar_t)) * eps) / np.sqrt(alpha)
-    if t == 1:
-        return _freeze(mean)
-    var = ((1.0 - abar_prev) / (1.0 - abar_t)) * (1.0 - alpha)
-    z = rng.generator().standard_normal(size=x_t.shape, dtype=np.float64)
-    return _freeze(mean + np.sqrt(var) * z)
-
-
 def ddim_step(
     x_t: VideoTensor,
     t: int,
@@ -75,11 +60,12 @@ def ddim_step(
     """Generalized reverse step t -> t_prev across an arbitrary gap.
 
     Returns the iterate at t_prev and the clean estimate x0_hat at t that the
-    step is built on.
+    step is built on.  At t_prev=0 both noise terms vanish: the iterate is
+    x0_hat and no noise is drawn.
     """
     s._check_t(t)
-    if not 1 <= t_prev < t:
-        raise ValueError(f"need 1 <= t_prev < t, got t_prev={t_prev}, t={t}")
+    if not 0 <= t_prev < t:
+        raise ValueError(f"need 0 <= t_prev < t, got t_prev={t_prev}, t={t}")
     abar_t = float(s.alpha_bar[t])
     abar_prev = float(s.alpha_bar[t_prev])
     eps = d.predict_eps(x_t, t, s)
@@ -94,8 +80,10 @@ def ddim_step(
         raise ValueError(
             f"eta={cfg.eta} gives sigma^2={sigma**2:.6g} > 1-alpha_bar[{t_prev}]={1.0 - abar_prev:.6g}"
         )
-    out = np.sqrt(abar_prev) * x0_hat + np.sqrt(residual_var) * eps
-    if cfg.eta > 0 and sigma > 0:
+    out = np.sqrt(abar_prev) * x0_hat
+    if residual_var > 0:
+        out = out + np.sqrt(residual_var) * eps
+    if sigma > 0:
         z = rng.generator().standard_normal(size=x_t.shape, dtype=np.float64)
         out = out + sigma * z
     return _freeze(out), x0_hat
@@ -113,33 +101,22 @@ def denoise_from(
     d: Denoiser,
     s: NoiseSchedule,
     cfg: SamplerConfig,
-) -> tuple[VideoTensor, VideoTensor | None]:
-    """Run the reverse pass along a decreasing timestep grid down to t=0.
+) -> tuple[VideoTensor, VideoTensor]:
+    """Run the reverse pass along a nonempty decreasing timestep grid to t=0.
 
-    Steps pairwise along the grid, then projects to the clean estimate at the
-    smallest grid timestep (no noise injected at the end).  Per-step noise
-    draws use substreams keyed by timestep, so the step budget does not
-    reshuffle unrelated draws.  Exactly one denoiser evaluation per grid entry.
+    Steps pairwise along the grid and then from its smallest timestep to 0,
+    which lands on that step's clean estimate.  Per-step noise draws use
+    substreams keyed by timestep, so the step budget does not reshuffle
+    unrelated draws.  Exactly one denoiser evaluation per grid entry.
 
     Returns the clean output and the clean estimate from the first denoiser
-    evaluation, which costs nothing extra.  An empty grid returns
-    (x_t0, None).
+    evaluation, which costs nothing extra.
     """
     if not grid:
-        return x_t0, None
+        raise ValueError("denoise_from needs a nonempty timestep grid")
     x, first_x0_hat = x_t0, None
-    for t, t_prev in zip(grid, grid[1:]):
+    for t, t_prev in zip(grid, grid[1:] + [0]):
         x, x0_hat = ddim_step(x, t, t_prev, d, s, cfg, cfg.rng.substream(t))
         if first_x0_hat is None:
             first_x0_hat = x0_hat
-    t_last = grid[-1]
-    x0 = estimate_x0(x, t_last, d.predict_eps(x, t_last, s), s)
-    return x0, x0 if first_x0_hat is None else first_x0_hat
-
-
-def ddpm_chain(x_start: VideoTensor, d: Denoiser, s: NoiseSchedule, rng: RngSeed) -> VideoTensor:
-    """Full ancestral chain from t=T down to t=0."""
-    x = x_start
-    for t in range(s.num_steps, 0, -1):
-        x = ddpm_step(x, t, d, s, rng.substream(t))
-    return x
+    return x, first_x0_hat

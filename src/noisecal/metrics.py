@@ -7,7 +7,7 @@ no report scaling is applied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,22 +35,10 @@ class MetricReport:
     CSV_HEADER = "mse,mse_low,ssim,sf_a,sf_b,d_sf"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mse": self.mse,
-                "mse_low": self.mse_low,
-                "ssim": self.ssim,
-                "sf_a": self.sf_a,
-                "sf_b": self.sf_b,
-                "d_sf": self.d_sf,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            repr(v) for v in (self.mse, self.mse_low, self.ssim, self.sf_a, self.sf_b, self.d_sf)
-        )
+        return ",".join(repr(v) for v in astuple(self))
 
 
 def mse(a: VideoTensor, b: VideoTensor) -> float:

@@ -8,6 +8,7 @@ runs byte-for-byte.  All writes go through a temp file plus rename.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -59,6 +60,8 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
             start = pos
             while pos < len(blob) and blob[pos : pos + 1].isdigit():
                 pos += 1
+            if pos - start > 9:  # int() refuses beyond 4300 digits; no real frame is this big
+                raise PnmFormatError(f"{path}: header number has {pos - start} digits")
             fields.append(int(blob[start:pos]))
         else:
             raise PnmFormatError(f"{path}: unexpected byte {ch!r} in header")
@@ -191,13 +194,16 @@ def read_tensor(path) -> VideoTensor:
     if len(blob) < 8 + 4 * ndim:
         raise TensorFormatError(f"{path}: truncated dimension list")
     dims = struct.unpack_from(f"<{ndim}I", blob, 8)
+    if 0 in dims:
+        raise TensorFormatError(f"{path}: zero dimension in {dims}")
     offset = 8 + 4 * ndim
-    count = int(np.prod(dims))
-    expected = count * 4
+    expected = math.prod(dims) * 4  # Python ints: no wraparound
     payload = blob[offset:]
     if len(payload) != expected:
         raise TensorFormatError(
             f"{path}: payload has {len(payload)} bytes, expected {expected} for dims {dims}"
         )
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise TensorFormatError(f"{path}: payload holds NaN or Inf")
     return as_video(values.reshape(dims))

@@ -8,7 +8,6 @@ asserted as part of the test.
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -22,7 +21,7 @@ from noisecal import (
     as_video,
     calibrate_noise,
     ddim_grid,
-    ddpm_chain,
+    denoise_from,
     estimate_x0,
     frequency_mask,
     gaussian_noise,
@@ -257,7 +256,9 @@ def test_acceptance_08_chain_statistics():
     start = time.perf_counter()
     d = GmmDenoiser([(1.0, np.full((2000, 1, 1, 1), 0.3), 0.04)])
     x_start = gaussian_noise((2000, 1, 1, 1), RngSeed(42, 9))
-    out = ddpm_chain(x_start, d, SCHED, RngSeed(42, 10))
+    full = SamplerConfig(eta=1.0, num_steps=SCHED.num_steps, rng=RngSeed(42, 10))
+    grid = ddim_grid(SCHED, SCHED.num_steps, SCHED.num_steps)
+    out, _ = denoise_from(x_start, grid, d, SCHED, full)
     sample_mean = float(out.mean())
     sample_var = float(out.var(ddof=1))
     assert abs(sample_mean - 0.3) < 0.0134, f"mean {sample_mean}"

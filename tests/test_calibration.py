@@ -212,3 +212,15 @@ def test_trace_csv_layout(tiny_sched, toy_gmm):
     assert footers[0] == f"# calibration_calls={trace.calibration_calls}"
     assert footers[1] == f"# sampling_calls={trace.sampling_calls}"
     assert footers[2] == f"# total_calls={trace.total_calls}"
+
+
+def test_pipeline_starts_at_first_grid_step(sched):
+    # a 4-step grid is [1000, 750, 500, 250]: t0=600 starts where t0=500 does
+    rng = RngSeed(82)
+    d = GmmDenoiser([(0.5, gaussian_noise((1, 1, 4, 4), rng.substream(k)), 0.3) for k in (0, 1)])
+    x_ref = gaussian_noise((1, 1, 4, 4), rng.substream(2))
+    samp = SamplerConfig(eta=1.0, num_steps=4, rng=RngSeed(83))
+    off, t_off = nc_sdedit(x_ref, cal_cfg(t0=600, n_iters=2), samp, d, sched)
+    on, t_on = nc_sdedit(x_ref, cal_cfg(t0=500, n_iters=2), samp, d, sched)
+    assert off.tobytes() == on.tobytes()
+    assert t_off.objectives == t_on.objectives

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,15 @@ def test_enhance_with_gmm_spec(tmp_path):
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
+def test_enhance_frames_below_ssim_window_write_nothing(tmp_path, capsys):
+    cfg = setup_workdir(tmp_path)
+    for name, frames in (("data", 3), ("input", 2)):  # same frame names, now 8x8
+        write_video(small_video(213, frames)[:, :, :8, :8], tmp_path / name)
+    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_enhance_missing_input_is_io_error(tmp_path, capsys):
     cfg = setup_workdir(tmp_path, {"io": {"input": "nowhere"}})
     assert main(["enhance", "--config", str(cfg)]) == EXIT_IO
@@ -277,6 +287,23 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
     cfg = setup_workdir(tmp_path, overrides)
     assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_BAD_TENSORS = {
+    "zero-dim": struct.pack("<5I", 4, 1, 0, 12, 12),
+    "huge-dims": struct.pack("<5I", 4, *(65536,) * 4),  # 2**64 elements, empty payload
+    "nan-payload": struct.pack("<5I", 4, 1, 1, 12, 12) + struct.pack("<f", float("nan")) * 144,
+}
+
+
+@pytest.mark.parametrize("blob", _BAD_TENSORS.values(), ids=_BAD_TENSORS.keys())
+def test_enhance_bad_tensor_file_is_io_error(tmp_path, capsys, blob):
+    (tmp_path / "m0.vnt").write_bytes(b"VNT1" + blob)
+    (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
+    cfg = setup_workdir(tmp_path, _GMM)
+    assert main(["enhance", "--config", str(cfg)]) == EXIT_IO
+    assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -394,6 +421,18 @@ def test_sweep_empty_list_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--nu-list", "1" + "0" * 400), ("--nu-list", "inf"), ("--t0-list", "nan")]
+)
+def test_sweep_non_finite_list_number_is_config_error(tmp_path, capsys, flag, value):
+    # float(10**400) raises OverflowError, which no exit code mapped
+    cfg = setup_workdir(tmp_path)
+    args = {"--t0-list": "30", "--nu-list": "1.0", flag: value}
+    rc = main(["sweep", "--config", str(cfg)] + [a for kv in args.items() for a in kv])
+    assert rc == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
 def test_sweep_t0_below_first_grid_step_is_config_error(tmp_path, capsys):
     # T=50 with 5 steps puts the first grid step at 10
     cfg = setup_workdir(tmp_path)
@@ -422,3 +461,14 @@ def test_sample_writes_reproducible_dirs(tmp_path):
         assert frame_bytes(tmp_path / "s1" / f"sample_{j:03d}") == frame_bytes(
             tmp_path / "s2" / f"sample_{j:03d}"
         )
+
+
+def test_sample_ignores_sampler_steps_and_eta(tmp_path):
+    # sample always runs the full ancestral chain: every step of T at eta=1
+    cfg = setup_workdir(tmp_path)
+    other = setup_workdir(tmp_path / "other", {"sampler": {"num_steps": 2, "eta": 0.0}})
+    main(["sample", "--config", str(cfg), "--output", str(tmp_path / "s1")])
+    main(["sample", "--config", str(other), "--output", str(tmp_path / "s2")])
+    assert frame_bytes(tmp_path / "s1" / "sample_000") == frame_bytes(
+        tmp_path / "s2" / "sample_000"
+    )

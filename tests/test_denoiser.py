@@ -97,6 +97,12 @@ def test_component_validation():
         GmmDenoiser([(0.5, one_pixel(0.0), 1.0), (0.5, as_video(np.zeros((1, 1, 2, 2))), 1.0)])
 
 
+def test_weights_whose_sum_overflows_rejected():
+    # 1e308 + 1e308 is inf: normalizing would give zero weights and a NaN posterior
+    with pytest.raises(ValueError, match="finite sum"):
+        GmmDenoiser([(1e308, one_pixel(0.0), 1.0), (1e308, one_pixel(1.0), 1.0)])
+
+
 def test_weights_normalized():
     d = GmmDenoiser([(2.0, one_pixel(0.0), 1.0), (6.0, one_pixel(1.0), 1.0)])
     assert d.weights.sum() == pytest.approx(1.0, abs=1e-12)

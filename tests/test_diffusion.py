@@ -15,8 +15,6 @@ from noisecal import (
     as_video,
     ddim_grid,
     ddim_step,
-    ddpm_chain,
-    ddpm_step,
     denoise_from,
     estimate_x0,
     forward_noise,
@@ -100,40 +98,6 @@ def test_forward_estimate_roundtrip(seed, t):
     np.testing.assert_allclose(back, x0, atol=1e-10)
 
 
-# ---------------------------------------------------------------- ddpm_step
-
-
-def test_ddpm_step_t1_zero_eps_collapses(tiny_sched):
-    # at t=1 no noise is injected, so eps=0 leaves x / sqrt(alpha_1)
-    x = gaussian_noise((1, 1, 4, 4), RngSeed(8))
-    out = ddpm_step(x, 1, ConstantDenoiser(np.zeros_like(x)), tiny_sched, RngSeed(9))
-    np.testing.assert_allclose(out, x / np.sqrt(tiny_sched.alpha(1)), atol=1e-12)
-
-
-def test_ddpm_step_t1_is_deterministic(tiny_sched):
-    x = gaussian_noise((1, 1, 4, 4), RngSeed(10))
-    d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(11)))
-    a = ddpm_step(x, 1, d, tiny_sched, RngSeed(0))
-    b = ddpm_step(x, 1, d, tiny_sched, RngSeed(99))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_ddpm_step_seed_reproducible(tiny_sched):
-    x = gaussian_noise((1, 1, 4, 4), RngSeed(12))
-    d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(13)))
-    a = ddpm_step(x, 5, d, tiny_sched, RngSeed(7))
-    b = ddpm_step(x, 5, d, tiny_sched, RngSeed(7))
-    c = ddpm_step(x, 5, d, tiny_sched, RngSeed(8))
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-def test_ddpm_step_rejects_t0(tiny_sched):
-    x = gaussian_noise((1, 1, 2, 2), RngSeed(14))
-    with pytest.raises(ValueError):
-        ddpm_step(x, 0, ConstantDenoiser(np.zeros_like(x)), tiny_sched, RngSeed(0))
-
-
 # ---------------------------------------------------------------- ddim_step
 
 
@@ -187,7 +151,18 @@ def test_ddim_step_rejects_bad_ordering(tiny_sched):
     with pytest.raises(ValueError):
         ddim_step(x, 5, 5, d, tiny_sched, cfg_for(0.0), RngSeed(0))
     with pytest.raises(ValueError):
-        ddim_step(x, 5, 0, d, tiny_sched, cfg_for(0.0), RngSeed(0))
+        ddim_step(x, 5, -1, d, tiny_sched, cfg_for(0.0), RngSeed(0))
+
+
+def test_ddim_step_to_zero_returns_clean_estimate(tiny_sched):
+    # alpha_bar[0] = 1: no residual noise and no fresh draw at the last step
+    x = gaussian_noise((1, 1, 4, 4), RngSeed(21))
+    d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(40)))
+    x0_hat = estimate_x0(x, 5, d.predict_eps(x, 5, tiny_sched), tiny_sched)
+    for seed in (0, 99):
+        out, x0_out = ddim_step(x, 5, 0, d, tiny_sched, cfg_for(1.0), RngSeed(seed))
+        assert out.tobytes() == x0_hat.tobytes()
+        assert x0_out.tobytes() == x0_hat.tobytes()
 
 
 def test_ddim_sigma_matches_ddpm_on_consecutive_steps(sched):
@@ -234,9 +209,8 @@ def test_sdedit_init_rejects_t0_zero(sched):
 def test_denoise_from_empty_grid_is_identity(sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(27))
     d = ConstantDenoiser(np.zeros_like(x))
-    out, first_x0_hat = denoise_from(x, [], d, sched, cfg_for(1.0))
-    np.testing.assert_array_equal(out, x)
-    assert first_x0_hat is None
+    with pytest.raises(ValueError, match="nonempty"):
+        denoise_from(x, [], d, sched, cfg_for(1.0))
 
 
 def test_denoise_from_single_component_lands_on_mean(sched):
@@ -294,18 +268,7 @@ def test_denoise_from_single_entry_grid_returns_output_twice(sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(39))
     out, first_x0_hat = denoise_from(x, [300], counter, sched, cfg_for(1.0))
     assert counter.calls == 1
-    assert first_x0_hat is out
-
-
-def test_ddpm_chain_shape_and_determinism(tiny_sched):
-    mu = gaussian_noise((1, 1, 4, 4), RngSeed(36))
-    d = GmmDenoiser([(1.0, mu, 0.3)])
-    x = gaussian_noise((1, 1, 4, 4), RngSeed(37))
-    a = ddpm_chain(x, d, tiny_sched, RngSeed(4))
-    b = ddpm_chain(x, d, tiny_sched, RngSeed(4))
-    assert a.shape == x.shape
-    assert np.isfinite(a).all()
-    np.testing.assert_array_equal(a, b)
+    assert first_x0_hat.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e6, -1e6])
@@ -314,7 +277,6 @@ def test_steps_finite_at_large_magnitude(sched, scale):
     d = ConstantDenoiser(np.zeros_like(x))
     assert np.isfinite(forward_noise(x, 900, np.zeros_like(x), sched)).all()
     assert np.isfinite(estimate_x0(x, 900, np.zeros_like(x), sched)).all()
-    assert np.isfinite(ddpm_step(x, 900, d, sched, RngSeed(0))).all()
     for out in ddim_step(x, 900, 500, d, sched, cfg_for(1.0), RngSeed(0)):
         assert np.isfinite(out).all()
 

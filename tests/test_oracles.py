@@ -1,9 +1,12 @@
-"""Band split and calibration update against the full-plane forms they replace.
+"""Band split, calibration update and ancestral chain against earlier forms.
 
 The package filters on the real FFT's half-plane and filters one difference
 per band comparison.  The oracles below keep the earlier forms: a full-plane
 complex fft2/ifft2 masked filter whose imaginary residue is checked, and a
-calibration update that filters reference and estimate separately.
+calibration update that filters reference and estimate separately.  The
+package's ancestral chain is denoise_from on the full grid at eta=1; the
+oracle keeps the dedicated DDPM step (posterior mean plus posterior variance)
+and the T-to-0 chain built on it.
 """
 
 import numpy as np
@@ -13,8 +16,11 @@ from noisecal import (
     CalibrationConfig,
     GmmDenoiser,
     RngSeed,
+    SamplerConfig,
     calibrate_noise,
     content_objective,
+    ddim_grid,
+    denoise_from,
     estimate_x0,
     frequency_mask,
     gaussian_noise,
@@ -26,6 +32,7 @@ from noisecal import (
     replace_low_freq,
     sdedit_init,
 )
+from noisecal.tensor import _freeze
 
 NUS = [0.0, 0.3, 0.5, 0.77, 1.0]
 SHAPES = [(8, 8), (7, 9), (6, 9), (9, 6), (7, 5)]
@@ -115,3 +122,48 @@ def test_cached_mask_is_read_only():
     with pytest.raises(ValueError):
         m[0, 0] = False
     assert frequency_mask(8, 8, 0.5)[0, 0]
+
+
+def ddpm_step(x_t, t, d, s, rng):
+    """Ancestral reverse step t -> t-1 with the posterior variance."""
+    s._check_t(t)
+    alpha = s.alpha(t)
+    abar_t = float(s.alpha_bar[t])
+    abar_prev = float(s.alpha_bar[t - 1])
+    eps = d.predict_eps(x_t, t, s)
+    mean = (x_t - ((1.0 - alpha) / np.sqrt(1.0 - abar_t)) * eps) / np.sqrt(alpha)
+    if t == 1:
+        return _freeze(mean)
+    var = ((1.0 - abar_prev) / (1.0 - abar_t)) * (1.0 - alpha)
+    z = rng.generator().standard_normal(size=x_t.shape, dtype=np.float64)
+    return _freeze(mean + np.sqrt(var) * z)
+
+
+def ddpm_chain(x_start, d, s, rng):
+    """Full ancestral chain from t=T down to t=0."""
+    x = x_start
+    for t in range(s.num_steps, 0, -1):
+        x = ddpm_step(x, t, d, s, rng.substream(t))
+    return x
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_full_grid_denoise_matches_ancestral_chain(case):
+    rng = RngSeed(4000 + case)
+    gen = rng.generator()
+    big_t = int(gen.integers(1, 65))
+    s = linear_beta_schedule(big_t, 1e-4 * (1 + case), 0.02 + 0.01 * (case % 4))
+    shape = (int(gen.integers(1, 3)), int(gen.integers(1, 4)), 5 + case % 3, 4 + case % 4)
+    d = GmmDenoiser(
+        [
+            (float(gen.uniform(0.2, 1.0)), 0.5 * gaussian_noise(shape, rng.substream(k)),
+             float(gen.uniform(0.0, 0.3)))
+            for k in range(int(gen.integers(1, 4)))
+        ]
+    )
+    x_start = gaussian_noise(shape, rng.substream(9))
+    chain_rng = rng.substream(10)
+    expected = ddpm_chain(x_start, d, s, chain_rng)
+    cfg = SamplerConfig(eta=1.0, num_steps=big_t, rng=chain_rng)
+    got, _ = denoise_from(x_start, ddim_grid(s, big_t, big_t), d, s, cfg)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)

@@ -70,6 +70,14 @@ def test_pnm_rejects_wrong_maxval(tmp_path):
         read_pnm(p)
 
 
+def test_pnm_rejects_overlong_header_number(tmp_path):
+    # 5000 digits: past what int() parses, so this must not surface as ValueError
+    p = tmp_path / "f.pgm"
+    p.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
+    with pytest.raises(PnmFormatError, match="digits"):
+        read_pnm(p)
+
+
 def test_pnm_rejects_short_payload(tmp_path):
     p = tmp_path / "f.pgm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
@@ -188,6 +196,25 @@ def test_tensor_rejects_non_video_rank(tmp_path):
     p = tmp_path / "t.vnt"
     p.write_bytes(b"VNT1" + struct.pack("<I", 2) + struct.pack("<2I", 2, 2) + bytes(16))
     with pytest.raises(TensorFormatError, match="dims"):
+        read_tensor(p)
+
+
+# (65536,)*4 holds 2**64 elements: a wrapping product would pass an empty payload
+BAD_DIMS = {"zero-dim": (1, 0, 4, 4), "product-beyond-64-bits": (65536,) * 4}
+
+
+@pytest.mark.parametrize("dims", BAD_DIMS.values(), ids=BAD_DIMS.keys())
+def test_tensor_rejects_bad_dims(tmp_path, dims):
+    p = tmp_path / "t.vnt"
+    p.write_bytes(b"VNT1" + struct.pack("<5I", 4, *dims))
+    with pytest.raises(TensorFormatError):
+        read_tensor(p)
+
+
+def test_tensor_rejects_non_finite_payload(tmp_path):
+    p = tmp_path / "t.vnt"
+    p.write_bytes(b"VNT1" + struct.pack("<5I4f", 4, 1, 1, 2, 2, 0.5, float("nan"), 0.5, 0.5))
+    with pytest.raises(TensorFormatError, match="NaN"):
         read_tensor(p)
 
 
