@@ -11,20 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from noisecal import (
-    RngSeed,
-    as_video,
-    band_limited_field,
-    blurred,
-    write_tensor,
-    write_video,
-)
-
-
-def quantize(x):
-    return as_video(np.floor(np.clip(x, 0.0, 1.0) * 255.0 + 0.5) / 255.0)
+from noisecal import RngSeed, band_limited_field, blurred, write_tensor, write_video
 
 
 def main(argv=None):
@@ -50,8 +37,8 @@ def main(argv=None):
     (args.out / "gmm.json").write_text(json.dumps(spec, indent=2) + "\n")
 
     sharp = band_limited_field(shape, root.substream(2))
-    write_video(quantize(blurred(sharp)), args.out / "input")
-    write_video(quantize(sharp), args.out / "reference")
+    write_video(blurred(sharp), args.out / "input")  # write_pnm rounds to 8 bits
+    write_video(sharp, args.out / "reference")
 
     cfg = {
         "schedule": {"T": 1000, "beta_start": 1e-5, "beta_end": 2e-3},

@@ -28,13 +28,7 @@ from .tensor import (
     gaussian_noise,
     l2_norm,
 )
-from .toy import (
-    band_limited_field,
-    blurred,
-    toy_benchmark,
-    toy_dataset,
-    toy_schedule,
-)
+from .toy import band_limited_field, blurred, toy_benchmark, toy_schedule
 from .vio import (
     PnmFormatError,
     TensorFormatError,
@@ -92,7 +86,6 @@ __all__ = [
     "spatial_frequency",
     "ssim",
     "toy_benchmark",
-    "toy_dataset",
     "toy_schedule",
     "write_pnm",
     "write_tensor",

@@ -2,8 +2,8 @@
 
 Configuration comes from a strict JSON file (unknown keys rejected); a few
 flags override file values.  stdout carries machine-readable output only;
-diagnostics go to stderr.  Exit codes: 0 success, 1 configuration error,
-2 I/O error, 3 numeric failure.
+diagnostics go to stderr.  Exit codes: 0 success, 1 configuration or flag
+error, 2 I/O error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -44,23 +44,32 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters; t0 is always an absolute timestep here."""
+    """Resolved run parameters; t0 is always an absolute timestep here.
 
-    t_max: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    num_steps: int = 30
-    eta: float = 1.0
-    seed: int = 0
-    t0: int = 600
-    n_iters: int = 3
-    nu: float = 1.0
-    denoiser_kind: str | None = None
-    denoiser_spec: str | None = None
-    input_dir: str | None = None
-    output_dir: str | None = None
+    load_config is the one constructor, and the defaults live there."""
+
+    t_max: int
+    beta_start: float
+    beta_end: float
+    num_steps: int
+    eta: float
+    seed: int
+    t0: int
+    n_iters: int
+    nu: float
+    denoiser_kind: str | None
+    denoiser_spec: str | None
+    input_dir: str | None
+    output_dir: str | None
 
 
 def resolve_t0(raw, t_max: int) -> int:
@@ -175,24 +184,18 @@ def build_schedule(cfg: RunConfig) -> NoiseSchedule:
 
 
 def build_denoiser(cfg: RunConfig, n_frames: int | None) -> GmmDenoiser:
-    """Load the configured denoiser; single-frame mixtures are tiled along
-    the frame axis to match an n_frames-long input (static-video prior)."""
+    """Load the configured denoiser.  For an n_frames-long input its means
+    must have 1 frame (a static-video prior, which posterior_mean applies to
+    every frame) or n_frames; this is checked before any run starts."""
     if cfg.denoiser_kind is None:
         raise ConfigError("this command needs a 'denoiser' config section")
     if cfg.denoiser_kind == "dataset":
         d = GmmDenoiser.from_dataset(cfg.denoiser_spec)
     else:
         d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
-    if n_frames is not None and d.means.shape[1] != n_frames:
-        if d.means.shape[1] != 1:
-            raise ConfigError(
-                f"denoiser frames ({d.means.shape[1]}) do not match input frames ({n_frames})"
-            )
-        d = GmmDenoiser(
-            [
-                (w, np.repeat(m, n_frames, axis=0), v)
-                for w, m, v in zip(d.weights, d.means, d.variances)
-            ]
+    if n_frames is not None and d.means.shape[1] not in (1, n_frames):
+        raise ConfigError(
+            f"denoiser frames ({d.means.shape[1]}) do not match input frames ({n_frames})"
         )
     return d
 
@@ -283,6 +286,9 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     master = RngSeed(cfg.seed)
 
     cells = [(resolve_t0(raw_t0, cfg.t_max), float(nu)) for raw_t0 in t0_list for nu in nu_list]
+    for i, cell in enumerate(cells):
+        if cell in cells[:i]:
+            raise ConfigError(f"sweep cell t0={cell[0]}, nu={cell[1]!r} is listed twice")
 
     def run_cell(t0: int, nu: float, k: int):
         cell_rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
@@ -291,23 +297,21 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
         return (rep.mse_low, rep.mse, rep.ssim, rep.d_sf, trace.objectives)
 
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
-    if threads <= 1:
+    if threads == 1:
         results = [run_cell(*j) for j in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda j: run_cell(*j), jobs))
 
-    n_obj = max(len(r[4]) for r in results)
+    n_obj = cfg.n_iters + 1  # every run records the objective after 0..N updates
     header = ["t0", "nu", "seed", "mse_low", "mse", "ssim", "d_sf"]
     header += [f"obj{i}" for i in range(n_obj)]
     print(",".join(header))
-    by_cell: dict[tuple[int, float], list] = {c: [] for c in cells}
     for (t0, nu, k), (mse_low, mse, ssim_v, dsf, objs) in zip(jobs, results):
-        by_cell[(t0, nu)].append((mse_low, mse, ssim_v, dsf))
         row = [str(t0), repr(nu), str(k), repr(mse_low), repr(mse), repr(ssim_v), repr(dsf)]
-        row += [repr(o) for o in objs] + [""] * (n_obj - len(objs))
-        print(",".join(row))
-    for (t0, nu), rows in by_cell.items():
+        print(",".join(row + [repr(o) for o in objs]))
+    for i, (t0, nu) in enumerate(cells):  # jobs run cell by cell, seeds innermost
+        rows = [r[:4] for r in results[i * seeds : (i + 1) * seeds]]
         means = np.mean(np.array(rows, dtype=np.float64), axis=0)
         row = [str(t0), repr(nu), "mean"] + [repr(float(v)) for v in means] + [""] * n_obj
         print(",".join(row))
@@ -347,7 +351,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisecal",
         description="Reference-guided diffusion enhancement with noise calibration.",
     )
@@ -382,8 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "metrics":
             return cmd_metrics(args.dir_a, args.dir_b)
         cfg = _apply_overrides(load_config(args.config), args)

@@ -90,7 +90,8 @@ class GmmDenoiser(Denoiser):
         """Empirical denoiser over a frame directory.
 
         Each frame becomes a zero-variance component of shape (1, C, H, W)
-        with weight 1/F; the result denoises single-frame tensors.
+        with weight 1/F; posterior_mean applies the mixture to every frame
+        of a (F', C, H, W) input, for any F'.
         """
         from .vio import read_video
 
@@ -129,15 +130,20 @@ class GmmDenoiser(Denoiser):
         return cls(components)
 
     def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        """E[x0 | x_t] in closed form; predict_eps is derived from it."""
+        """E[x0 | x_t] in closed form; predict_eps is derived from it.
+
+        Means of one frame are a static-video prior: they broadcast over
+        every frame of x_t, and the mixture is over whole videos, so the
+        result equals that of the means repeated along the frame axis.
+        """
         schedule._check_t(t)
-        if x_t.shape != self.means.shape[1:]:
+        if x_t.shape[1:] != self.means.shape[2:] or self.means.shape[1] not in (1, len(x_t)):
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.means.shape[1:]}")
         abar = float(schedule.alpha_bar[t])
         root = np.sqrt(abar)
         # per-component marginal variance of x_t and residual from scaled mean
         s = abar * self.variances + (1.0 - abar)  # (n,)
-        resid = x_t[None, ...] - root * self.means  # (n, F, C, H, W)
+        resid = x_t[None, ...] - root * self.means  # (n, F, C, H, W), F from x_t
         sq = np.sum(resid * resid, axis=(1, 2, 3, 4))  # (n,)
         dim = x_t.size
         log_r = np.log(self.weights) - sq / (2.0 * s) - 0.5 * dim * np.log(s)
@@ -145,7 +151,8 @@ class GmmDenoiser(Denoiser):
         r = np.exp(log_r)
         r /= r.sum()
         gain = root * self.variances / s  # (n,) shrinkage toward each mean
-        comp_means = self.means + gain[:, None, None, None, None] * resid
+        comp_means = gain[:, None, None, None, None] * resid
+        comp_means += self.means  # in place: broadcast means would cost another temporary
         out = np.tensordot(r, comp_means, axes=1)
         return _freeze(out)
 

@@ -43,16 +43,6 @@ def blurred(x: VideoTensor, cutoff: float = 0.2, lo: float = 0.25, hi: float = 0
     return _freeze(lo + (hi - lo) * (field - f_lo) / (f_hi - f_lo))
 
 
-def toy_dataset(
-    n_fields: int,
-    shape: tuple[int, int, int, int],
-    rng: RngSeed,
-    cutoff: float = 0.65,
-) -> list[VideoTensor]:
-    """n_fields independent sharp fields drawn from substreams of rng."""
-    return [band_limited_field(shape, rng.substream(i), cutoff) for i in range(n_fields)]
-
-
 def toy_schedule() -> NoiseSchedule:
     """Gentle schedule for 16x16 toys: keeps roughly half the signal at
     t=600 so mid-range start levels carry usable signal."""
@@ -74,7 +64,10 @@ def toy_benchmark(
     terminates exactly on a dataset point and enhancement differences
     collapse.  sigma2 = 0 gives the empirical denoiser.
     """
-    fields = toy_dataset(n_dataset, shape, rng.substream(1), sharp_cutoff)
+    fields = [
+        band_limited_field(shape, rng.substream(1).substream(i), sharp_cutoff)
+        for i in range(n_dataset)
+    ]
     d = GmmDenoiser([(1.0 / n_dataset, f, sigma2) for f in fields])
     reference = blurred(band_limited_field(shape, rng.substream(2), sharp_cutoff), blur_cutoff)
     return d, reference

@@ -307,6 +307,49 @@ def test_enhance_bad_tensor_file_is_io_error(tmp_path, capsys, blob):
     assert not (tmp_path / "out").exists()
 
 
+def test_enhance_rejects_mixture_frame_count(tmp_path, capsys):
+    # the input has 2 frames: a mixture must have 1 frame (a static prior) or 2
+    write_tensor(small_video(212, frames=3), tmp_path / "m0.vnt")
+    (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
+    cfg = setup_workdir(tmp_path, _GMM)
+    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "do not match input frames (2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--seeds", "abc"],
+        ["enhance", "--config", "CFG", "--no-such-flag"],
+        ["enhance"],
+        [],
+        ["enhance", "--config", "CFG", "--threads", "0"],
+        ["enhance", "--config", "CFG", "--threads", "-1"],
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--threads", "0"],
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--threads", "-1"],
+    ],
+    ids=[
+        "seeds-abc", "unknown-flag", "no-config", "no-command",
+        "enhance-threads-0", "enhance-threads-neg", "sweep-threads-0", "sweep-threads-neg",
+    ],
+)
+def test_bad_flags_are_config_errors(tmp_path, capsys, argv):
+    cfg = setup_workdir(tmp_path)
+    assert main([str(cfg) if a == "CFG" else a for a in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enhance", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
+
+
 def test_quick_start_calibration_beats_baseline(tmp_path):
     """The README quick start runs where calibration pays: on the workspace
     from make_toy_data.py, enhance keeps more of the low band than --baseline."""
@@ -441,6 +484,18 @@ def test_sweep_t0_below_first_grid_step_is_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+def test_sweep_repeated_cell_is_config_error(tmp_path, capsys):
+    # T=50: t0=0.6 resolves to 30, the same cell as t0=30
+    cfg = setup_workdir(tmp_path)
+    rc = main(
+        ["sweep", "--config", str(cfg), "--t0-list", "0.6,30", "--nu-list", "0.5", "--seeds", "2"]
+    )
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t0=30, nu=0.5 is listed twice" in captured.err
 
 
 # ---------------------------------------------------------------- sample

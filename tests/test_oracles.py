@@ -6,7 +6,8 @@ complex fft2/ifft2 masked filter whose imaginary residue is checked, and a
 calibration update that filters reference and estimate separately.  The
 package's ancestral chain is denoise_from on the full grid at eta=1; the
 oracle keeps the dedicated DDPM step (posterior mean plus posterior variance)
-and the T-to-0 chain built on it.
+and the T-to-0 chain built on it.  A mixture of one-frame means applies to
+every frame of a video; the oracle repeats each mean along the frame axis.
 """
 
 import numpy as np
@@ -167,3 +168,32 @@ def test_full_grid_denoise_matches_ancestral_chain(case):
     cfg = SamplerConfig(eta=1.0, num_steps=big_t, rng=chain_rng)
     got, _ = denoise_from(x_start, ddim_grid(s, big_t, big_t), d, s, cfg)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def tiled_mixture(d, n_frames):
+    """The static-video prior built by repeating each one-frame mean n_frames times."""
+    return GmmDenoiser(
+        [
+            (w, np.repeat(m, n_frames, axis=0), v)
+            for w, m, v in zip(d.weights, d.means, d.variances)
+        ]
+    )
+
+
+@pytest.mark.parametrize("frames", [1, 2, 5])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("t", [1, 500, 1000])
+def test_one_frame_mixture_matches_tiled_oracle(frames, channels, t):
+    rng = RngSeed(5000 + 10 * frames + channels)
+    gen = rng.generator()
+    means = [0.5 * gaussian_noise((1, channels, 6, 7), rng.substream(k)) for k in range(3)]
+    d = GmmDenoiser(
+        [(float(gen.uniform(0.2, 1.0)), m, v) for m, v in zip(means, [0.0, 0.05, 0.3])]
+    )
+    tiled = tiled_mixture(d, frames)
+    x_t = gaussian_noise((frames, channels, 6, 7), rng.substream(9))
+    for method in ("posterior_mean", "predict_eps"):
+        got = getattr(d, method)(x_t, t, SCHED)
+        want = getattr(tiled, method)(x_t, t, SCHED)
+        assert got.shape == x_t.shape
+        assert got.tobytes() == want.tobytes(), method

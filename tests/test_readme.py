@@ -1,7 +1,10 @@
-"""The README's code must run as written."""
+"""The README's code and its config block must hold as written."""
 
+import json
 import re
 from pathlib import Path
+
+from noisecal.cli import load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,13 @@ def test_readme_library_snippet_runs(capsys):
     assert len(trace.objectives) == ns["cal"].n_iters + 1
     assert trace.objectives[-1] < trace.objectives[0]
     assert '"mse_low"' in capsys.readouterr().out  # the metric report was printed
+
+
+def test_readme_config_block_shows_the_defaults(tmp_path):
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    shown = json.loads(blocks[0])
+    del shown["denoiser"], shown["io"]  # the two sections without defaults
+    (tmp_path / "shown.json").write_text(json.dumps(shown))
+    (tmp_path / "empty.json").write_text("{}")
+    assert load_config(tmp_path / "shown.json") == load_config(tmp_path / "empty.json")
