@@ -30,14 +30,14 @@ def mean_curve(t0, n_iters, n_seeds, seed_base, sigma2):
     return np.mean(np.array(curves), axis=0)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t0", type=int, nargs="+", default=[400, 600, 800])
     ap.add_argument("--iters", type=int, default=6)
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--seed-base", type=int, default=7000)
     ap.add_argument("--sigma2", type=float, default=0.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print("t0," + ",".join(f"obj{k}" for k in range(args.iters)))
     for t0 in args.t0:

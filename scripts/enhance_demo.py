@@ -27,13 +27,13 @@ def run(ref, den, root, t0, n_iters, num_steps):
     return np.clip(out, 0.0, 1.0), trace
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7001)
     ap.add_argument("--t0", type=int, default=600)
     ap.add_argument("--num-steps", type=int, default=30)
     ap.add_argument("--max-iters", type=int, default=3)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     root = RngSeed(args.seed)
     den, ref = toy_benchmark(root)

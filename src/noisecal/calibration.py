@@ -11,10 +11,10 @@ Each iteration maps the current noise eps to
 
     eps' = predict(x_t0) + (signal_scale/noise_scale) * f_h(x0_hat - x_ref)
 
-with x_t0 rebuilt from eps and x0_hat the one-shot clean estimate; the
-filters are linear, so every band comparison filters one difference.  The
-equivalent view (replace_low_freq) overwrites the low band of x_t0 with the
-reference's; both produce identical iterates up to float roundoff.
+with x_t0 rebuilt from eps and x0_hat the one-shot clean estimate.  One
+low_pass of the gap x0_hat - x_ref gives the objective (its norm) and f_h
+(the gap minus it).  The equivalent view (replace_low_freq) overwrites the
+low band of x_t0 with the reference's; both agree to roundoff.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field, replace
 
 from .denoiser import Denoiser
 from .diffusion import SamplerConfig, denoise_from, estimate_x0, sdedit_init
-from .frequency import content_objective, high_pass, low_pass
+from .frequency import content_objective, low_pass
 from .schedule import NoiseSchedule, ddim_grid
-from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian_noise
+from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian_noise, l2_norm
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,10 @@ def calibrate_noise(
     for _ in range(cfg.n_iters):
         x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)
         eps_pred = d.predict_eps(x_t0, cfg.t0, s)
-        x0_hat = estimate_x0(x_t0, cfg.t0, eps_pred, s)
-        trace.objectives.append(content_objective(x_ref, x0_hat, cfg.nu))
-        eps = _freeze(eps_pred + coef * high_pass(x0_hat - x_ref, cfg.nu))
+        gap = estimate_x0(x_t0, cfg.t0, eps_pred, s) - x_ref
+        low = low_pass(gap, cfg.nu)
+        trace.objectives.append(l2_norm(low))
+        eps = _freeze(eps_pred + coef * (gap - low))
     return eps, trace
 
 

@@ -2,10 +2,11 @@
 
 A cutoff nu in [0, 1] selects the set of 2-D FFT bins whose normalized
 frequency radius is at most nu.  Filtering is spatial only, applied
-independently per frame and channel; the complementary masks make the
-low/high split an exact orthogonal decomposition.  The mask is conjugate
-symmetric, so filtering runs on the real FFT's half-plane and the output is
-real by construction.
+independently per frame and channel.  low_pass is the one filter: the mask
+is conjugate symmetric, so it runs on the real FFT's half-plane and its
+output is real by construction, and a mask that passes every bin (nu=1)
+runs no FFT at all.  The high band is the residual x - low_pass(x), so the
+two bands sum back to x.
 """
 
 from __future__ import annotations
@@ -39,26 +40,20 @@ def frequency_mask(height: int, width: int, nu: float) -> np.ndarray:
     return m
 
 
-def _half_plane(x: VideoTensor, nu: float) -> np.ndarray:
-    """The mask's columns that the real FFT of x keeps."""
-    height, width = x.shape[-2:]
-    return frequency_mask(height, width, nu)[:, : width // 2 + 1]
-
-
-def _filter(x: VideoTensor, keep: np.ndarray) -> VideoTensor:
-    spectrum = np.fft.rfft2(x)
-    spectrum *= keep
-    return _freeze(np.fft.irfft2(spectrum, s=x.shape[-2:]))
-
-
 def low_pass(x: VideoTensor, nu: float) -> VideoTensor:
-    """Keep only FFT bins with normalized radius <= nu (empty set at nu=0)."""
-    return _filter(x, _half_plane(x, nu))
+    """Keep only FFT bins with normalized radius <= nu (none at nu=0); a full mask copies x."""
+    height, width = x.shape[-2:]
+    keep = frequency_mask(height, width, nu)
+    if keep.all():
+        return _freeze(x.copy())
+    spectrum = np.fft.rfft2(x)
+    spectrum *= keep[:, : width // 2 + 1]
+    return _freeze(np.fft.irfft2(spectrum, s=(height, width)))
 
 
 def high_pass(x: VideoTensor, nu: float) -> VideoTensor:
-    """Complement of low_pass: bins with normalized radius > nu."""
-    return _filter(x, ~_half_plane(x, nu))
+    """Residual of low_pass: bins with normalized radius > nu."""
+    return _freeze(x - low_pass(x, nu))
 
 
 def content_objective(x_ref: VideoTensor, x0_hat: VideoTensor, nu: float) -> float:

@@ -121,8 +121,8 @@ def _scan_frames(dir_path: Path) -> list[Path]:
     found: dict[int, Path] = {}
     for entry in sorted(dir_path.iterdir()):
         m = _FRAME_RE.match(entry.name)
-        if m:
-            found[int(m.group(1))] = entry
+        if m and found.setdefault(int(m.group(1)), entry) != entry:
+            raise PnmFormatError(f"{entry}: a second file for frame index {m.group(1)}")
     if not found:
         raise FileNotFoundError(f"{dir_path}: no frame_NNNNN.ppm/.pgm files")
     count = max(found) + 1
@@ -151,8 +151,8 @@ def read_video(dir_path) -> VideoTensor:
 def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
     """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3).
 
-    threads > 1 writes the frames from a thread pool; the bytes on disk do
-    not depend on it.
+    Other frame files in the directory are removed.  threads > 1 writes from
+    a thread pool; the bytes on disk do not depend on it.
     """
     channels = x.shape[1]
     if channels not in (1, 3):
@@ -161,6 +161,8 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
     dir_path.mkdir(parents=True, exist_ok=True)
     ext = "pgm" if channels == 1 else "ppm"
     paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(x.shape[0])]
+    for stale in {p for p in dir_path.iterdir() if _FRAME_RE.match(p.name)} - set(paths):
+        stale.unlink()
     if threads <= 1:
         for frame, p in zip(x, paths):
             write_pnm(frame, p)

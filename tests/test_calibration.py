@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import noisecal.calibration
 from noisecal import (
     CalibrationConfig,
     CountingDenoiser,
@@ -17,6 +18,8 @@ from noisecal import (
     estimate_x0,
     gaussian_noise,
     l2_norm,
+    linear_beta_schedule,
+    low_pass,
     nc_sdedit,
     replace_low_freq,
     sdedit_init,
@@ -100,6 +103,50 @@ def test_calibration_rejects_shape_mismatch(tiny_sched, toy_gmm):
     eps0 = gaussian_noise((1, 1, 4, 5), RngSeed(68))
     with pytest.raises(ValueError):
         calibrate_noise(x_ref, eps0, cal_cfg(), toy_gmm, tiny_sched)
+
+
+@pytest.mark.parametrize("nu,ffts", [(0.5, 1), (1.0, 0)])
+def test_one_low_pass_per_iteration(tiny_sched, toy_gmm, monkeypatch, nu, ffts):
+    # the objective and the update share one filter of the gap; nu=1 needs no FFT
+    calls = {"low_pass": 0, "rfft2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(noisecal.calibration, "low_pass", counted("low_pass", low_pass))
+    monkeypatch.setattr(np.fft, "rfft2", counted("rfft2", np.fft.rfft2))
+    x_ref = gaussian_noise((1, 1, 4, 4), RngSeed(84))
+    eps0 = gaussian_noise((1, 1, 4, 4), RngSeed(85))
+    for n in (0, 1, 3):
+        calls.update(low_pass=0, rfft2=0)
+        calibrate_noise(x_ref, eps0, cal_cfg(n_iters=n, nu=nu), toy_gmm, tiny_sched)
+        assert calls == {"low_pass": n, "rfft2": ffts * n}
+
+
+@pytest.mark.parametrize("v", [0.03, 0.3, 3.0])
+@pytest.mark.parametrize("t0", [300, 600, 900])
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+def test_one_gaussian_contraction_law(v, t0, nu):
+    """For one component N(m, v I), Tweedie's formula makes the clean estimate
+    affine in x_t0 with gain sqrt(abar) * v / (abar * v + 1 - abar).  An update
+    moves the low band of x_t0 by -sqrt(abar) * f_l(gap), so every update scales
+    the objective by exactly (1 - abar) / (abar * v + 1 - abar)."""
+    s = linear_beta_schedule(1000, 1e-4, 0.02)
+    rng = RngSeed(86)
+    shape = (2, 1, 8, 8)
+    d = GmmDenoiser([(1.0, gaussian_noise(shape, rng.substream(0)), v)])
+    x_ref = gaussian_noise(shape, rng.substream(1))
+    eps0 = gaussian_noise(shape, rng.substream(2))
+    _, trace = calibrate_noise(x_ref, eps0, cal_cfg(t0=t0, n_iters=3, nu=nu), d, s)
+    abar = float(s.alpha_bar[t0])
+    law = (1.0 - abar) / (abar * v + 1.0 - abar)
+    obj = np.array(trace.objectives)
+    assert len(obj) == 3
+    np.testing.assert_allclose(obj[1:] / obj[:-1], law, rtol=1e-9, atol=0)
 
 
 # ---------------------------------------------------------------- replace

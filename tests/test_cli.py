@@ -419,6 +419,15 @@ def test_metrics_missing_dir_exit2(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "a"), str(tmp_path / "nope")]) == EXIT_IO
 
 
+def test_metrics_two_files_for_one_frame_exit2(tmp_path, capsys):
+    write_video(small_video(226), tmp_path / "a")
+    (tmp_path / "a" / "frame_00000.ppm").write_bytes(b"P6\n12 12\n255\n" + bytes(432))
+    assert main(["metrics", str(tmp_path / "a"), str(tmp_path / "a")]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frame index 00000" in captured.err
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -1,9 +1,11 @@
 """Band split, calibration update and ancestral chain against earlier forms.
 
-The package filters on the real FFT's half-plane and filters one difference
-per band comparison.  The oracles below keep the earlier forms: a full-plane
-complex fft2/ifft2 masked filter whose imaginary residue is checked, and a
-calibration update that filters reference and estimate separately.  The
+The package filters on the real FFT's half-plane, takes the high band as the
+residual of the low band, and filters the gap once per calibration step.  The
+oracles below keep the earlier forms: a full-plane complex fft2/ifft2 masked
+filter whose imaginary residue is checked, a calibration update that filters
+reference and estimate separately, and one that filters the gap twice (the
+objective through content_objective, the update through a complement mask).  The
 package's ancestral chain is denoise_from on the full grid at eta=1; the
 oracle keeps the dedicated DDPM step (posterior mean plus posterior variance)
 and the T-to-0 chain built on it.  A mixture of one-frame means applies to
@@ -74,6 +76,24 @@ def oracle_update(x_ref, eps, t0, nu, d, s):
     return objective, eps_pred + coef * (oracle_high(x0_hat, nu) - oracle_high(x_ref, nu))
 
 
+def complement_high(x, nu):
+    """The complement-mask high band on the real FFT's half-plane."""
+    h, w = x.shape[-2:]
+    spectrum = np.fft.rfft2(x)
+    spectrum *= ~frequency_mask(h, w, nu)[:, : w // 2 + 1]
+    return np.fft.irfft2(spectrum, s=(h, w))
+
+
+def two_filter_update(x_ref, eps, t0, nu, d, s):
+    """One calibration step with two filters of the gap: objective and new noise."""
+    x_t0 = sdedit_init(x_ref, t0, eps, s)
+    eps_pred = d.predict_eps(x_t0, t0, s)
+    x0_hat = estimate_x0(x_t0, t0, eps_pred, s)
+    coef = s.signal_scale(t0) / s.noise_scale(t0)
+    objective = content_objective(x_ref, x0_hat, nu)
+    return objective, eps_pred + coef * complement_high(x0_hat - x_ref, nu)
+
+
 def pair(h, w, seed):
     rng = RngSeed(seed)
     return (gaussian_noise((2, 2, h, w), rng.substream(0)),
@@ -110,6 +130,28 @@ def test_calibration_step_matches_four_filter_oracle(h, w, nu):
     objective, eps_oracle = oracle_update(x_ref, eps0, 600, nu, d, SCHED)
     assert trace.objectives[0] == pytest.approx(objective, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(eps, eps_oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h,w", SHAPES)
+@pytest.mark.parametrize("nu", NUS)
+def test_calibration_step_matches_two_filter_oracle(h, w, nu):
+    x_ref, eps0 = pair(h, w, 2500 * h + w)
+    rng = RngSeed(8)
+    d = GmmDenoiser([(0.5, gaussian_noise(x_ref.shape, rng.substream(k)), 0.3) for k in (0, 1)])
+    cfg = CalibrationConfig(t0=600, n_iters=1, nu=nu, rng=RngSeed(0))
+    eps, trace = calibrate_noise(x_ref, eps0, cfg, d, SCHED)
+    objective, eps_oracle = two_filter_update(x_ref, eps0, 600, nu, d, SCHED)
+    assert trace.objectives[0] == objective  # the same low_pass of the same gap
+    np.testing.assert_allclose(eps, eps_oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h,w", SHAPES)
+def test_low_pass_full_band_is_a_read_only_copy(h, w):
+    a, _ = pair(h, w, 3500 * h + w)
+    out = low_pass(a, 1.0)
+    assert out.tobytes() == a.tobytes()
+    with pytest.raises(ValueError):
+        out[0, 0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("h,w", SHAPES)

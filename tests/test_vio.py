@@ -146,6 +146,24 @@ def test_video_threaded_write_raises_frame_error(tmp_path):
         write_video(quantized_video((4, 1, 4, 4), 117), tmp_path / "v", threads=2)
 
 
+def test_video_rewrite_removes_stale_frames(tmp_path):
+    # a longer RGB video, then a shorter gray one, into the same directory
+    write_video(quantized_video((3, 3, 4, 4), 121), tmp_path / "v")
+    (tmp_path / "v" / "notes.txt").write_text("kept")
+    x = quantized_video((2, 1, 4, 4), 122)
+    write_video(x, tmp_path / "v")
+    names = sorted(p.name for p in (tmp_path / "v").iterdir())
+    assert names == ["frame_00000.pgm", "frame_00001.pgm", "notes.txt"]
+    np.testing.assert_allclose(read_video(tmp_path / "v"), x, atol=1e-12)
+
+
+def test_video_two_files_for_one_index_rejected(tmp_path):
+    write_video(quantized_video((2, 1, 4, 4), 123), tmp_path / "v")
+    write_pnm(np.zeros((3, 4, 4)), tmp_path / "v" / "frame_00000.ppm")
+    with pytest.raises(PnmFormatError, match="frame index 00000"):
+        read_video(tmp_path / "v")
+
+
 def test_video_rejects_two_channels(tmp_path):
     x = gaussian_noise((1, 2, 4, 4), RngSeed(115))
     with pytest.raises(ValueError, match="channels"):
