@@ -14,13 +14,11 @@ from .diffusion import (
     denoise_from,
     estimate_x0,
     forward_noise,
-    sdedit_init,
 )
 from .frequency import content_objective, frequency_mask, high_pass, low_pass
-from .metrics import MetricReport, d_sf, metric_report, mse, mse_low, spatial_frequency, ssim
-from .schedule import NoiseSchedule, TimestepGrid, ddim_grid, linear_beta_schedule
+from .metrics import MetricReport, metric_report, mse, mse_low, spatial_frequency, ssim
+from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import (
-    NonFiniteError,
     NumericError,
     RngSeed,
     VideoTensor,
@@ -49,20 +47,17 @@ __all__ = [
     "GmmDenoiser",
     "MetricReport",
     "NoiseSchedule",
-    "NonFiniteError",
     "NumericError",
     "PnmFormatError",
     "RngSeed",
     "SamplerConfig",
     "TensorFormatError",
-    "TimestepGrid",
     "VideoTensor",
     "as_video",
     "band_limited_field",
     "blurred",
     "calibrate_noise",
     "content_objective",
-    "d_sf",
     "ddim_grid",
     "ddim_step",
     "denoise_from",
@@ -82,7 +77,6 @@ __all__ = [
     "read_tensor",
     "read_video",
     "replace_low_freq",
-    "sdedit_init",
     "spatial_frequency",
     "ssim",
     "toy_benchmark",

@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass, field, replace
 
 from .denoiser import Denoiser
-from .diffusion import SamplerConfig, denoise_from, estimate_x0, sdedit_init
+from .diffusion import SamplerConfig, denoise_from, estimate_x0, forward_noise
 from .frequency import content_objective, low_pass
 from .schedule import NoiseSchedule, ddim_grid
 from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian_noise, l2_norm
@@ -96,7 +96,7 @@ def calibrate_noise(
     trace = CalibrationTrace(calibration_calls=cfg.n_iters)
     eps = eps0
     for _ in range(cfg.n_iters):
-        x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)
+        x_t0 = forward_noise(x_ref, cfg.t0, eps, s)
         eps_pred = d.predict_eps(x_t0, cfg.t0, s)
         gap = estimate_x0(x_t0, cfg.t0, eps_pred, s) - x_ref
         low = low_pass(gap, cfg.nu)
@@ -149,7 +149,7 @@ def nc_sdedit(
     cfg = replace(cfg, t0=grid[0])
     eps0 = gaussian_noise(x_ref.shape, cfg.rng)
     eps, trace = calibrate_noise(x_ref, eps0, cfg, d, s)
-    x_t0 = sdedit_init(x_ref, cfg.t0, eps, s)
+    x_t0 = forward_noise(x_ref, cfg.t0, eps, s)
     x0, first_x0_hat = denoise_from(x_t0, grid, d, s, sampler)
     # first sampling evaluation doubles as the final objective reading
     trace.objectives.append(content_objective(x_ref, first_x0_hat, cfg.nu))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ from .diffusion import SamplerConfig, denoise_from
 from .metrics import metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import NumericError, RngSeed, VideoTensor, gaussian_noise
-from .vio import PnmFormatError, TensorFormatError, read_video, write_video
+from .vio import _FRAME_RE, PnmFormatError, TensorFormatError, read_video, write_video
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -286,9 +287,17 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     master = RngSeed(cfg.seed)
 
     cells = [(resolve_t0(raw_t0, cfg.t_max), float(nu)) for raw_t0 in t0_list for nu in nu_list]
-    for i, cell in enumerate(cells):
-        if cell in cells[:i]:
-            raise ConfigError(f"sweep cell t0={cell[0]}, nu={cell[1]!r} is listed twice")
+    lowest = ddim_grid(s, cfg.num_steps, s.num_steps)[-1]
+    for i, (t0, nu) in enumerate(cells):  # every cell is checked before any cell runs
+        if (t0, nu) in cells[:i]:
+            raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
+        if not 0.0 <= nu <= 1.0:
+            raise ConfigError(f"sweep cell nu={nu!r} is outside [0, 1]")
+        if t0 < lowest:
+            raise ConfigError(
+                f"sweep cell t0={t0} is below {lowest}, the lowest step of the "
+                f"{cfg.num_steps}-step sampling grid"
+            )
 
     def run_cell(t0: int, nu: float, k: int):
         cell_rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
@@ -330,6 +339,13 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     shape = tuple(d.means.shape[1:])
     master = RngSeed(cfg.seed)
     out = Path(cfg.output_dir)
+    for old in out.glob("sample_*"):  # an earlier run's samples numbered count or higher
+        m = re.fullmatch(r"sample_(\d{3,})", old.name)
+        if m and int(m[1]) >= count and old.is_dir():
+            for frame in old.iterdir():
+                if _FRAME_RE.match(frame.name):
+                    frame.unlink()
+            old.rmdir()  # any other file inside is not a frame: OSError, exit 2
     grid = ddim_grid(s, s.num_steps, s.num_steps)  # the full ancestral chain; sampler.* unused
     for j in range(count):
         rng = master.substream(_STREAM_SAMPLE_CMD, j)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser
-from .schedule import NoiseSchedule, TimestepGrid
-from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape
+from .schedule import NoiseSchedule
+from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian_noise
 
 
 @dataclass(frozen=True)
@@ -84,20 +84,13 @@ def ddim_step(
     if residual_var > 0:
         out = out + np.sqrt(residual_var) * eps
     if sigma > 0:
-        z = rng.generator().standard_normal(size=x_t.shape, dtype=np.float64)
-        out = out + sigma * z
+        out = out + sigma * gaussian_noise(x_t.shape, rng)
     return _freeze(out), x0_hat
-
-
-def sdedit_init(x_ref: VideoTensor, t0: int, eps: VideoTensor, s: NoiseSchedule) -> VideoTensor:
-    """Noise a reference up to the intermediate start level t0."""
-    s._check_t(t0)
-    return forward_noise(x_ref, t0, eps, s)
 
 
 def denoise_from(
     x_t0: VideoTensor,
-    grid: TimestepGrid,
+    grid: list[int],
     d: Denoiser,
     s: NoiseSchedule,
     cfg: SamplerConfig,

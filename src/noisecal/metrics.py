@@ -30,7 +30,7 @@ class MetricReport:
     ssim: float
     sf_a: float
     sf_b: float
-    d_sf: float
+    d_sf: float  # detail gain: sf_a - sf_b
 
     CSV_HEADER = "mse,mse_low,ssim,sf_a,sf_b,d_sf"
 
@@ -113,19 +113,13 @@ def spatial_frequency(x: VideoTensor) -> float:
     return float(np.mean(np.sqrt(rf_sq + cf_sq)))
 
 
-def d_sf(x: VideoTensor, x_ref: VideoTensor) -> float:
-    """Detail gain: spatial frequency of x minus that of the reference."""
-    _require_same_shape(x, x_ref)
-    return spatial_frequency(x) - spatial_frequency(x_ref)
-
-
-def metric_report(a: VideoTensor, b: VideoTensor, nu: float = 0.5) -> MetricReport:
+def metric_report(a: VideoTensor, b: VideoTensor) -> MetricReport:
     """Full suite for candidate a against reference b."""
     sf_a = spatial_frequency(a)
     sf_b = spatial_frequency(b)
     return MetricReport(
         mse=mse(a, b),
-        mse_low=mse_low(a, b, nu),
+        mse_low=mse_low(a, b),
         ssim=ssim(a, b),
         sf_a=sf_a,
         sf_b=sf_b,

@@ -85,11 +85,7 @@ def linear_beta_schedule(
     return NoiseSchedule(alpha_bar=alpha_bar)
 
 
-# Strictly decreasing timesteps, each in [1, T]; may be empty.
-TimestepGrid = list[int]
-
-
-def ddim_grid(schedule: NoiseSchedule, num_steps: int, t0: int) -> TimestepGrid:
+def ddim_grid(schedule: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
     """Decreasing subsequence of timesteps for accelerated sampling.
 
     Builds the evenly spaced grid round(i * T / num_steps) for i = 1..num_steps

@@ -18,11 +18,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class NumericError(ArithmeticError):
-    """A numeric consistency guarantee was violated."""
-
-
-class NonFiniteError(NumericError):
-    """A public operation produced NaN or Inf."""
+    """A public operation produced or was given NaN or Inf."""
 
 
 def _splitmix64(z: int) -> int:
@@ -67,7 +63,7 @@ class RngSeed:
 def _freeze(arr: np.ndarray) -> VideoTensor:
     """Finalize an internally-built array: check finiteness, make read-only."""
     if not np.isfinite(arr).all():
-        raise NonFiniteError("operation produced NaN or Inf")
+        raise NumericError("operation produced NaN or Inf")
     arr.flags.writeable = False
     return arr
 
@@ -86,7 +82,7 @@ def as_video(data) -> VideoTensor:
     ):
         _validate_shape(data.shape)
         if not np.isfinite(data).all():
-            raise NonFiniteError("tensor contains NaN or Inf")
+            raise NumericError("tensor contains NaN or Inf")
         return data
     arr = np.array(data, dtype=np.float64)
     if arr.ndim != 4:

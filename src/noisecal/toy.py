@@ -23,24 +23,18 @@ from .schedule import NoiseSchedule, linear_beta_schedule
 from .tensor import RngSeed, VideoTensor, _freeze, gaussian_noise
 
 
-def band_limited_field(
-    shape: tuple[int, int, int, int],
-    rng: RngSeed,
-    cutoff: float = 0.65,
-    lo: float = 0.25,
-    hi: float = 0.75,
-) -> VideoTensor:
-    """Random field with spectrum confined below `cutoff`, rescaled to [lo, hi]."""
-    return blurred(gaussian_noise(shape, rng), cutoff, lo, hi)
+def band_limited_field(shape: tuple[int, int, int, int], rng: RngSeed) -> VideoTensor:
+    """Random field with spectrum confined below 0.65, rescaled to [0.25, 0.75]."""
+    return blurred(gaussian_noise(shape, rng), 0.65)
 
 
-def blurred(x: VideoTensor, cutoff: float = 0.2, lo: float = 0.25, hi: float = 0.75) -> VideoTensor:
-    """Low-passed copy of x, rescaled back to [lo, hi]."""
+def blurred(x: VideoTensor, cutoff: float = 0.2) -> VideoTensor:
+    """Low-passed copy of x, rescaled back to [0.25, 0.75]."""
     field = low_pass(x, cutoff)
     f_lo, f_hi = float(field.min()), float(field.max())
     if f_hi - f_lo < 1e-12:
-        return _freeze(np.full(x.shape, (lo + hi) / 2.0))
-    return _freeze(lo + (hi - lo) * (field - f_lo) / (f_hi - f_lo))
+        return _freeze(np.full(x.shape, 0.5))
+    return _freeze(0.25 + 0.5 * (field - f_lo) / (f_hi - f_lo))
 
 
 def toy_schedule() -> NoiseSchedule:
@@ -49,25 +43,16 @@ def toy_schedule() -> NoiseSchedule:
     return linear_beta_schedule(1000, 1e-5, 2e-3)
 
 
-def toy_benchmark(
-    rng: RngSeed,
-    n_dataset: int = 16,
-    shape: tuple[int, int, int, int] = (1, 1, 16, 16),
-    sigma2: float = 0.03,
-    sharp_cutoff: float = 0.65,
-    blur_cutoff: float = 0.2,
-) -> tuple[GmmDenoiser, VideoTensor]:
-    """Standard toy pair: mixture denoiser over sharp fields plus a blurry
-    held-out reference from the same family.
+def toy_benchmark(rng: RngSeed, sigma2: float = 0.03) -> tuple[GmmDenoiser, VideoTensor]:
+    """Standard toy pair: mixture denoiser over 16 sharp one-frame 16x16
+    fields plus a blurry held-out reference from the same family.
 
     sigma2 > 0 keeps the model a density: without it the reverse chain
     terminates exactly on a dataset point and enhancement differences
     collapse.  sigma2 = 0 gives the empirical denoiser.
     """
-    fields = [
-        band_limited_field(shape, rng.substream(1).substream(i), sharp_cutoff)
-        for i in range(n_dataset)
-    ]
-    d = GmmDenoiser([(1.0 / n_dataset, f, sigma2) for f in fields])
-    reference = blurred(band_limited_field(shape, rng.substream(2), sharp_cutoff), blur_cutoff)
+    shape = (1, 1, 16, 16)
+    fields = [band_limited_field(shape, rng.substream(1).substream(i)) for i in range(16)]
+    d = GmmDenoiser([(1.0 / 16, f, sigma2) for f in fields])
+    reference = blurred(band_limited_field(shape, rng.substream(2)))
     return d, reference

@@ -23,6 +23,7 @@ from noisecal import (
     ddim_grid,
     denoise_from,
     estimate_x0,
+    forward_noise,
     frequency_mask,
     gaussian_noise,
     high_pass,
@@ -33,7 +34,6 @@ from noisecal import (
     mse_low,
     nc_sdedit,
     replace_low_freq,
-    sdedit_init,
     spatial_frequency,
     ssim,
     toy_benchmark,
@@ -85,13 +85,13 @@ def test_acceptance_01_one_step_update_equivalence():
         x_ref = gaussian_noise(shape, root.substream(1))
         eps0 = gaussian_noise(shape, root.substream(2))
 
-        x_t0 = sdedit_init(x_ref, t0, eps0, SCHED)
+        x_t0 = forward_noise(x_ref, t0, eps0, SCHED)
         eps_pred = d.predict_eps(x_t0, t0, SCHED)
         x0_hat = estimate_x0(x_t0, t0, eps_pred, SCHED)
         cfg = CalibrationConfig(t0=t0, n_iters=1, nu=nu, rng=RngSeed(0))
         eps_new, _ = calibrate_noise(x_ref, eps0, cfg, d, SCHED)
 
-        lhs = sdedit_init(x_ref, t0, eps_new, SCHED)
+        lhs = forward_noise(x_ref, t0, eps_new, SCHED)
         rhs = replace_low_freq(x_t0, x_ref, x0_hat, t0, nu, SCHED)
         assert l2_norm(lhs - rhs) < 1e-9 * l2_norm(rhs), f"case {case}: t0={t0} nu={nu}"
     assert time.perf_counter() - start < 10.0
@@ -136,8 +136,8 @@ def test_acceptance_03_degenerate_cutoffs():
 
         cfg = CalibrationConfig(t0=t0, n_iters=3, nu=0.0, rng=RngSeed(0))
         eps, _ = calibrate_noise(x_ref, eps0, cfg, d, SCHED)
-        before = sdedit_init(x_ref, t0, eps0, SCHED)
-        after = sdedit_init(x_ref, t0, eps, SCHED)
+        before = forward_noise(x_ref, t0, eps0, SCHED)
+        after = forward_noise(x_ref, t0, eps, SCHED)
         assert l2_norm(after - before) <= 1e-9 * l2_norm(before), f"case {case}"
 
     for case in range(50):
@@ -150,7 +150,7 @@ def test_acceptance_03_degenerate_cutoffs():
 
         cfg = CalibrationConfig(t0=t0, n_iters=1, nu=1.0, rng=RngSeed(0))
         eps, _ = calibrate_noise(x_ref, eps0, cfg, d, SCHED)
-        x_t0 = sdedit_init(x_ref, t0, eps0, SCHED)
+        x_t0 = forward_noise(x_ref, t0, eps0, SCHED)
         expected = d.predict_eps(x_t0, t0, SCHED)
         assert np.max(np.abs(eps - expected)) <= 1e-12, f"case {case}"
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from noisecal import (
+    GmmDenoiser,
     NumericError,
     RngSeed,
     as_video,
@@ -507,6 +508,33 @@ def test_sweep_repeated_cell_is_config_error(tmp_path, capsys):
     assert "t0=30, nu=0.5 is listed twice" in captured.err
 
 
+@pytest.mark.parametrize(
+    "t0_list,nu_list,threads",
+    [("30,40", "0.5,1.5", "1"), ("30,40", "0.5,1.5", "2"), ("30,5", "1.0", "1")],
+    ids=["nu-above-1", "nu-above-1-threads-2", "t0-below-grid"],
+)
+def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
+    tmp_path, capsys, monkeypatch, t0_list, nu_list, threads
+):
+    # T=50 with 5 steps puts the first grid step at 10; the bad cell comes last
+    calls = []
+    real = GmmDenoiser.posterior_mean
+
+    def counted(self, x_t, t, s):
+        calls.append(t)
+        return real(self, x_t, t, s)
+
+    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", t0_list, "--nu-list", nu_list]
+    rc = main(argv + ["--threads", threads])
+    assert rc == EXIT_CONFIG
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sweep cell" in captured.err
+
+
 # ---------------------------------------------------------------- sample
 
 
@@ -525,6 +553,20 @@ def test_sample_writes_reproducible_dirs(tmp_path):
         assert frame_bytes(tmp_path / "s1" / f"sample_{j:03d}") == frame_bytes(
             tmp_path / "s2" / f"sample_{j:03d}"
         )
+
+
+def test_sample_removes_stale_sample_dirs(tmp_path, capsys):
+    cfg = setup_workdir(tmp_path)
+    out = tmp_path / "s"
+    assert main(["sample", "--config", str(cfg), "--count", "3", "--output", str(out)]) == EXIT_OK
+    assert main(["sample", "--config", str(cfg), "--count", "2", "--output", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["sample_000", "sample_001"]
+    # a stale directory holding more than frames is not deleted: I/O error
+    (out / "sample_005").mkdir()
+    (out / "sample_005" / "notes.txt").write_text("keep")
+    rc = main(["sample", "--config", str(cfg), "--count", "2", "--output", str(out)])
+    assert rc == EXIT_IO
+    assert (out / "sample_005" / "notes.txt").read_text() == "keep"
 
 
 def test_sample_ignores_sampler_steps_and_eta(tmp_path):

@@ -20,7 +20,6 @@ from noisecal import (
     forward_noise,
     gaussian_noise,
     linear_beta_schedule,
-    sdedit_init,
 )
 
 
@@ -174,33 +173,19 @@ def test_ddim_sigma_matches_ddpm_on_consecutive_steps(sched):
         assert sigma_ddim == pytest.approx(sigma_ddpm, abs=1e-12)
 
 
-# ---------------------------------------------------------------- sdedit_init
-
-
-def test_sdedit_init_matches_forward_noise(sched):
-    x = gaussian_noise((1, 3, 4, 4), RngSeed(22))
-    eps = gaussian_noise((1, 3, 4, 4), RngSeed(23))
-    np.testing.assert_array_equal(
-        sdedit_init(x, 600, eps, sched), forward_noise(x, 600, eps, sched)
-    )
+# ---------------------------------------------------------------- SDEdit start
 
 
 def test_sdedit_init_scalar_example(quarter_sched):
-    out = sdedit_init(one_pixel(1.0), 1, one_pixel(2.0), quarter_sched)
+    out = forward_noise(one_pixel(1.0), 1, one_pixel(2.0), quarter_sched)
     assert out.ravel()[0] == pytest.approx(2.2320508, abs=1e-7)
 
 
 def test_sdedit_init_small_t0_stays_close(sched):
     x = gaussian_noise((1, 1, 8, 8), RngSeed(24))
     eps = gaussian_noise((1, 1, 8, 8), RngSeed(25))
-    drift = np.linalg.norm(sdedit_init(x, 1, eps, sched) - x)
+    drift = np.linalg.norm(forward_noise(x, 1, eps, sched) - x)
     assert drift < 0.05 * np.linalg.norm(eps) + 1e-3 * np.linalg.norm(x)
-
-
-def test_sdedit_init_rejects_t0_zero(sched):
-    x = gaussian_noise((1, 1, 2, 2), RngSeed(26))
-    with pytest.raises(ValueError):
-        sdedit_init(x, 0, x, sched)
 
 
 # ---------------------------------------------------------------- denoise_from

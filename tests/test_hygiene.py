@@ -1,7 +1,9 @@
 """Source hygiene: every imported name is used or re-exported through __all__,
-and every name in __all__ is used outside the module that defines it."""
+every name in __all__ is used outside the module that defines it, and every
+package name the benchmark harness looks up exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -78,3 +80,48 @@ def test_every_exported_name_is_used_outside_its_module():
         and not any(name in used[path] for path in files if path != home[name])
     ]
     assert unused == [], f"exported but used only in their own module: {unused}"
+
+
+def perfbench_trees() -> list[tuple[str, ast.Module]]:
+    """Each perfbench module, plus each code string in it that imports the package."""
+    trees = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        trees.append((path.name, tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.search(r"^(from|import) noisecal\b", node.value, re.M):
+                    try:
+                        trees.append((f"{path.name}:{node.lineno}", ast.parse(node.value)))
+                    except SyntaxError:  # prose, such as a docstring
+                        pass
+    return trees
+
+
+def resolves(module: str, name: str) -> bool:
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    # the span targets in spans.TARGETS are strings and may name what is gone
+    missing = []
+    for where, tree in perfbench_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "noisecal":
+                missing += [
+                    f"{where}:{node.lineno}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not resolves(node.module, alias.name)
+                ]
+            elif isinstance(node, ast.Attribute):
+                owner = node.value
+                owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if owner in ("cli", "vio") and not resolves(f"noisecal.{owner}", node.attr):
+                    missing.append(f"{where}:{node.lineno}: noisecal.{owner}.{node.attr}")
+    assert missing == [], "perfbench uses names the package does not have:\n" + "\n".join(missing)

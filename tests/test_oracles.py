@@ -25,6 +25,7 @@ from noisecal import (
     ddim_grid,
     denoise_from,
     estimate_x0,
+    forward_noise,
     frequency_mask,
     gaussian_noise,
     high_pass,
@@ -33,7 +34,6 @@ from noisecal import (
     low_pass,
     mse_low,
     replace_low_freq,
-    sdedit_init,
 )
 from noisecal.tensor import _freeze
 
@@ -68,7 +68,7 @@ def oracle_high(x, nu):
 
 def oracle_update(x_ref, eps, t0, nu, d, s):
     """One calibration step with four filters: objective and new noise."""
-    x_t0 = sdedit_init(x_ref, t0, eps, s)
+    x_t0 = forward_noise(x_ref, t0, eps, s)
     eps_pred = d.predict_eps(x_t0, t0, s)
     x0_hat = estimate_x0(x_t0, t0, eps_pred, s)
     objective = np.linalg.norm((oracle_low(x_ref, nu) - oracle_low(x0_hat, nu)).ravel())
@@ -86,7 +86,7 @@ def complement_high(x, nu):
 
 def two_filter_update(x_ref, eps, t0, nu, d, s):
     """One calibration step with two filters of the gap: objective and new noise."""
-    x_t0 = sdedit_init(x_ref, t0, eps, s)
+    x_t0 = forward_noise(x_ref, t0, eps, s)
     eps_pred = d.predict_eps(x_t0, t0, s)
     x0_hat = estimate_x0(x_t0, t0, eps_pred, s)
     coef = s.signal_scale(t0) / s.noise_scale(t0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from noisecal import NonFiniteError, RngSeed, as_video, gaussian_noise, l2_norm
+from noisecal import NumericError, RngSeed, as_video, gaussian_noise, l2_norm
 
 
 def test_as_video_accepts_rank4_and_freezes():
@@ -28,10 +28,10 @@ def test_as_video_rejects_empty_dims():
 def test_as_video_rejects_nan_and_inf():
     bad = np.zeros((1, 1, 2, 2))
     bad[0, 0, 0, 0] = np.nan
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NumericError):
         as_video(bad)
     bad[0, 0, 0, 0] = np.inf
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NumericError):
         as_video(bad)
 
 
