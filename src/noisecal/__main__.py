@@ -1,6 +1,6 @@
 import sys
 
-from .cli import entrypoint
+from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(entrypoint())
+    sys.exit(main())

@@ -55,11 +55,6 @@ class NoiseSchedule:
         self._check_t(t, low=0)
         return float(np.sqrt(1.0 - self.alpha_bar[t]))
 
-    def alpha(self, t: int) -> float:
-        """Per-step retention factor alpha_bar[t] / alpha_bar[t-1]."""
-        self._check_t(t)
-        return float(self.alpha_bar[t] / self.alpha_bar[t - 1])
-
 
 def linear_beta_schedule(
     num_steps: int = 1000,
@@ -77,10 +72,7 @@ def linear_beta_schedule(
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    if num_steps == 1:
-        betas = np.array([beta_start], dtype=np.float64)
-    else:
-        betas = np.linspace(beta_start, beta_end, num_steps, dtype=np.float64)
+    betas = np.linspace(beta_start, beta_end, num_steps, dtype=np.float64)
     alpha_bar = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
     return NoiseSchedule(alpha_bar=alpha_bar)
 
@@ -89,9 +81,9 @@ def ddim_grid(schedule: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
     """Decreasing subsequence of timesteps for accelerated sampling.
 
     Builds the evenly spaced grid round(i * T / num_steps) for i = 1..num_steps
-    (integer-exact rounding), deduplicates, keeps only entries <= t0, and
-    returns them in decreasing order.  Empty iff t0 falls below the first
-    grid point; sampling then has nothing to do.
+    (integer-exact rounding; num_steps <= T keeps the entries distinct), keeps
+    only entries <= t0, and returns them in decreasing order.  Empty iff t0
+    falls below the first grid point; sampling then has nothing to do.
     """
     big_t = schedule.num_steps
     if not 1 <= num_steps <= big_t:
@@ -104,7 +96,6 @@ def ddim_grid(schedule: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
         t = (2 * i * big_t + num_steps) // (2 * num_steps)
         if t > t0:
             break
-        if not grid or grid[-1] != t:
-            grid.append(t)
+        grid.append(t)
     grid.reverse()
     return grid

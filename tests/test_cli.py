@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,8 @@ from noisecal.cli import (
     resolve_t0,
 )
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 _BASE = {
     "schedule": {"T": 50, "beta_start": 0.001, "beta_end": 0.02},
@@ -52,8 +56,10 @@ def setup_workdir(root: Path, overrides=None) -> Path:
     for section, block in (overrides or {}).items():
         if block is None:
             doc.pop(section, None)
-        else:
+        elif isinstance(block, dict):
             doc.setdefault(section, {}).update(block)
+        else:
+            doc[section] = block
     write_video(small_video(200, frames=3), root / "data")
     write_video(small_video(201), root / "input")
     cfg = root / "cfg.json"
@@ -279,15 +285,30 @@ _GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
         pytest.param(_GMM, [{"weight": 1.0}], id="component-without-mean"),
         pytest.param(_GMM, [{"weight": None, "mean": "m0.vnt"}], id="null-weight"),
         pytest.param(_GMM, [{"weight": 1.0, "mean": 7}], id="mean-not-a-path"),
+        pytest.param([], None, id="top-level-list"),
+        pytest.param({"sampler": []}, None, id="section-not-an-object"),
+        pytest.param({"sampler": {"eta": "1"}}, None, id="eta-string"),
+        pytest.param({"sampler": {"num_steps": 2.5}}, None, id="num-steps-fraction"),
+        pytest.param({"calibration": {"N": -1}}, None, id="negative-N"),
+        pytest.param({"calibration": {"nu": 1.5}}, None, id="nu-above-1"),
+        pytest.param({"denoiser": {"kind": "unet"}}, None, id="unknown-denoiser-kind"),
+        pytest.param({"schedule": {"beta_start": 0.5, "beta_end": 0.1}}, None, id="betas-reversed"),
+        pytest.param({"denoiser": None}, None, id="no-denoiser"),
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spec):
     write_tensor(small_video(212, frames=1), tmp_path / "m0.vnt")
     if spec is not None:
         (tmp_path / "gmm.json").write_text(json.dumps(spec))
-    cfg = setup_workdir(tmp_path, overrides)
+    if isinstance(overrides, dict):
+        cfg = setup_workdir(tmp_path, overrides)
+    else:  # the whole document
+        cfg = setup_workdir(tmp_path)
+        cfg.write_text(json.dumps(overrides))
     assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -295,6 +316,8 @@ _BAD_TENSORS = {
     "zero-dim": struct.pack("<5I", 4, 1, 0, 12, 12),
     "huge-dims": struct.pack("<5I", 4, *(65536,) * 4),  # 2**64 elements, empty payload
     "nan-payload": struct.pack("<5I", 4, 1, 1, 12, 12) + struct.pack("<f", float("nan")) * 144,
+    "five-bytes": b"\x04",
+    "truncated-dims": struct.pack("<3I", 4, 1, 1),
 }
 
 
@@ -329,19 +352,48 @@ def test_enhance_rejects_mixture_frame_count(tmp_path, capsys):
         ["enhance", "--config", "CFG", "--threads", "-1"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--threads", "0"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--threads", "-1"],
+        ["sweep", "--config", "CFG", "--t0-list", "0.4,abc", "--nu-list", "1.0"],
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--seeds", "0"],
+        ["sweep", "--config", "NO_IO", "--t0-list", "30", "--nu-list", "1.0"],
+        ["sample", "--config", "CFG", "--count", "-1"],
+        ["sample", "--config", "NO_IO"],
     ],
     ids=[
         "seeds-abc", "unknown-flag", "no-config", "no-command",
         "enhance-threads-0", "enhance-threads-neg", "sweep-threads-0", "sweep-threads-neg",
+        "t0-list-abc", "seeds-0", "sweep-no-input", "count-neg", "sample-no-output",
     ],
 )
 def test_bad_flags_are_config_errors(tmp_path, capsys, argv):
-    cfg = setup_workdir(tmp_path)
-    assert main([str(cfg) if a == "CFG" else a for a in argv]) == EXIT_CONFIG
+    cfg = {"CFG": setup_workdir(tmp_path), "NO_IO": setup_workdir(tmp_path / "no_io", {"io": None})}
+    assert main([str(cfg.get(a, a)) for a in argv]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_input_flag_overrides_config(tmp_path):
+    cfg = setup_workdir(tmp_path, {"io": {"input": "nowhere"}})
+    assert main(["enhance", "--config", str(cfg), "--input", str(tmp_path / "input")]) == EXIT_OK
+    assert len(frame_bytes(tmp_path / "out")) == 2
+
+
+def run_module(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "noisecal", *args], env=env, capture_output=True)
+
+
+def test_python_m_noisecal_runs_main(tmp_path):
+    assert run_module("--help").returncode == EXIT_OK
+    assert run_module("metrics", str(tmp_path / "a"), str(tmp_path / "b")).returncode == EXIT_IO
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert doc["project"]["scripts"] == {"noisecal": "noisecal.cli:main"}
 
 
 def test_help_exits_zero(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used or re-exported through __all__,
-every name in __all__ is used outside the module that defines it, and every
-package name the benchmark harness looks up exists."""
+every name in __all__ is used outside the module that defines it, private
+names stay inside their modules, and every package name the benchmark
+harness looks up exists."""
 
 import ast
 import importlib
@@ -80,6 +81,19 @@ def test_every_exported_name_is_used_outside_its_module():
         and not any(name in used[path] for path in files if path != home[name])
     ]
     assert unused == [], f"exported but used only in their own module: {unused}"
+
+
+def test_private_names_are_imported_only_from_tensor():
+    # tensor holds the package's shared internals; any other module's _names are its own
+    found = [
+        f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+        for path in sorted((ROOT / "src" / "noisecal").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module not in ("tensor", "noisecal.tensor")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == [], "private names imported from another module:\n" + "\n".join(found)
 
 
 def perfbench_trees() -> list[tuple[str, ast.Module]]:

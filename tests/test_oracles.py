@@ -170,7 +170,7 @@ def test_cached_mask_is_read_only():
 def ddpm_step(x_t, t, d, s, rng):
     """Ancestral reverse step t -> t-1 with the posterior variance."""
     s._check_t(t)
-    alpha = s.alpha(t)
+    alpha = float(s.alpha_bar[t] / s.alpha_bar[t - 1])
     abar_t = float(s.alpha_bar[t])
     abar_prev = float(s.alpha_bar[t - 1])
     eps = d.predict_eps(x_t, t, s)

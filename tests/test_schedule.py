@@ -49,12 +49,9 @@ def test_scale_queries(sched):
     assert sched.noise_scale(t) == pytest.approx(np.sqrt(1 - ab))
     assert sched.signal_scale(0) == 1.0
     assert sched.noise_scale(0) == 0.0
-    assert sched.alpha(1) == pytest.approx(sched.alpha_bar[1])
 
 
 def test_timestep_range_checks(sched):
-    with pytest.raises(ValueError):
-        sched.alpha(0)
     with pytest.raises(ValueError):
         sched.signal_scale(1001)
     with pytest.raises(ValueError):

@@ -56,17 +56,21 @@ def test_pnm_roundtrip_rgb(tmp_path):
     np.testing.assert_allclose(read_pnm(p), x[0], atol=1e-12)
 
 
-def test_pnm_rejects_bad_magic(tmp_path):
-    p = tmp_path / "f.pgm"
-    p.write_bytes(b"P4\n2 2\n255\n1234")
-    with pytest.raises(PnmFormatError):
-        read_pnm(p)
+BAD_HEADERS = {
+    "bad-magic": (b"P4\n2 2\n255\n1234", "not a binary"),
+    "wrong-maxval": (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),
+    "truncated": (b"P5 4 4", "truncated header"),
+    "unexpected-byte": (b"P5 4 x 4 255\n" + bytes(16), "unexpected byte"),
+    "unterminated": (b"P5 4 4 255", "not terminated"),
+    "zero-width": (b"P5 0 4 255\n", "invalid dimensions"),
+}
 
 
-def test_pnm_rejects_wrong_maxval(tmp_path):
+@pytest.mark.parametrize("blob,match", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_pnm_rejects_malformed_header(tmp_path, blob, match):
     p = tmp_path / "f.pgm"
-    p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-    with pytest.raises(PnmFormatError, match="maxval"):
+    p.write_bytes(blob)
+    with pytest.raises(PnmFormatError, match=match):
         read_pnm(p)
 
 
@@ -83,6 +87,12 @@ def test_pnm_rejects_short_payload(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
     with pytest.raises(PnmFormatError, match="payload"):
         read_pnm(p)
+
+
+def test_write_pnm_rejects_two_channels(tmp_path):
+    with pytest.raises(ValueError, match="channels"):
+        write_pnm(np.zeros((2, 4, 4)), tmp_path / "f.pgm")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- videos
