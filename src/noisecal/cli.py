@@ -417,3 +417,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+if __name__ == "__main__":  # `python -m noisecal.cli` would otherwise exit 0 without running
+    sys.exit('use "python -m noisecal"')

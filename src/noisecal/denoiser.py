@@ -84,6 +84,15 @@ class GmmDenoiser(Denoiser):
         self.weights.flags.writeable = False
         self.means.flags.writeable = False
         self.variances.flags.writeable = False
+        # centre of the means and each mean's squared distance to it, per frame
+        flat = self.means.reshape(len(means), shape[0], -1)  # (n, F_m, D)
+        self._mbar = flat.mean(axis=0)  # (F_m, D)
+        self._msq = np.empty(flat.shape[:2])  # (n, F_m)
+        buf = np.empty_like(self._mbar)
+        for k, m in enumerate(flat):
+            np.subtract(m, self._mbar, out=buf)
+            np.multiply(buf, buf, out=buf)
+            buf.sum(axis=1, out=self._msq[k])
 
     @classmethod
     def from_dataset(cls, dir_path) -> "GmmDenoiser":
@@ -135,26 +144,43 @@ class GmmDenoiser(Denoiser):
         Means of one frame are a static-video prior: they broadcast over
         every frame of x_t, and the mixture is over whole videos, so the
         result equals that of the means repeated along the frame axis.
+
+        Each frame is one matrix-vector product against the (n, D) means of
+        that frame, so no (n, F, C, H, W) temporary is built.  The squared
+        residuals ||x - root*m_k||^2 are expanded around root*mbar, the
+        scaled centre of the means, so that an offset common to all means
+        does not cancel digits away.
         """
         schedule._check_t(t)
         if x_t.shape[1:] != self.means.shape[2:] or self.means.shape[1] not in (1, len(x_t)):
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.means.shape[1:]}")
+        n, f = len(self.means), len(x_t)
         abar = float(schedule.alpha_bar[t])
         root = np.sqrt(abar)
-        # per-component marginal variance of x_t and residual from scaled mean
+        x = x_t.reshape(f, -1)  # (F, D)
+        # one-frame means broadcast as views: the tiled and one-frame mixtures
+        # run the same per-frame kernel on the same values, so their bytes agree
+        m = np.broadcast_to(self.means.reshape(n, len(self._mbar), -1), (n,) + x.shape)
+        m = m.transpose(1, 0, 2)  # (F, n, D)
+        mbar = np.broadcast_to(self._mbar, x.shape)
+        c = x - root * self._mbar
+        dots = np.matmul(m, c[:, :, None])[:, :, 0]  # (F, n): m_kf . c_f
+        dots -= np.matmul(mbar[:, None, :], c[:, :, None])[:, :, 0]  # (m_kf - mbar_f) . c_f
+        # frame sums over materialised (F, n) arrays add in the same order for both
+        msq = np.ascontiguousarray(np.broadcast_to(self._msq.T, (f, n)))
+        sq = float(np.vdot(c, c)) - 2.0 * root * dots.sum(axis=0) + abar * msq.sum(axis=0)
+        del c  # the output below takes two more full-size buffers
+        # per-component marginal variance of x_t
         s = abar * self.variances + (1.0 - abar)  # (n,)
-        resid = x_t[None, ...] - root * self.means  # (n, F, C, H, W), F from x_t
-        sq = np.sum(resid * resid, axis=(1, 2, 3, 4))  # (n,)
-        dim = x_t.size
-        log_r = np.log(self.weights) - sq / (2.0 * s) - 0.5 * dim * np.log(s)
+        log_r = np.log(self.weights) - sq / (2.0 * s) - 0.5 * x_t.size * np.log(s)
         log_r -= log_r.max()  # log-sum-exp shift keeps exp in range
         r = np.exp(log_r)
         r /= r.sum()
         gain = root * self.variances / s  # (n,) shrinkage toward each mean
-        comp_means = gain[:, None, None, None, None] * resid
-        comp_means += self.means  # in place: broadcast means would cost another temporary
-        out = np.tensordot(r, comp_means, axes=1)
-        return _freeze(out)
+        # sum_k r_k (m_k + g_k (x - root m_k)) = sum_k r_k (1 - g_k root) m_k + (r . g) x
+        out = np.matmul(r * (1.0 - gain * root), m)  # (F, D)
+        out += float(r @ gain) * x
+        return _freeze(out.reshape(x_t.shape))
 
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         x0 = self.posterior_mean(x_t, t, schedule)

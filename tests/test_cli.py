@@ -45,8 +45,8 @@ _BASE = {
 }
 
 
-def small_video(seed, frames=2):
-    raw = gaussian_noise((frames, 1, 12, 12), RngSeed(seed)) * 0.2 + 0.5
+def small_video(seed, frames=2, size=12):
+    raw = gaussian_noise((frames, 1, size, size), RngSeed(seed)) * 0.2 + 0.5
     return as_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0)
 
 
@@ -379,15 +379,41 @@ def test_input_flag_overrides_config(tmp_path):
     assert len(frame_bytes(tmp_path / "out")) == 2
 
 
-def run_module(*args):
+def run_module(*args, module="noisecal", **env):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "noisecal", *args], env=env, capture_output=True)
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run([sys.executable, "-m", module, *args], env=env, capture_output=True)
 
 
 def test_python_m_noisecal_runs_main(tmp_path):
     assert run_module("--help").returncode == EXIT_OK
     assert run_module("metrics", str(tmp_path / "a"), str(tmp_path / "b")).returncode == EXIT_IO
+
+
+def test_python_m_noisecal_cli_points_to_the_entry_point(tmp_path):
+    """The module path is not a second entry point, and it does not pass silently."""
+    proc = run_module("enhance", "--config", str(tmp_path / "nowhere.json"), module="noisecal.cli")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == b""
+    assert b'use "python -m noisecal"' in proc.stderr
+
+
+def test_enhance_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The posterior runs on BLAS matrix-vector products.  16 components of
+    32x32 frames are enough for OpenBLAS to split each product over threads."""
+    cfg = setup_workdir(tmp_path)
+    write_video(small_video(202, frames=16, size=32), tmp_path / "data")
+    write_video(small_video(203, size=32), tmp_path / "input")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-blas-{threads}"
+        proc = run_module(
+            "enhance", "--config", str(cfg), "--output", str(out), OPENBLAS_NUM_THREADS=threads
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        runs.append((frame_bytes(out), (out / "trace.csv").read_bytes()))
+    assert len(runs[0][0]) == 2
+    assert runs[0] == runs[1]
 
 
 def test_console_script_is_cli_main():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,10 +111,17 @@ def test_weights_normalized():
 
 
 def test_responsibility_stability_for_far_means(sched):
-    # means separated by 1e6 must not overflow the softmax
+    # means 2e6 apart must not overflow the softmax, and the expanded square
+    # ||x - root*m||^2 must keep the winning mean's single-component closed form
     d = GmmDenoiser([(0.5, one_pixel(-1e6), 1.0), (0.5, one_pixel(1e6), 1.0)])
-    out = d.posterior_mean(one_pixel(1e6), 500, sched)
-    assert np.isfinite(out).all()
+    abar, v = float(sched.alpha_bar[500]), 1.0
+    root = np.sqrt(abar)
+    gain = root * v / (abar * v + 1.0 - abar)
+    for x in (1e6, 2e5, -1e6):
+        out = d.posterior_mean(one_pixel(x), 500, sched)
+        assert np.isfinite(out).all()
+        m = np.copysign(1e6, x)
+        np.testing.assert_allclose(out, m + gain * (x - root * m), rtol=1e-12, err_msg=str(x))
 
 
 _SCHED = linear_beta_schedule(1000, 1e-4, 0.02)
@@ -135,6 +143,25 @@ def test_eps_x0_identity(seed, t):
     eps = d.predict_eps(x_t, t, _SCHED)
     recomposed = _SCHED.signal_scale(t) * x0 + _SCHED.noise_scale(t) * eps
     assert np.allclose(recomposed, x_t, atol=1e-10)
+
+
+@pytest.mark.parametrize("mean_frames", [1, 8])
+def test_posterior_mean_peak_memory_is_a_few_inputs(sched, mean_frames):
+    """No per-component full-size temporary: one call on 8x1x64x64 with 32
+    components peaks below 4x the input's bytes (the broadcast form: ~2n x)."""
+    rng = RngSeed(21)
+    d = GmmDenoiser(
+        [(1.0, gaussian_noise((mean_frames, 1, 64, 64), rng.substream(k)), 0.3) for k in range(32)]
+    )
+    x_t = gaussian_noise((8, 1, 64, 64), rng.substream(99))
+    d.posterior_mean(x_t, 500, sched)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        d.posterior_mean(x_t, 500, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x_t.nbytes
 
 
 def test_counting_denoiser(quarter_sched):

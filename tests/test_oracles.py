@@ -10,10 +10,15 @@ package's ancestral chain is denoise_from on the full grid at eta=1; the
 oracle keeps the dedicated DDPM step (posterior mean plus posterior variance)
 and the T-to-0 chain built on it.  A mixture of one-frame means applies to
 every frame of a video; the oracle repeats each mean along the frame axis.
+The package's GMM posterior is per-frame matrix-vector products against the
+centred means; the oracle keeps the broadcast form, which builds the residual
+from every scaled mean, and runs it in long double as the exact reference.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisecal import (
     CalibrationConfig,
@@ -34,6 +39,7 @@ from noisecal import (
     low_pass,
     mse_low,
     replace_low_freq,
+    toy_schedule,
 )
 from noisecal.tensor import _freeze
 
@@ -239,3 +245,67 @@ def test_one_frame_mixture_matches_tiled_oracle(frames, channels, t):
         want = getattr(tiled, method)(x_t, t, SCHED)
         assert got.shape == x_t.shape
         assert got.tobytes() == want.tobytes(), method
+
+
+def broadcast_posterior_mean(d, x_t, t, schedule, dtype=np.float64):
+    """E[x0 | x_t] from two (n, F, C, H, W) temporaries: the residual from
+    every scaled mean, then every component's shrunk mean.  In np.longdouble
+    it is the extended-precision reference."""
+    abar = dtype(schedule.alpha_bar[t])
+    root = np.sqrt(abar)
+    means, variances = d.means.astype(dtype), d.variances.astype(dtype)
+    s = abar * variances + (1 - abar)
+    resid = x_t.astype(dtype)[None, ...] - root * means
+    sq = np.sum(resid * resid, axis=(1, 2, 3, 4))
+    log_r = np.log(d.weights.astype(dtype)) - sq / (2 * s) - dtype(0.5) * x_t.size * np.log(s)
+    log_r -= log_r.max()
+    r = np.exp(log_r)
+    r /= r.sum()
+    gain = root * variances / s
+    comp_means = gain[:, None, None, None, None] * resid
+    comp_means += means
+    return np.tensordot(r, comp_means, axes=1)
+
+
+def noised_mixture(rng, n, mean_shape, variances, offset, t, schedule, frames):
+    """A mixture whose means share `offset`, and x_t drawn from component 0's marginal."""
+    gen = rng.generator()
+    means = [offset + 0.5 * gaussian_noise(mean_shape, rng.substream(k)) for k in range(n)]
+    d = GmmDenoiser([(float(gen.uniform(0.2, 1.0)), m, v) for m, v in zip(means, variances)])
+    abar = schedule.alpha_bar[t]
+    shape = (frames,) + mean_shape[1:]
+    x0 = d.means[0] + np.sqrt(d.variances[0]) * gaussian_noise(shape, rng.substream(n))
+    return d, np.sqrt(abar) * x0 + np.sqrt(1 - abar) * gaussian_noise(shape, rng.substream(n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    one_frame=st.booleans(),
+    zero_variance=st.booleans(),
+    t=st.sampled_from([1, 1000]),
+    toy=st.booleans(),
+    offset=st.sampled_from([0.0, 1e3, -1e3]) | st.floats(-1e3, 1e3),
+)
+def test_posterior_mean_matches_broadcast_oracle(seed, one_frame, zero_variance, t, toy, offset):
+    rng = RngSeed(seed)
+    gen = rng.generator()
+    n, frames, channels = (int(v) for v in gen.integers(1, [7, 4, 4]))
+    variances = [0.0] * n if zero_variance else gen.choice([0.0, 0.05, 0.3, 1.0], size=n).tolist()
+    schedule = toy_schedule() if toy else SCHED
+    mean_shape = (1 if one_frame else frames, channels, 5, 6)
+    d, x_t = noised_mixture(rng, n, mean_shape, variances, offset, t, schedule, frames)
+    want = broadcast_posterior_mean(d, x_t, t, schedule)
+    np.testing.assert_allclose(d.posterior_mean(x_t, t, schedule), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("schedule", [toy_schedule(), SCHED], ids=["toy", "ddpm"])
+@pytest.mark.parametrize("t", [1, 300, 600, 999, 1000])
+def test_posterior_mean_matches_longdouble_reference(schedule, t):
+    """Within 1e-12 abs of the exact posterior on 8x1x32x32 with 16 components.
+    The worst case, at t=999 on the DDPM schedule, measured 3.4e-13 (the
+    broadcast form in float64: 4.0e-13); on the toy schedule, under 1e-15."""
+    d, x_t = noised_mixture(RngSeed(11), 16, (8, 1, 32, 32), [0.3, 0.0] * 8, 0.0, t, schedule, 8)
+    want = broadcast_posterior_mean(d, x_t, t, schedule, dtype=np.longdouble)
+    err = np.abs(d.posterior_mean(x_t, t, schedule) - want).max()
+    assert err <= 1e-12
