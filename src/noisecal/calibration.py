@@ -123,6 +123,17 @@ def replace_low_freq(
     return _freeze(x_t0 + s.signal_scale(t0) * low_pass(x_ref - x0_hat, nu))
 
 
+def start_grid(s: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
+    """The num_steps sampling grid from t0 down; a t0 below its lowest step is an error."""
+    grid = ddim_grid(s, num_steps, t0)
+    if not grid:
+        lowest = ddim_grid(s, num_steps, s.num_steps)[-1]
+        raise ValueError(
+            f"t0={t0} is below {lowest}, the lowest step of the {num_steps}-step sampling grid"
+        )
+    return grid
+
+
 def nc_sdedit(
     x_ref: VideoTensor,
     cfg: CalibrationConfig,
@@ -136,16 +147,9 @@ def nc_sdedit(
     every objective is read at one level.  With n_iters=0 this is the plain
     SDEdit baseline.  The returned trace carries the objective after every
     update (n_iters+1 entries) and exact call totals: n_iters calibration
-    evaluations plus one per grid entry.  A t0 below the first sampling grid
-    step is an error: there would be nothing to sample.
+    evaluations plus one per grid entry.
     """
-    grid = ddim_grid(s, sampler.num_steps, cfg.t0)
-    if not grid:
-        lowest = ddim_grid(s, sampler.num_steps, s.num_steps)[-1]
-        raise ValueError(
-            f"t0={cfg.t0} is below {lowest}, the lowest step of the "
-            f"{sampler.num_steps}-step sampling grid"
-        )
+    grid = start_grid(s, sampler.num_steps, cfg.t0)
     cfg = replace(cfg, t0=grid[0])
     eps0 = gaussian_noise(x_ref.shape, cfg.rng)
     eps, trace = calibrate_noise(x_ref, eps0, cfg, d, s)

@@ -14,16 +14,17 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, nc_sdedit
+from .calibration import CalibrationConfig, nc_sdedit, start_grid
 from .denoiser import Denoiser, GmmDenoiser
 from .diffusion import SamplerConfig, denoise_from
 from .metrics import metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
-from .tensor import NumericError, RngSeed, VideoTensor, gaussian_noise
+from .tensor import NumericError, RngSeed, VideoTensor, _finite_number, gaussian_noise
 from .vio import PnmFormatError, TensorFormatError, read_video, remove_video, write_video
 
 EXIT_OK = 0
@@ -106,11 +107,7 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
 def _num(block: dict, key: str, default, kind=float):
     if key not in block:
         return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
-    if not abs(v) <= sys.float_info.max:  # NaN, Infinity, or an int beyond float range
-        raise ConfigError(f"{key} must be a finite number, got {v!r}")
+    v = _finite_number(block[key], key)
     if kind is int and not isinstance(v, int):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
     return kind(v)
@@ -198,23 +195,16 @@ def build_denoiser(cfg: RunConfig, n_frames: int | None) -> GmmDenoiser:
     return d
 
 
-def _run_pipeline(
-    cfg: RunConfig,
-    x_ref: VideoTensor,
-    d: Denoiser,
-    s: NoiseSchedule,
-    rng: RngSeed,
-    t0: int,
-    nu: float,
-):
-    """One calibrated enhancement at (t0, nu); all its draws hang off rng."""
+def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
+    """(CalibrationConfig, SamplerConfig) of one calibrated enhancement at (t0, nu);
+    all its draws hang off rng."""
     cal = CalibrationConfig(
         t0=t0, n_iters=cfg.n_iters, nu=nu, rng=rng.substream(_STREAM_CALIBRATION)
     )
     samp = SamplerConfig(
         eta=cfg.eta, num_steps=cfg.num_steps, rng=rng.substream(_STREAM_SAMPLER)
     )
-    return nc_sdedit(x_ref, cal, samp, d, s)
+    return cal, samp
 
 
 def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
@@ -226,7 +216,8 @@ def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
     x_ref = read_video(cfg.input_dir)
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
-    x0, trace = _run_pipeline(cfg, x_ref, d, s, RngSeed(cfg.seed), cfg.t0, cfg.nu)
+    cal, samp = _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
+    x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
     report = metric_report(x0, x_ref)  # before any write: frames too small for SSIM fail here
 
     out = Path(cfg.output_dir)
@@ -252,75 +243,55 @@ def _float_bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _parse_number_list(text: str) -> list:
-    out = []
-    for piece in filter(None, map(str.strip, text.split(","))):
-        try:
-            v = int(piece)
-        except ValueError:
-            try:
-                v = float(piece)
-            except ValueError:
-                raise ConfigError(f"not a number: {piece!r}") from None
-        if not abs(v) <= sys.float_info.max:  # NaN, inf, or an int beyond float range
-            raise ConfigError(f"not a finite number: {piece!r}")
-        out.append(v)
-    if not out:
-        raise ConfigError("empty list")
-    return out
+def _scored_run(
+    x_ref: VideoTensor, cal: CalibrationConfig, samp: SamplerConfig, d: Denoiser, s: NoiseSchedule
+):
+    """One sweep run's metric report and objectives; its frames go no further."""
+    x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
+    return metric_report(x0, x_ref), trace.objectives
 
 
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
     if cfg.input_dir is None:
         raise ConfigError("sweep needs io.input")
-    if seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {seeds}")
     x_ref = read_video(cfg.input_dir)
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
     master = RngSeed(cfg.seed)
 
     cells = [(resolve_t0(raw_t0, cfg.t_max), float(nu)) for raw_t0 in t0_list for nu in nu_list]
-    lowest = ddim_grid(s, cfg.num_steps, s.num_steps)[-1]
-    for i, (t0, nu) in enumerate(cells):  # every cell is checked before any cell runs
+    for i, (t0, nu) in enumerate(cells):
         if (t0, nu) in cells[:i]:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
-        if not 0.0 <= nu <= 1.0:
-            raise ConfigError(f"sweep cell nu={nu!r} is outside [0, 1]")
-        if t0 < lowest:
-            raise ConfigError(
-                f"sweep cell t0={t0} is below {lowest}, the lowest step of the "
-                f"{cfg.num_steps}-step sampling grid"
-            )
-
-    def run_cell(t0: int, nu: float, k: int):
-        cell_rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
-        x0, trace = _run_pipeline(cfg, x_ref, d, s, cell_rng, t0, nu)
-        rep = metric_report(x0, x_ref)
-        return (rep.mse_low, rep.mse, rep.ssim, rep.d_sf, trace.objectives)
-
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
+    runs = []  # every run is built, and so checked, before any runs
+    for t0, nu, k in jobs:
+        try:
+            start_grid(s, cfg.num_steps, t0)
+            rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
+            runs.append(_run_configs(cfg, rng, t0, nu))
+        except ValueError as e:
+            raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
+
+    cals, samps = zip(*runs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda j: run_cell(*j), jobs))
+        scored = list(pool.map(_scored_run, repeat(x_ref), cals, samps, repeat(d), repeat(s)))
 
     n_obj = cfg.n_iters + 1  # every run records the objective after 0..N updates
     header = ["t0", "nu", "seed", "mse_low", "mse", "ssim", "d_sf"]
     header += [f"obj{i}" for i in range(n_obj)]
     print(",".join(header))
-    for (t0, nu, k), (mse_low, mse, ssim_v, dsf, objs) in zip(jobs, results):
-        row = [str(t0), repr(nu), str(k), repr(mse_low), repr(mse), repr(ssim_v), repr(dsf)]
-        print(",".join(row + [repr(o) for o in objs]))
+    rows = [[r.mse_low, r.mse, r.ssim, r.d_sf] for r, _ in scored]
+    for (t0, nu, k), row, (_, objs) in zip(jobs, rows, scored):
+        print(",".join([str(t0), repr(nu), str(k)] + [repr(v) for v in row + objs]))
     for i, (t0, nu) in enumerate(cells):  # jobs run cell by cell, seeds innermost
-        rows = [r[:4] for r in results[i * seeds : (i + 1) * seeds]]
-        means = np.mean(np.array(rows, dtype=np.float64), axis=0)
+        means = np.mean(np.array(rows[i * seeds : (i + 1) * seeds], dtype=np.float64), axis=0)
         row = [str(t0), repr(nu), "mean"] + [repr(float(v)) for v in means] + [""] * n_obj
         print(",".join(row))
     return EXIT_OK
 
 
 def cmd_sample(cfg: RunConfig, count: int) -> int:
-    if count < 0:
-        raise ConfigError(f"--count must be >= 0, got {count}")
     if count == 0:
         return EXIT_OK
     if cfg.output_dir is None:
@@ -354,6 +325,34 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer flag with a floor; a usage error below it."""
+
+    def integer(text: str) -> int:
+        v = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
+        return v
+
+    return integer
+
+
+def _numbers(text: str) -> list:
+    """argparse type: comma-separated finite numbers; an empty entry, a trailing
+    one included, is a usage error."""
+    out = []
+    for piece in text.split(","):
+        try:
+            try:
+                v = int(piece)
+            except ValueError:
+                v = float(piece)
+            out.append(_finite_number(v, "each entry"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{piece!r} is not a finite number") from None
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="noisecal",
@@ -361,52 +360,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *io_keys):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, help="override sampler.seed")
-        p.add_argument("--input", help="override io.input")
-        p.add_argument("--output", help="override io.output")
+        for key in io_keys:  # only the io keys the command reads
+            p.add_argument(f"--{key}", help=f"override io.{key}")
 
     p_enh = sub.add_parser("enhance", help="enhance a frame directory")
-    add_common(p_enh)
+    add_common(p_enh, "input", "output")
     p_enh.add_argument("--baseline", action="store_true", help="force N=0 (no calibration)")
-    p_enh.add_argument("--threads", type=int, default=1, help="frame-write parallelism")
+    p_enh.add_argument(
+        "--threads", type=_int_at_least(1), default=1, help="frame-write parallelism"
+    )
 
     p_met = sub.add_parser("metrics", help="compare two frame directories")
     p_met.add_argument("dir_a")
     p_met.add_argument("dir_b")
 
     p_swp = sub.add_parser("sweep", help="grid over t0 and nu")
-    add_common(p_swp)
-    p_swp.add_argument("--t0-list", required=True, help="comma-separated t0 values")
-    p_swp.add_argument("--nu-list", required=True, help="comma-separated nu values")
-    p_swp.add_argument("--seeds", type=int, default=1, help="seeds per cell")
-    p_swp.add_argument("--threads", type=int, default=1, help="cell parallelism")
+    add_common(p_swp, "input")
+    p_swp.add_argument("--t0-list", type=_numbers, required=True, help="comma-separated t0 values")
+    p_swp.add_argument("--nu-list", type=_numbers, required=True, help="comma-separated nu values")
+    p_swp.add_argument("--seeds", type=_int_at_least(1), default=1, help="seeds per cell")
+    p_swp.add_argument("--threads", type=_int_at_least(1), default=1, help="cell parallelism")
 
     p_smp = sub.add_parser("sample", help="unconditional samples from the denoiser's model")
-    add_common(p_smp)
-    p_smp.add_argument("--count", type=int, default=1)
+    add_common(p_smp, "output")
+    p_smp.add_argument("--count", type=_int_at_least(0), default=1)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "metrics":
             return cmd_metrics(args.dir_a, args.dir_b)
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "enhance":
             return cmd_enhance(cfg, args.baseline, args.threads)
         if args.command == "sweep":
-            return cmd_sweep(
-                cfg,
-                _parse_number_list(args.t0_list),
-                _parse_number_list(args.nu_list),
-                args.seeds,
-                args.threads,
-            )
+            return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)
         return cmd_sample(cfg, args.count)
     except (PnmFormatError, TensorFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import abc
 import json
-import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .tensor import VideoTensor, _freeze, as_video
+from .tensor import VideoTensor, _finite_number, _freeze, as_video
 
 
 class Denoiser(abc.ABC):
@@ -31,12 +30,6 @@ class Denoiser(abc.ABC):
     @abc.abstractmethod
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         """Predicted noise at level t; same shape as x_t.  Requires t >= 1."""
-
-
-def _finite_number(v, what: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ValueError(f"{what} must be a finite number, got {v!r}")
-    return float(v)
 
 
 class ConstantDenoiser(Denoiser):

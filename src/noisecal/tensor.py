@@ -7,6 +7,7 @@ returns tensors in this form and guarantees all elements are finite.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,13 @@ def _freeze(arr: np.ndarray) -> VideoTensor:
         raise NumericError("operation produced NaN or Inf")
     arr.flags.writeable = False
     return arr
+
+
+def _finite_number(v, what: str):
+    """v itself, if it is an int or float (not a bool) within float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return v
 
 
 def as_video(data) -> VideoTensor:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import VideoTensor, as_video
+from .tensor import VideoTensor, _freeze
 
 _FRAME_RE = re.compile(r"^frame_(\d{5})\.(ppm|pgm)$")
 _TENSOR_MAGIC = b"VNT1"
@@ -145,7 +145,7 @@ def read_video(dir_path) -> VideoTensor:
         elif frame.shape != shape:
             raise PnmFormatError(f"{p}: frame shape {frame.shape} != first frame {shape}")
         frames.append(frame)
-    return as_video(np.stack(frames))
+    return _freeze(np.stack(frames))  # frozen in place: no second copy
 
 
 def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
@@ -220,4 +220,5 @@ def read_tensor(path) -> VideoTensor:
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if not np.isfinite(values).all():
         raise TensorFormatError(f"{path}: payload holds NaN or Inf")
-    return as_video(values.reshape(dims))
+    values.flags.writeable = False  # frozen in place: no second copy
+    return values.reshape(dims)

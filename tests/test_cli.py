@@ -282,6 +282,8 @@ _GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
         pytest.param({"denoiser": {"kind": "gmm", "spec": 5}}, None, id="spec-not-a-path"),
         pytest.param({"io": {"input": ["a"]}}, None, id="input-not-a-path"),
         pytest.param(_GMM, [3], id="component-not-an-object"),
+        pytest.param(_GMM, [], id="spec-empty-list"),
+        pytest.param(_GMM, {"weight": 1.0, "mean": "m0.vnt"}, id="spec-an-object"),
         pytest.param(_GMM, [{"weight": 1.0}], id="component-without-mean"),
         pytest.param(_GMM, [{"weight": None, "mean": "m0.vnt"}], id="null-weight"),
         pytest.param(_GMM, [{"weight": 1.0, "mean": 7}], id="mean-not-a-path"),
@@ -341,6 +343,23 @@ def test_enhance_rejects_mixture_frame_count(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["enhance", "sweep"])
+@pytest.mark.parametrize("dims", [(1, 3, 12, 12), (1, 1, 12, 8)], ids=["channels", "width"])
+def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command, dims):
+    # the input is 2x1x12x12; the frame count matches (one frame), the frame shape does not
+    write_tensor(gaussian_noise(dims, RngSeed(213)), tmp_path / "m0.vnt")
+    (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
+    cfg = setup_workdir(tmp_path, _GMM)
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--t0-list", "30", "--nu-list", "1.0", "--threads", "2"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shape mismatch" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -357,11 +376,16 @@ def test_enhance_rejects_mixture_frame_count(tmp_path, capsys):
         ["sweep", "--config", "NO_IO", "--t0-list", "30", "--nu-list", "1.0"],
         ["sample", "--config", "CFG", "--count", "-1"],
         ["sample", "--config", "NO_IO"],
+        ["sweep", "--config", "CFG", "--t0-list", "30,,40", "--nu-list", "1.0"],
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "0.5,1.0,"],
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--output", "x"],
+        ["sample", "--config", "CFG", "--input", "x"],
     ],
     ids=[
         "seeds-abc", "unknown-flag", "no-config", "no-command",
         "enhance-threads-0", "enhance-threads-neg", "sweep-threads-0", "sweep-threads-neg",
         "t0-list-abc", "seeds-0", "sweep-no-input", "count-neg", "sample-no-output",
+        "t0-list-empty-entry", "nu-list-trailing-comma", "sweep-output", "sample-input",
     ],
 )
 def test_bad_flags_are_config_errors(tmp_path, capsys, argv):
@@ -611,6 +635,28 @@ def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sweep cell" in captured.err
+
+
+def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monkeypatch):
+    # 8x8 frames are below SSIM's window, so the first run's metrics fail; the
+    # error must not wait for the other 15 runs (88 denoiser calls in all)
+    calls = []
+    real = GmmDenoiser.posterior_mean
+
+    def counted(self, x_t, t, s):
+        calls.append(t)
+        return real(self, x_t, t, s)
+
+    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    cfg = setup_workdir(tmp_path)
+    for name, frames in (("data", 3), ("input", 2)):
+        write_video(small_video(213, frames)[:, :, :8, :8], tmp_path / name)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40,50", "--nu-list", "1.0"]
+    assert main(argv + ["--seeds", "4"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window" in captured.err
+    assert len(calls) < 88 // 2
 
 
 # ---------------------------------------------------------------- sample

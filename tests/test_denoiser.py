@@ -74,6 +74,8 @@ def test_constant_denoiser(quarter_sched):
     d = ConstantDenoiser(c)
     out = d.predict_eps(gaussian_noise((1, 1, 2, 2), RngSeed(2)), 1, quarter_sched)
     assert np.array_equal(out, c)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        d.predict_eps(gaussian_noise((1, 1, 2, 3), RngSeed(2)), 1, quarter_sched)
 
 
 def test_eps_zero_at_scaled_mean(quarter_sched):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from noisecal import (
     RngSeed,
     as_video,
+    blurred,
     content_objective,
     frequency_mask,
     gaussian_noise,
@@ -68,6 +69,8 @@ def test_mask_validation():
         frequency_mask(8, 8, -0.1)
     with pytest.raises(ValueError):
         frequency_mask(8, 8, 1.5)
+    with pytest.raises(ValueError):
+        frequency_mask(0, 4, 0.5)
 
 
 def test_mask_cache_returns_same_object():
@@ -81,6 +84,12 @@ def test_low_pass_constant_is_preserved():
     x = as_video(np.full((2, 1, 8, 8), 3.25))
     for nu in (0.1, 0.5, 1.0):
         np.testing.assert_allclose(low_pass(x, nu), x, atol=1e-10)
+
+
+def test_blurred_constant_is_mid_grey():
+    # a flat field has no range to rescale into [0.25, 0.75]: it maps to 0.5
+    out = blurred(as_video(np.full((2, 1, 6, 6), 3.0)))
+    assert np.array_equal(out, np.full((2, 1, 6, 6), 0.5))
 
 
 def test_low_pass_nu1_is_identity():

@@ -1,10 +1,11 @@
-"""The README's code and its config block must hold as written."""
+"""The README's code, its config block and its CLI synopsis must hold as written."""
 
 import json
 import re
+from argparse import _SubParsersAction
 from pathlib import Path
 
-from noisecal.cli import load_config
+from noisecal.cli import _build_parser, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +33,19 @@ def test_readme_config_block_shows_the_defaults(tmp_path):
     (tmp_path / "shown.json").write_text(json.dumps(shown))
     (tmp_path / "empty.json").write_text("{}")
     assert load_config(tmp_path / "shown.json") == load_config(tmp_path / "empty.json")
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    """Each `noisecal <command> ...` line names exactly the flags that command
+    takes, with the optional ones in brackets."""
+    synopses = dict(re.findall(r"^- `noisecal (\w+)(.*)`$", README.read_text(), re.M))
+    commands = next(a for a in _build_parser()._actions if isinstance(a, _SubParsersAction))
+    assert sorted(synopses) == sorted(commands.choices)
+    for name, parser in commands.choices.items():
+        actions = [a for a in parser._actions if "--help" not in a.option_strings]
+        shown = re.findall(r"--[\w-]+", synopses[name])
+        optional = re.findall(r"\[(--[\w-]+)", synopses[name])
+        assert sorted(shown) == sorted(s for a in actions for s in a.option_strings), name
+        assert sorted(optional) == sorted(
+            s for a in actions if not a.required for s in a.option_strings
+        ), name

@@ -40,6 +40,10 @@ def test_schedule_invariants_enforced():
         NoiseSchedule(alpha_bar=np.array([1.0, 0.5, 0.5]))  # not strictly decreasing
     with pytest.raises(ValueError):
         NoiseSchedule(alpha_bar=np.array([1.0, 0.5, 0.0]))  # terminal must stay positive
+    with pytest.raises(ValueError):
+        NoiseSchedule(alpha_bar=np.array([[1.0, 0.5]]))  # not 1-D
+    with pytest.raises(ValueError):
+        NoiseSchedule(alpha_bar=np.array([1.0]))  # T=0: no noise level at all
 
 
 def test_scale_queries(sched):

@@ -33,6 +33,10 @@ def test_as_video_rejects_nan_and_inf():
     bad[0, 0, 0, 0] = np.inf
     with pytest.raises(NumericError):
         as_video(bad)
+    bad[0, 0, 0, 0] = np.nan
+    bad.flags.writeable = False  # a read-only float64 array is not copied, but still checked
+    with pytest.raises(NumericError):
+        as_video(bad)
 
 
 def test_l2_norm():

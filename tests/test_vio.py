@@ -1,6 +1,7 @@
 """Frame-directory, PNM, and raw tensor codecs."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_tensor_rejects_non_finite_payload(tmp_path):
     p.write_bytes(b"VNT1" + struct.pack("<5I4f", 4, 1, 1, 2, 2, 0.5, float("nan"), 0.5, 0.5))
     with pytest.raises(TensorFormatError, match="NaN"):
         read_tensor(p)
+
+
+@pytest.mark.parametrize(
+    "write,read", [(write_video, read_video), (write_tensor, read_tensor)], ids=["video", "tensor"]
+)
+def test_read_peak_memory_is_below_two_and_a_half_results(tmp_path, write, read):
+    """A read builds its float64 array once and freezes it in place; one more copy reads 3x."""
+    write(quantized_video((8, 3, 64, 64), 121), tmp_path / "x")
+    read(tmp_path / "x")  # first call outside the trace
+    tracemalloc.start()
+    try:
+        out = read(tmp_path / "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.flags.writeable
+    assert peak < 2.5 * out.nbytes
 
 
 def test_no_tmp_files_left_behind(tmp_path):
