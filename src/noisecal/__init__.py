@@ -7,7 +7,7 @@ from .calibration import (
     nc_sdedit,
     replace_low_freq,
 )
-from .denoiser import ConstantDenoiser, CountingDenoiser, Denoiser, GmmDenoiser
+from .denoiser import Denoiser, GmmDenoiser
 from .diffusion import (
     SamplerConfig,
     ddim_step,
@@ -41,8 +41,6 @@ from .vio import (
 __all__ = [
     "CalibrationConfig",
     "CalibrationTrace",
-    "ConstantDenoiser",
-    "CountingDenoiser",
     "Denoiser",
     "GmmDenoiser",
     "MetricReport",

@@ -20,13 +20,25 @@ low band of x_t0 with the reference's; both agree to roundoff.
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .denoiser import Denoiser
 from .diffusion import SamplerConfig, denoise_from, estimate_x0, forward_noise
 from .frequency import content_objective, low_pass
 from .schedule import NoiseSchedule, ddim_grid
-from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian_noise, l2_norm
+from .tensor import (
+    RngSeed,
+    VideoTensor,
+    _freeze,
+    _require_same_shape,
+    _Runs,
+    _shared,
+    gaussian_noise,
+    l2_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -80,29 +92,41 @@ class CalibrationTrace:
 def calibrate_noise(
     x_ref: VideoTensor,
     eps0: VideoTensor,
-    cfg: CalibrationConfig,
+    cfg: CalibrationConfig | Sequence[CalibrationConfig],
     d: Denoiser,
     s: NoiseSchedule,
-) -> tuple[VideoTensor, CalibrationTrace]:
+) -> tuple[VideoTensor, CalibrationTrace | list[CalibrationTrace]]:
     """Run n_iters noise updates; one denoiser evaluation per iteration.
 
     Returns the calibrated noise and a trace whose objectives[k] is the
     objective of the noise after k updates (measured by iteration k+1's
     evaluation); with n_iters=0 the noise and trace pass through untouched.
+
+    For a stack, eps0 is (B, *x_ref.shape) and cfg a sequence of B
+    CalibrationConfigs that share t0 and n_iters; each row is filtered at its
+    own nu, and a list of B traces comes back.
     """
-    _require_same_shape(x_ref, eps0)
-    s._check_t(cfg.t0)
-    coef = s.signal_scale(cfg.t0) / s.noise_scale(cfg.t0)
-    trace = CalibrationTrace(calibration_calls=cfg.n_iters)
+    runs = _Runs(cfg)
+    if runs.run_shape(eps0.shape) != x_ref.shape:
+        raise ValueError(f"shape mismatch: {x_ref.shape} vs {eps0.shape}")
+    stack = (len(runs),) + x_ref.shape  # a run is the stack of one
+    t0, n_iters = _shared(runs, "t0"), _shared(runs, "n_iters")
+    s._check_t(t0)
+    coef = s.signal_scale(t0) / s.noise_scale(t0)
+    traces = [CalibrationTrace(calibration_calls=n_iters) for _ in runs]
+    ref = np.broadcast_to(x_ref, eps0.shape)
     eps = eps0
-    for _ in range(cfg.n_iters):
-        x_t0 = forward_noise(x_ref, cfg.t0, eps, s)
-        eps_pred = d.predict_eps(x_t0, cfg.t0, s)
-        gap = estimate_x0(x_t0, cfg.t0, eps_pred, s) - x_ref
-        low = low_pass(gap, cfg.nu)
-        trace.objectives.append(l2_norm(low))
+    for _ in range(n_iters):
+        x_t0 = forward_noise(ref, t0, eps, s)
+        eps_pred = d.predict_eps(x_t0, t0, s)
+        gap = estimate_x0(x_t0, t0, eps_pred, s) - ref
+        low = np.empty_like(gap)
+        rows = zip(runs, traces, gap.reshape(stack), low.reshape(stack))
+        for run, trace, gap_row, low_row in rows:  # each run's band at its own nu
+            low_row[...] = low_pass(gap_row, run.nu)
+            trace.objectives.append(l2_norm(low_row))
         eps = _freeze(eps_pred + coef * (gap - low))
-    return eps, trace
+    return eps, runs.given(traces)
 
 
 def replace_low_freq(
@@ -136,11 +160,11 @@ def start_grid(s: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
 
 def nc_sdedit(
     x_ref: VideoTensor,
-    cfg: CalibrationConfig,
-    sampler: SamplerConfig,
+    cfg: CalibrationConfig | Sequence[CalibrationConfig],
+    sampler: SamplerConfig | Sequence[SamplerConfig],
     d: Denoiser,
     s: NoiseSchedule,
-) -> tuple[VideoTensor, CalibrationTrace]:
+) -> tuple[VideoTensor, CalibrationTrace | list[CalibrationTrace]]:
     """Full enhancement pipeline: draw noise, calibrate, noise, sample.
 
     All of it starts at grid[0], the largest sampling grid step <= cfg.t0, so
@@ -148,14 +172,27 @@ def nc_sdedit(
     SDEdit baseline.  The returned trace carries the objective after every
     update (n_iters+1 entries) and exact call totals: n_iters calibration
     evaluations plus one per grid entry.
+
+    cfg and sampler are one run's configs, or equal-length sequences of B
+    runs' configs on the one reference.  The runs then advance as one
+    (B, F, C, H, W) stack, one denoiser call per step for all of them, and
+    must share t0, n_iters, eta and num_steps; x0 is the stack, with a list
+    of B traces.  A single run is the stack of one.
     """
-    grid = start_grid(s, sampler.num_steps, cfg.t0)
-    cfg = replace(cfg, t0=grid[0])
-    eps0 = gaussian_noise(x_ref.shape, cfg.rng)
-    eps, trace = calibrate_noise(x_ref, eps0, cfg, d, s)
-    x_t0 = forward_noise(x_ref, cfg.t0, eps, s)
-    x0, first_x0_hat = denoise_from(x_t0, grid, d, s, sampler)
-    # first sampling evaluation doubles as the final objective reading
-    trace.objectives.append(content_objective(x_ref, first_x0_hat, cfg.nu))
-    trace.sampling_calls = len(grid)
-    return x0, trace
+    cals, samps = _Runs(cfg), _Runs(sampler)
+    if (cals.stacked, len(cals)) != (samps.stacked, len(samps)):
+        raise ValueError(
+            "cfg and sampler must be one run's configs or two sequences of one length, "
+            f"got {len(cals)} calibration and {len(samps)} sampler configs"
+        )
+    grid = start_grid(s, _shared(samps, "num_steps"), _shared(cals, "t0"))
+    stack = [replace(cal, t0=grid[0]) for cal in cals]  # a run is the stack of one
+    eps0 = gaussian_noise((len(stack),) + x_ref.shape, [cal.rng for cal in stack])
+    eps, traces = calibrate_noise(x_ref, eps0, stack, d, s)
+    x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), grid[0], eps, s)
+    x0, first_x0_hat = denoise_from(x_t0, grid, d, s, list(samps))
+    for cal, trace, x0_hat in zip(stack, traces, first_x0_hat):
+        # first sampling evaluation doubles as the final objective reading
+        trace.objectives.append(content_objective(x_ref, x0_hat, cal.nu))
+        trace.sampling_calls = len(grid)
+    return cals.given(x0), cals.given(traces)

@@ -41,6 +41,11 @@ _STREAM_SWEEP = 4
 # every schedule in use has T <= 1000; the bound stops a typo from allocating gigabytes
 _T_LIMIT = 100_000
 
+# a sweep stack holds at most this many bytes of video, so that from one
+# 8x128x128 video per run on, where a call's work dwarfs its overhead, every
+# run is its own stack and a sweep needs no more memory than one run per thread
+_STACK_BYTES = 1 << 20
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -143,6 +148,10 @@ def load_config(path) -> RunConfig:
     if not 0.0 <= nu <= 1.0:
         raise ConfigError(f"nu must be in [0, 1], got {nu}")
 
+    eta = _num(sampler, "eta", 1.0)
+    if eta < 0:
+        raise ConfigError(f"sampler.eta must be >= 0, got {eta}")
+
     kind = den.get("kind")
     if kind is not None and kind not in ("gmm", "dataset"):
         raise ConfigError(f"denoiser kind must be 'gmm' or 'dataset', got {kind!r}")
@@ -162,7 +171,7 @@ def load_config(path) -> RunConfig:
         beta_start=_num(sched, "beta_start", 1e-4),
         beta_end=_num(sched, "beta_end", 0.02),
         num_steps=_num(sampler, "num_steps", 30, int),
-        eta=_num(sampler, "eta", 1.0),
+        eta=eta,
         seed=_num(sampler, "seed", 0, int),
         t0=t0,
         n_iters=n_iters,
@@ -243,12 +252,18 @@ def _float_bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _scored_run(
-    x_ref: VideoTensor, cal: CalibrationConfig, samp: SamplerConfig, d: Denoiser, s: NoiseSchedule
-):
-    """One sweep run's metric report and objectives; its frames go no further."""
-    x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
-    return metric_report(x0, x_ref), trace.objectives
+def _scored_stack(
+    x_ref: VideoTensor,
+    runs: list[tuple[CalibrationConfig, SamplerConfig]],
+    d: Denoiser,
+    s: NoiseSchedule,
+) -> list[tuple]:
+    """Metric report and objectives of each run of one stack, in run order.
+
+    The runs share t0 and advance as one stack; their frames go no further."""
+    cals, samps = zip(*runs)
+    x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
+    return [(metric_report(x, x_ref), trace.objectives) for x, trace in zip(x0, traces)]
 
 
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
@@ -265,17 +280,27 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
     runs = []  # every run is built, and so checked, before any runs
-    for t0, nu, k in jobs:
+    groups: dict[int, list[int]] = {}  # t0 -> the indices of its jobs
+    for i, (t0, nu, k) in enumerate(jobs):
         try:
             start_grid(s, cfg.num_steps, t0)
             rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
             runs.append(_run_configs(cfg, rng, t0, nu))
         except ValueError as e:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
+        groups.setdefault(t0, []).append(i)
 
-    cals, samps = zip(*runs)
+    # runs that share t0 share every level, so they step as one stack, cut
+    # into stacks of at most _STACK_BYTES of video
+    size = max(1, _STACK_BYTES // x_ref.nbytes)
+    stacks = [ids[j : j + size] for ids in groups.values() for j in range(0, len(ids), size)]
+    stack_runs = [[runs[i] for i in ids] for ids in stacks]
+    scored = [None] * len(jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        scored = list(pool.map(_scored_run, repeat(x_ref), cals, samps, repeat(d), repeat(s)))
+        per_stack = pool.map(_scored_stack, repeat(x_ref), stack_runs, repeat(d), repeat(s))
+        for ids, scores in zip(stacks, per_stack):
+            for i, score in zip(ids, scores):
+                scored[i] = score  # back in job order
 
     n_obj = cfg.n_iters + 1  # every run records the objective after 0..N updates
     header = ["t0", "nu", "seed", "mse_low", "mse", "ssim", "d_sf"]
@@ -382,7 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--t0-list", type=_numbers, required=True, help="comma-separated t0 values")
     p_swp.add_argument("--nu-list", type=_numbers, required=True, help="comma-separated nu values")
     p_swp.add_argument("--seeds", type=_int_at_least(1), default=1, help="seeds per cell")
-    p_swp.add_argument("--threads", type=_int_at_least(1), default=1, help="cell parallelism")
+    p_swp.add_argument(
+        "--threads", type=_int_at_least(1), default=1, help="parallelism over stacks of runs"
+    )
 
     p_smp = sub.add_parser("sample", help="unconditional samples from the denoiser's model")
     add_common(p_smp, "output")

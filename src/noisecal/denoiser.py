@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import abc
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +28,10 @@ class Denoiser(abc.ABC):
 
     @abc.abstractmethod
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        """Predicted noise at level t; same shape as x_t.  Requires t >= 1."""
+        """Predicted noise at level t; same shape as x_t.  Requires t >= 1.
 
-
-class ConstantDenoiser(Denoiser):
-    """Returns one fixed noise tensor regardless of input values.
-
-    Test double: feeding the exact noise of a noised tensor back through a
-    sampler recovers closed-form trajectories.
-    """
-
-    def __init__(self, fixed_eps: VideoTensor) -> None:
-        self.fixed_eps = as_video(fixed_eps)
-
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        schedule._check_t(t)  # t=0 has no noise to predict
-        if x_t.shape != self.fixed_eps.shape:
-            raise ValueError(f"shape mismatch: {x_t.shape} vs {self.fixed_eps.shape}")
-        return self.fixed_eps
+        x_t is one video (F, C, H, W) or a stack of B videos (B, F, C, H, W),
+        each row predicted as if it came alone."""
 
 
 class GmmDenoiser(Denoiser):
@@ -134,61 +119,59 @@ class GmmDenoiser(Denoiser):
     def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         """E[x0 | x_t] in closed form; predict_eps is derived from it.
 
+        x_t is one video (F, C, H, W) or a stack of B videos (B, F, C, H, W)
+        that are denoised independently; one video is the stack of one, and
+        each row's bytes do not depend on the rest of the stack.
+
         Means of one frame are a static-video prior: they broadcast over
         every frame of x_t, and the mixture is over whole videos, so the
         result equals that of the means repeated along the frame axis.
 
-        Each frame is one matrix-vector product against the (n, D) means of
-        that frame, so no (n, F, C, H, W) temporary is built.  The squared
-        residuals ||x - root*m_k||^2 are expanded around root*mbar, the
-        scaled centre of the means, so that an offset common to all means
-        does not cancel digits away.
+        Each frame of each row is one matrix-vector product against the
+        (n, D) means of that frame, so no (n, F, C, H, W) temporary is built.
+        The squared residuals ||x - root*m_k||^2 are expanded around
+        root*mbar, the scaled centre of the means, so that an offset common
+        to all means does not cancel digits away.
         """
         schedule._check_t(t)
-        if x_t.shape[1:] != self.means.shape[2:] or self.means.shape[1] not in (1, len(x_t)):
+        xs = x_t[None] if x_t.ndim == 4 else x_t
+        if (
+            xs.ndim != 5
+            or xs.shape[2:] != self.means.shape[2:]
+            or self.means.shape[1] not in (1, xs.shape[1])
+        ):
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.means.shape[1:]}")
-        n, f = len(self.means), len(x_t)
+        n, (b, f) = len(self.means), xs.shape[:2]
         abar = float(schedule.alpha_bar[t])
         root = np.sqrt(abar)
-        x = x_t.reshape(f, -1)  # (F, D)
+        x = xs.reshape(b, f, -1)  # (B, F, D)
         # one-frame means broadcast as views: the tiled and one-frame mixtures
         # run the same per-frame kernel on the same values, so their bytes agree
-        m = np.broadcast_to(self.means.reshape(n, len(self._mbar), -1), (n,) + x.shape)
+        m = np.broadcast_to(self.means.reshape(n, len(self._mbar), -1), (n,) + x.shape[1:])
         m = m.transpose(1, 0, 2)  # (F, n, D)
-        mbar = np.broadcast_to(self._mbar, x.shape)
-        c = x - root * self._mbar
-        dots = np.matmul(m, c[:, :, None])[:, :, 0]  # (F, n): m_kf . c_f
-        dots -= np.matmul(mbar[:, None, :], c[:, :, None])[:, :, 0]  # (m_kf - mbar_f) . c_f
+        mbar = np.broadcast_to(self._mbar, x.shape[1:])
+        c = x - root * self._mbar  # (B, F, D)
+        # stacked matrix-vector products, B*F of them; a GEMM over the rows
+        # would sum in another order and make a row's bytes depend on B
+        dots = np.matmul(m, c[..., None])[..., 0]  # (B, F, n): m_kf . c_bf
+        dots -= np.matmul(mbar[:, None, :], c[..., None])[..., 0]  # (m_kf - mbar_f) . c_bf
         # frame sums over materialised (F, n) arrays add in the same order for both
         msq = np.ascontiguousarray(np.broadcast_to(self._msq.T, (f, n)))
-        sq = float(np.vdot(c, c)) - 2.0 * root * dots.sum(axis=0) + abar * msq.sum(axis=0)
+        cc = np.array([np.vdot(row, row) for row in c])[:, None]  # (B, 1): ||c_b||^2
+        sq = cc - 2.0 * root * dots.sum(axis=1) + abar * msq.sum(axis=0)  # (B, n)
         del c  # the output below takes two more full-size buffers
         # per-component marginal variance of x_t
         s = abar * self.variances + (1.0 - abar)  # (n,)
-        log_r = np.log(self.weights) - sq / (2.0 * s) - 0.5 * x_t.size * np.log(s)
-        log_r -= log_r.max()  # log-sum-exp shift keeps exp in range
+        log_r = np.log(self.weights) - sq / (2.0 * s) - 0.5 * x[0].size * np.log(s)
+        log_r -= log_r.max(axis=1, keepdims=True)  # log-sum-exp shift keeps exp in range
         r = np.exp(log_r)
-        r /= r.sum()
+        r /= r.sum(axis=1, keepdims=True)
         gain = root * self.variances / s  # (n,) shrinkage toward each mean
         # sum_k r_k (m_k + g_k (x - root m_k)) = sum_k r_k (1 - g_k root) m_k + (r . g) x
-        out = np.matmul(r * (1.0 - gain * root), m)  # (F, D)
-        out += float(r @ gain) * x
+        out = np.matmul((r * (1.0 - gain * root))[:, None, None, :], m)[:, :, 0]  # (B, F, D)
+        out += np.array([float(row @ gain) for row in r])[:, None, None] * x
         return _freeze(out.reshape(x_t.shape))
 
     def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         x0 = self.posterior_mean(x_t, t, schedule)
         return _freeze((x_t - schedule.signal_scale(t) * x0) / schedule.noise_scale(t))
-
-
-class CountingDenoiser(Denoiser):
-    """Delegating wrapper that counts predict_eps invocations (thread-safe)."""
-
-    def __init__(self, inner: Denoiser) -> None:
-        self.inner = inner
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
-        with self._lock:
-            self.calls += 1
-        return self.inner.predict_eps(x_t, t, schedule)

@@ -6,17 +6,30 @@ marginals.  eta=0 is the deterministic limit, and eta=1 on consecutive
 steps is the DDPM ancestral step.  A step to t_prev=0 lands on its clean
 estimate, so every reverse pass, the full ancestral chain included, is
 denoise_from over a grid.
+
+Every function here takes one run (F, C, H, W) or a stack of runs
+(B, F, C, H, W) that step together; each run of a stack draws from its own
+streams, so its bytes are those it has alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import Denoiser
 from .schedule import NoiseSchedule
-from .tensor import RngSeed, VideoTensor, _freeze, _require_same_shape, gaussian_noise
+from .tensor import (
+    RngSeed,
+    VideoTensor,
+    _freeze,
+    _require_same_shape,
+    _Runs,
+    _shared,
+    gaussian_noise,
+)
 
 
 @dataclass(frozen=True)
@@ -55,13 +68,14 @@ def ddim_step(
     d: Denoiser,
     s: NoiseSchedule,
     cfg: SamplerConfig,
-    rng: RngSeed,
+    rng: RngSeed | Sequence[RngSeed],
 ) -> tuple[VideoTensor, VideoTensor]:
     """Generalized reverse step t -> t_prev across an arbitrary gap.
 
     Returns the iterate at t_prev and the clean estimate x0_hat at t that the
     step is built on.  At t_prev=0 both noise terms vanish: the iterate is
-    x0_hat and no noise is drawn.
+    x0_hat and no noise is drawn.  rng is one RngSeed for a run, or one per
+    row for a stack; every row steps with cfg.eta.
     """
     s._check_t(t)
     if not 0 <= t_prev < t:
@@ -93,7 +107,7 @@ def denoise_from(
     grid: list[int],
     d: Denoiser,
     s: NoiseSchedule,
-    cfg: SamplerConfig,
+    cfg: SamplerConfig | Sequence[SamplerConfig],
 ) -> tuple[VideoTensor, VideoTensor]:
     """Run the reverse pass along a nonempty decreasing timestep grid to t=0.
 
@@ -102,14 +116,19 @@ def denoise_from(
     substreams keyed by timestep, so the step budget does not reshuffle
     unrelated draws.  Exactly one denoiser evaluation per grid entry.
 
-    Returns the clean output and the clean estimate from the first denoiser
-    evaluation, which costs nothing extra.
+    cfg is one SamplerConfig for a run, or one per row for a stack; the runs
+    of a stack share eta.  Returns the clean output and the clean estimate
+    from the first denoiser evaluation, which costs nothing extra.
     """
     if not grid:
         raise ValueError("denoise_from needs a nonempty timestep grid")
+    runs = _Runs(cfg)
+    runs.run_shape(x_t0.shape)
+    _shared(runs, "eta")  # so that runs[0] steps for all of them
     x, first_x0_hat = x_t0, None
     for t, t_prev in zip(grid, grid[1:] + [0]):
-        x, x0_hat = ddim_step(x, t, t_prev, d, s, cfg, cfg.rng.substream(t))
+        rng = runs.given([run.rng.substream(t) for run in runs])
+        x, x0_hat = ddim_step(x, t, t_prev, d, s, runs[0], rng)
         if first_x0_hat is None:
             first_x0_hat = x0_hat
     return x, first_x0_hat

@@ -2,12 +2,15 @@
 
 A video tensor is a read-only float64 numpy array of shape
 (frames, channels, height, width).  Every public operation in the package
-returns tensors in this form and guarantees all elements are finite.
+returns tensors in this form and guarantees all elements are finite.  The
+pipeline also takes a stack of runs on one leading axis, (B, F, C, H, W),
+with one config or stream per row; each row's bytes are those of its run.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +114,54 @@ def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
 
 
-def gaussian_noise(shape: tuple[int, ...], rng: RngSeed) -> VideoTensor:
-    """I.i.d. standard normal tensor; a pure function of (shape, rng)."""
-    _validate_shape(tuple(shape))
-    out = rng.generator().standard_normal(size=tuple(shape), dtype=np.float64)
+class _Runs(list):
+    """One home for the rule that tells one run from a stack of runs.
+
+    A run (F, C, H, W) takes one value per setting; a stack of B runs
+    (B, F, C, H, W) takes a sequence of B values, one per row.  Either way
+    _Runs(value) lists one value per run; `run_shape` checks a tensor
+    against the runs, and `given` hands per-run results back in the form
+    the value came in.
+    """
+
+    def __init__(self, value) -> None:
+        self.stacked = isinstance(value, (list, tuple))
+        super().__init__(value if self.stacked else [value])
+        if not self:
+            raise ValueError("a stack needs at least one run")
+
+    def run_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        """One run's (F, C, H, W) in a tensor of `shape` that holds these runs."""
+        shape = tuple(shape)
+        if self.stacked and (len(shape) != 5 or shape[0] != len(self)):
+            raise ValueError(f"{len(self)} per-run values for a tensor of shape {shape}")
+        _validate_shape(shape[-4:] if self.stacked else shape)
+        return shape[-4:]
+
+    def given(self, rows):
+        """rows, one per run: all of them for a stack, the one for a run."""
+        return rows if self.stacked else rows[0]
+
+
+def _shared(runs, name: str):
+    """The value of field `name` that every run of a stack has."""
+    values = {getattr(run, name) for run in runs}
+    if len(values) != 1:
+        raise ValueError(f"the runs of a stack must share {name}, got {sorted(values)}")
+    return values.pop()
+
+
+def gaussian_noise(shape: tuple[int, ...], rng: RngSeed | Sequence[RngSeed]) -> VideoTensor:
+    """I.i.d. standard normal tensor; a pure function of (shape, rng).
+
+    A run's shape takes one RngSeed.  A stack's shape (B, F, C, H, W) takes
+    a sequence of B seeds, and row b is seed b's draw at the run's shape.
+    """
+    rngs = _Runs(rng)
+    run_shape = rngs.run_shape(shape)
+    out = np.empty(shape, dtype=np.float64)
+    for row, r in zip(out.reshape((len(rngs),) + run_shape), rngs):
+        r.generator().standard_normal(dtype=np.float64, out=row)
     return _freeze(out)
 
 

@@ -86,10 +86,9 @@ def read_pnm(path) -> np.ndarray:
     payload = blob[pos : pos + need]
     if len(payload) != need:
         raise PnmFormatError(f"{path}: payload has {len(payload)} bytes, expected {need}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        return pixels.reshape(1, height, width)
-    return pixels.reshape(height, width, 3).transpose(2, 0, 1)
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    # channels first in C order, built by the one uint8 -> float64 conversion
+    return np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64) / 255.0
 
 
 def write_pnm(frame: np.ndarray, path) -> None:

@@ -12,9 +12,9 @@ import time
 import numpy as np
 from scipy import integrate
 
+from doubles import CountingDenoiser
 from noisecal import (
     CalibrationConfig,
-    CountingDenoiser,
     GmmDenoiser,
     RngSeed,
     SamplerConfig,

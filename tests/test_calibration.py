@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import noisecal.calibration
+from doubles import CountingDenoiser
 from noisecal import (
     CalibrationConfig,
-    CountingDenoiser,
     GmmDenoiser,
     NoiseSchedule,
     RngSeed,
@@ -127,6 +127,27 @@ def test_one_low_pass_per_iteration(tiny_sched, toy_gmm, monkeypatch, nu, ffts):
         assert calls == {"low_pass": n, "rfft2": ffts * n}
 
 
+def test_stack_filters_each_row_at_its_own_nu(tiny_sched, toy_gmm, monkeypatch):
+    # a nu=1 row of a stack stays the FFT-free copy; each row equals its run
+    ffts = []
+    real = np.fft.rfft2
+
+    def counted(*args, **kwargs):
+        ffts.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    x_ref = gaussian_noise((1, 1, 4, 4), RngSeed(87))
+    eps0 = gaussian_noise((3, 1, 1, 4, 4), [RngSeed(88, b) for b in range(3)])
+    cals = [cal_cfg(n_iters=2, nu=nu) for nu in (1.0, 0.5, 1.0)]
+    eps, traces = calibrate_noise(x_ref, eps0, cals, toy_gmm, tiny_sched)
+    assert len(ffts) == 2  # the nu=0.5 row, once per iteration
+    for row, trace, cal, row0 in zip(eps, traces, cals, eps0):
+        want, want_trace = calibrate_noise(x_ref, row0, cal, toy_gmm, tiny_sched)
+        assert row.tobytes() == want.tobytes()
+        assert trace.objectives == want_trace.objectives
+
+
 @pytest.mark.parametrize("v", [0.03, 0.3, 3.0])
 @pytest.mark.parametrize("t0", [300, 600, 900])
 @pytest.mark.parametrize("nu", [0.5, 1.0])
@@ -222,6 +243,31 @@ def test_pipeline_call_totals_and_trace_length(tiny_sched, toy_gmm):
         assert trace.calibration_calls == n
         assert trace.sampling_calls == len(grid)
         assert len(trace.objectives) == n + 1
+
+
+def test_stack_runs_must_share_level_budget_and_eta(tiny_sched, toy_gmm):
+    x_ref = gaussian_noise((1, 1, 4, 4), RngSeed(89))
+    two = gaussian_noise((2, 1, 1, 4, 4), [RngSeed(90), RngSeed(91)])
+    with pytest.raises(ValueError, match="share t0"):
+        calibrate_noise(x_ref, two, [cal_cfg(t0=8), cal_cfg(t0=6)], toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="share n_iters"):
+        calibrate_noise(x_ref, two, [cal_cfg(n_iters=1), cal_cfg()], toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="per-run values"):
+        calibrate_noise(x_ref, two, [cal_cfg()], toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        calibrate_noise(x_ref[:, :, :3], two, [cal_cfg()] * 2, toy_gmm, tiny_sched)
+    cals = [cal_cfg(), cal_cfg(seed=1)]
+    with pytest.raises(ValueError, match="share eta"):
+        nc_sdedit(x_ref, cals, [sampler_cfg(), sampler_cfg(eta=0.0)], toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="sampler configs"):
+        nc_sdedit(x_ref, cals, [sampler_cfg()], toy_gmm, tiny_sched)
+    # one argument a stack and the other a run: the same ValueError
+    with pytest.raises(ValueError, match="sampler configs"):
+        nc_sdedit(x_ref, cals, sampler_cfg(), toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="sampler configs"):
+        nc_sdedit(x_ref, [cal_cfg()], sampler_cfg(), toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="sampler configs"):
+        nc_sdedit(x_ref, cal_cfg(), [sampler_cfg()] * 2, toy_gmm, tiny_sched)
 
 
 def test_pipeline_n0_equals_plain_sdedit(tiny_sched, toy_gmm):

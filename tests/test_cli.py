@@ -16,11 +16,14 @@ from noisecal import (
     NumericError,
     RngSeed,
     as_video,
+    ddim_grid,
     gaussian_noise,
+    read_video,
     toy_schedule,
     write_tensor,
     write_video,
 )
+from noisecal import cli
 from noisecal.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -290,6 +293,7 @@ _GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
         pytest.param([], None, id="top-level-list"),
         pytest.param({"sampler": []}, None, id="section-not-an-object"),
         pytest.param({"sampler": {"eta": "1"}}, None, id="eta-string"),
+        pytest.param({"sampler": {"eta": -1.0}}, None, id="negative-eta"),
         pytest.param({"sampler": {"num_steps": 2.5}}, None, id="num-steps-fraction"),
         pytest.param({"calibration": {"N": -1}}, None, id="negative-N"),
         pytest.param({"calibration": {"nu": 1.5}}, None, id="nu-above-1"),
@@ -312,6 +316,26 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
     assert captured.out == ""
     assert "config error" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_negative_eta_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
+    # the config is at fault, not a sweep cell, and no run starts
+    calls = []
+    real = GmmDenoiser.posterior_mean
+
+    def counted(self, x_t, t, s):
+        calls.append(t)
+        return real(self, x_t, t, s)
+
+    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    cfg = setup_workdir(tmp_path, {"sampler": {"eta": -1.0}})
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "30", "--nu-list", "1.0"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sampler.eta must be >= 0" in captured.err
+    assert "sweep cell" not in captured.err
+    assert calls == []
 
 
 _BAD_TENSORS = {
@@ -570,6 +594,47 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypatch):
+    # the runs that share t0 advance as one stack: N + len(grid) calls per t0
+    calls = []
+    real = GmmDenoiser.posterior_mean
+
+    def counted(self, x_t, t, s):
+        calls.append(x_t.shape[0])
+        return real(self, x_t, t, s)
+
+    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40", "--nu-list", "0.5,1.0"]
+    assert main(argv + ["--seeds", "2"]) == EXIT_OK
+    s = build_schedule(load_config(cfg))
+    assert len(calls) == sum(2 + len(ddim_grid(s, 5, t0)) for t0 in (20, 30, 40))
+    assert calls == [4] * len(calls)  # 2 nu values x 2 seeds in every stack
+
+
+def test_sweep_cuts_a_t0_group_into_stacks_of_bounded_bytes(tmp_path, capsys, monkeypatch):
+    # a budget of three runs' video cuts each group of four into stacks of 3 and 1,
+    # and no row's bytes depend on the stack it ran in
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30", "--nu-list", "0.5,1.0"]
+    assert main(argv + ["--seeds", "2"]) == EXIT_OK
+    whole = capsys.readouterr().out
+
+    calls = []
+    real = GmmDenoiser.posterior_mean
+
+    def counted(self, x_t, t, s):
+        calls.append(x_t.shape[0])
+        return real(self, x_t, t, s)
+
+    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    monkeypatch.setattr(cli, "_STACK_BYTES", 3 * read_video(tmp_path / "input").nbytes)
+    assert main(argv + ["--seeds", "2", "--threads", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == whole
+    s = build_schedule(load_config(cfg))
+    assert sorted(calls) == sorted([3, 1] * sum(2 + len(ddim_grid(s, 5, t0)) for t0 in (20, 30)))
+
+
 def test_sweep_empty_list_is_config_error(tmp_path, capsys):
     cfg = setup_workdir(tmp_path)
     rc = main(["sweep", "--config", str(cfg), "--t0-list", ",", "--nu-list", "1.0"])
@@ -638,8 +703,8 @@ def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
 
 
 def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monkeypatch):
-    # 8x8 frames are below SSIM's window, so the first run's metrics fail; the
-    # error must not wait for the other 15 runs (88 denoiser calls in all)
+    # 8x8 frames are below SSIM's window, so the first stack's metrics fail; the
+    # error must not wait for the other three t0 stacks (22 stacked calls in all)
     calls = []
     real = GmmDenoiser.posterior_mean
 
@@ -656,7 +721,10 @@ def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "window" in captured.err
-    assert len(calls) < 88 // 2
+    s = build_schedule(load_config(cfg))
+    total = sum(2 + len(ddim_grid(s, 5, t0)) for t0 in (20, 30, 40, 50))
+    assert total == 22
+    assert len(calls) < total // 2
 
 
 # ---------------------------------------------------------------- sample

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doubles import ConstantDenoiser, CountingDenoiser
 from noisecal import (
-    ConstantDenoiser,
-    CountingDenoiser,
     GmmDenoiser,
     NoiseSchedule,
     RngSeed,

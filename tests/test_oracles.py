@@ -13,7 +13,16 @@ every frame of a video; the oracle repeats each mean along the frame axis.
 The package's GMM posterior is per-frame matrix-vector products against the
 centred means; the oracle keeps the broadcast form, which builds the residual
 from every scaled mean, and runs it in long double as the exact reference.
+Runs that share t0 advance as one (B, F, C, H, W) stack; the oracles keep the
+pipeline one run at a time and the posterior as a loop over the stack's rows,
+and every stacked row must equal its run byte for byte.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +37,7 @@ from noisecal import (
     calibrate_noise,
     content_objective,
     ddim_grid,
+    ddim_step,
     denoise_from,
     estimate_x0,
     forward_noise,
@@ -37,11 +47,18 @@ from noisecal import (
     l2_norm,
     linear_beta_schedule,
     low_pass,
+    metric_report,
     mse_low,
+    nc_sdedit,
+    read_video,
     replace_low_freq,
     toy_schedule,
+    write_video,
 )
+from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedule, load_config, main
 from noisecal.tensor import _freeze
+
+ROOT = Path(__file__).resolve().parents[1]
 
 NUS = [0.0, 0.3, 0.5, 0.77, 1.0]
 SHAPES = [(8, 8), (7, 9), (6, 9), (9, 6), (7, 5)]
@@ -309,3 +326,179 @@ def test_posterior_mean_matches_longdouble_reference(schedule, t):
     want = broadcast_posterior_mean(d, x_t, t, schedule, dtype=np.longdouble)
     err = np.abs(d.posterior_mean(x_t, t, schedule) - want).max()
     assert err <= 1e-12
+
+
+# ---------------------------------------------------------------- stacked runs
+
+
+def per_row_posterior_mean(d, stack, t, schedule):
+    """The posterior of a (B, F, C, H, W) stack as B separate calls."""
+    return np.stack([d.posterior_mean(row, t, schedule) for row in stack])
+
+
+def per_run_nc_sdedit(x_ref, cal, samp, d, s):
+    """The pipeline for one run on its own: (output, objectives)."""
+    grid = ddim_grid(s, samp.num_steps, cal.t0)
+    t0 = grid[0]
+    coef = s.signal_scale(t0) / s.noise_scale(t0)
+    eps = gaussian_noise(x_ref.shape, cal.rng)
+    objectives = []
+    for _ in range(cal.n_iters):
+        x_t0 = forward_noise(x_ref, t0, eps, s)
+        eps_pred = d.predict_eps(x_t0, t0, s)
+        gap = estimate_x0(x_t0, t0, eps_pred, s) - x_ref
+        low = low_pass(gap, cal.nu)
+        objectives.append(l2_norm(low))
+        eps = _freeze(eps_pred + coef * (gap - low))
+    x, first_x0_hat = forward_noise(x_ref, t0, eps, s), None
+    for t, t_prev in zip(grid, grid[1:] + [0]):
+        x, x0_hat = ddim_step(x, t, t_prev, d, s, samp, samp.rng.substream(t))
+        first_x0_hat = x0_hat if first_x0_hat is None else first_x0_hat
+    objectives.append(content_objective(x_ref, first_x0_hat, cal.nu))
+    return x, objectives
+
+
+def stacked_case(seed, batch, one_frame, zero_variance, shape=(3, 2, 6, 7), n=4):
+    rng = RngSeed(seed)
+    gen = rng.generator()
+    variances = [0.0] * n if zero_variance else [0.0, 0.05, 0.3, 1.0][:n]
+    mean_shape = (1,) + shape[1:] if one_frame else shape
+    d = GmmDenoiser(
+        [(float(gen.uniform(0.2, 1.0)), 0.5 * gaussian_noise(mean_shape, rng.substream(k)), v)
+         for k, v in enumerate(variances)]
+    )
+    rows = [RngSeed(seed, 100 + b) for b in range(batch)]
+    return d, gaussian_noise((batch,) + shape, rows)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("one_frame", [True, False], ids=["one-frame", "per-frame"])
+@pytest.mark.parametrize("zero_variance", [True, False], ids=["zero-var", "nonzero-var"])
+@pytest.mark.parametrize("t", [1, 600, 1000])
+def test_stacked_posterior_mean_equals_per_row_calls(batch, one_frame, zero_variance, t):
+    d, stack = stacked_case(6000 + batch, batch, one_frame, zero_variance)
+    got = d.posterior_mean(stack, t, SCHED)
+    assert got.shape == stack.shape
+    assert got.tobytes() == per_row_posterior_mean(d, stack, t, SCHED).tobytes()
+    eps = np.stack([d.predict_eps(row, t, SCHED) for row in stack])
+    assert d.predict_eps(stack, t, SCHED).tobytes() == eps.tobytes()
+
+
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+sys.path[:0] = sys.argv[1:]
+from noisecal import GmmDenoiser, RngSeed, gaussian_noise, linear_beta_schedule
+from test_oracles import per_row_posterior_mean, stacked_case
+s = linear_beta_schedule(1000, 1e-4, 0.02)
+for batch in (1, 2, 5):
+    for one_frame in (True, False):
+        d, stack = stacked_case(6100 + batch, batch, one_frame, False, (2, 1, 32, 32), 16)
+        got = d.posterior_mean(stack, 600, s).tobytes()
+        assert got == per_row_posterior_mean(d, stack, 600, s).tobytes(), (batch, one_frame)
+        print(hashlib.sha256(got).hexdigest())
+"""
+
+
+def test_stacked_posterior_mean_bytes_do_not_depend_on_blas_threads():
+    """16 components of 32x32 frames are enough for OpenBLAS to split each
+    matrix-vector product over threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, str(ROOT / "src"), str(ROOT / "tests")],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 6
+    assert digests[0] == digests[1]
+
+
+def test_stacked_nc_sdedit_rows_equal_per_run_oracle(sched):
+    rng = RngSeed(6200)
+    d = GmmDenoiser([(0.5, gaussian_noise((2, 1, 6, 6), rng.substream(k)), 0.3) for k in (0, 1)])
+    x_ref = gaussian_noise((2, 1, 6, 6), rng.substream(2))
+    nus = [0.5, 1.0, 0.0, 0.5]
+    cals = [CalibrationConfig(t0=600, n_iters=3, nu=nu, rng=rng.substream(10, b))
+            for b, nu in enumerate(nus)]
+    samps = [SamplerConfig(eta=1.0, num_steps=6, rng=rng.substream(20, b)) for b in range(4)]
+    x0, traces = nc_sdedit(x_ref, cals, samps, d, sched)
+    grid = ddim_grid(sched, 6, 600)
+    assert x0.shape == (len(nus),) + x_ref.shape
+    for row, trace, cal, samp in zip(x0, traces, cals, samps):
+        want, objectives = per_run_nc_sdedit(x_ref, cal, samp, d, sched)
+        assert row.tobytes() == want.tobytes()
+        assert trace.objectives == objectives
+        assert (trace.calibration_calls, trace.sampling_calls) == (3, len(grid))
+        one, one_trace = nc_sdedit(x_ref, cal, samp, d, sched)  # the stack of one
+        assert one.tobytes() == want.tobytes()
+        assert one_trace.objectives == objectives
+
+
+def write_sweep_workspace(root: Path) -> Path:
+    """A 3-frame input, a 4-component mixture and a T=50 config under root."""
+    rng = RngSeed(6300)
+    raw = gaussian_noise((3, 1, 12, 12), rng.substream(0)) * 0.2 + 0.5
+    write_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0, root / "input")
+    raw = gaussian_noise((4, 1, 12, 12), rng.substream(1)) * 0.2 + 0.5
+    write_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0, root / "data")
+    cfg = {
+        "schedule": {"T": 50, "beta_start": 0.001, "beta_end": 0.02},
+        "sampler": {"num_steps": 5, "eta": 1.0, "seed": 7},
+        "calibration": {"N": 2},
+        "denoiser": {"kind": "dataset", "spec": "data"},
+        "io": {"input": "input"},
+    }
+    (root / "cfg.json").write_text(json.dumps(cfg))
+    return root / "cfg.json"
+
+
+def sweep_rows(capsys, cfg, t0_list, nu_list, seeds):
+    argv = ["sweep", "--config", str(cfg), "--t0-list", t0_list, "--nu-list", nu_list]
+    assert main(argv + ["--seeds", str(seeds)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    return {tuple(ln.split(",")[:3]): ln for ln in lines if ",mean," not in ln}
+
+
+def test_sweep_row_equals_standalone_run(tmp_path, capsys):
+    cfg_path = write_sweep_workspace(tmp_path)
+    rows = sweep_rows(capsys, cfg_path, "20,40", "0.5,1.0", 4)
+    cfg = load_config(cfg_path)
+    x_ref = read_video(cfg.input_dir)
+    d = GmmDenoiser.from_dataset(cfg.denoiser_spec)
+    s = build_schedule(cfg)
+    for t0, nu, k in [(20, 0.5, 0), (40, 1.0, 3), (40, 0.5, 2)]:
+        rng = RngSeed(cfg.seed).substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
+        cal, samp = _run_configs(cfg, rng, t0, nu)
+        x0, objectives = per_run_nc_sdedit(x_ref, cal, samp, d, s)
+        r = metric_report(x0, x_ref)
+        values = [r.mse_low, r.mse, r.ssim, r.d_sf] + objectives
+        want = ",".join([str(t0), repr(nu), str(k)] + [repr(v) for v in values])
+        assert rows[(str(t0), repr(nu), str(k))] == want
+
+
+def test_sweep_rows_do_not_depend_on_batch_composition(tmp_path, capsys):
+    cfg = write_sweep_workspace(tmp_path)
+    full = sweep_rows(capsys, cfg, "20,40", "0.5,1.0", 4)
+    for nu_list, seeds in (("0.5,1.0", 1), ("0.5", 4), ("1.0", 2), ("0.5", 1)):
+        part = sweep_rows(capsys, cfg, "20,40", nu_list, seeds)
+        assert len(part) == 2 * len(nu_list.split(",")) * seeds
+        assert all(full[key] == line for key, line in part.items())
+
+
+def test_read_video_order_moves_metrics_only_in_the_last_digits(tmp_path):
+    """read_video returns C order; before, RGB came channels-last.  Every
+    metric_report field agrees across the two orders within 1e-12 absolute
+    (measured: under 1e-15 on 6x3x64x64 frames)."""
+    for seed, shape in ((6400, (4, 3, 32, 32)), (6401, (2, 3, 17, 23))):
+        pair_ = [np.floor(np.clip(gaussian_noise(shape, RngSeed(seed, k)) * 0.2 + 0.5, 0, 1)
+                          * 255) / 255.0 for k in (0, 1)]
+        for k, x in enumerate(pair_):
+            write_video(x, tmp_path / f"{seed}-{k}")
+        a, b = (read_video(tmp_path / f"{seed}-{k}") for k in (0, 1))
+        last = [np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2) for x in (a, b)]
+        got, old = metric_report(a, b), metric_report(*last)
+        for key, value in json.loads(got.to_json()).items():
+            assert value == pytest.approx(getattr(old, key), rel=0, abs=1e-12), key

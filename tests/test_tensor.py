@@ -81,3 +81,16 @@ def test_substreams_with_distinct_tokens_decorrelate(seed, token):
     a = gaussian_noise((1, 1, 4, 4), root.substream(token))
     b = gaussian_noise((1, 1, 4, 4), root.substream(token + 1))
     assert not np.array_equal(a, b)
+
+
+def test_stacked_noise_rows_are_each_streams_draw():
+    seeds = [RngSeed(7, b) for b in range(3)]
+    stack = gaussian_noise((3, 2, 1, 4, 5), seeds)
+    for row, seed in zip(stack, seeds):
+        assert row.tobytes() == gaussian_noise((2, 1, 4, 5), seed).tobytes()
+    with pytest.raises(ValueError):
+        gaussian_noise((2, 2, 1, 4, 5), seeds)  # one stream per row
+    with pytest.raises(ValueError):
+        gaussian_noise((3, 2, 1, 4, 5), seeds[0])
+    with pytest.raises(ValueError):
+        gaussian_noise((2, 1, 4, 5), seeds[:1])  # a run takes one stream, not a list

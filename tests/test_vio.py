@@ -119,6 +119,16 @@ def test_video_roundtrip_rgb(tmp_path):
     np.testing.assert_allclose(read_video(tmp_path / "v"), x, atol=1e-12)
 
 
+def test_read_video_rgb_is_c_contiguous_and_round_trips_its_bytes(tmp_path):
+    # channels first in memory too, so filters over (H, W) read contiguous planes
+    write_video(quantized_video((3, 3, 5, 7), 122), tmp_path / "v")
+    back = read_video(tmp_path / "v")
+    assert back.flags.c_contiguous
+    write_video(back, tmp_path / "w")
+    for frame in (tmp_path / "v").iterdir():
+        assert (tmp_path / "w" / frame.name).read_bytes() == frame.read_bytes()
+
+
 def test_video_missing_frame_named_in_error(tmp_path):
     x = quantized_video((3, 1, 4, 4), 113)
     write_video(x, tmp_path / "v")
