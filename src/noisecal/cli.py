@@ -1,4 +1,4 @@
-"""Command-line frontend: enhance, metrics, sweep, sample.
+"""Command-line frontend: enhance, metrics, sweep.
 
 Configuration comes from a strict JSON file (unknown keys rejected); a few
 flags override file values.  stdout carries machine-readable output only;
@@ -10,32 +10,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import CalibrationConfig, nc_sdedit, start_grid
-from .denoiser import Denoiser, GmmDenoiser
-from .diffusion import SamplerConfig, denoise_from
+from .denoiser import GmmDenoiser
+from .diffusion import SamplerConfig
 from .metrics import metric_report
-from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
-from .tensor import NumericError, RngSeed, VideoTensor, _finite_number, gaussian_noise
-from .vio import PnmFormatError, TensorFormatError, read_video, remove_video, write_video
+from .schedule import NoiseSchedule, linear_beta_schedule
+from .tensor import NumericError, RngSeed, _finite_number
+from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 
-# fixed stream tags: every draw in a run hangs off one master seed
+# fixed stream tags: every draw in a run hangs off one master seed; the tags
+# are hashed into the substreams, so renumbering them would change every draw
 _STREAM_CALIBRATION = 1
 _STREAM_SAMPLER = 2
-_STREAM_SAMPLE_CMD = 3
 _STREAM_SWEEP = 4
 
 # every schedule in use has T <= 1000; the bound stops a typo from allocating gigabytes
@@ -148,6 +147,9 @@ def load_config(path) -> RunConfig:
     if not 0.0 <= nu <= 1.0:
         raise ConfigError(f"nu must be in [0, 1], got {nu}")
 
+    num_steps = _num(sampler, "num_steps", 30, int)
+    if not 1 <= num_steps <= t_max:
+        raise ConfigError(f"sampler.num_steps must be in [1, {t_max}], got {num_steps}")
     eta = _num(sampler, "eta", 1.0)
     if eta < 0:
         raise ConfigError(f"sampler.eta must be >= 0, got {eta}")
@@ -170,7 +172,7 @@ def load_config(path) -> RunConfig:
         t_max=t_max,
         beta_start=_num(sched, "beta_start", 1e-4),
         beta_end=_num(sched, "beta_end", 0.02),
-        num_steps=_num(sampler, "num_steps", 30, int),
+        num_steps=num_steps,
         eta=eta,
         seed=_num(sampler, "seed", 0, int),
         t0=t0,
@@ -187,7 +189,7 @@ def build_schedule(cfg: RunConfig) -> NoiseSchedule:
     return linear_beta_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
 
 
-def build_denoiser(cfg: RunConfig, n_frames: int | None) -> GmmDenoiser:
+def build_denoiser(cfg: RunConfig, n_frames: int) -> GmmDenoiser:
     """Load the configured denoiser.  For an n_frames-long input its means
     must have 1 frame (a static-video prior, which posterior_mean applies to
     every frame) or n_frames; this is checked before any run starts."""
@@ -197,7 +199,7 @@ def build_denoiser(cfg: RunConfig, n_frames: int | None) -> GmmDenoiser:
         d = GmmDenoiser.from_dataset(cfg.denoiser_spec)
     else:
         d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
-    if n_frames is not None and d.means.shape[1] not in (1, n_frames):
+    if d.means.shape[1] not in (1, n_frames):
         raise ConfigError(
             f"denoiser frames ({d.means.shape[1]}) do not match input frames ({n_frames})"
         )
@@ -252,20 +254,6 @@ def _float_bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _scored_stack(
-    x_ref: VideoTensor,
-    runs: list[tuple[CalibrationConfig, SamplerConfig]],
-    d: Denoiser,
-    s: NoiseSchedule,
-) -> list[tuple]:
-    """Metric report and objectives of each run of one stack, in run order.
-
-    The runs share t0 and advance as one stack; their frames go no further."""
-    cals, samps = zip(*runs)
-    x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
-    return [(metric_report(x, x_ref), trace.objectives) for x, trace in zip(x0, traces)]
-
-
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
     if cfg.input_dir is None:
         raise ConfigError("sweep needs io.input")
@@ -294,11 +282,23 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     # into stacks of at most _STACK_BYTES of video
     size = max(1, _STACK_BYTES // x_ref.nbytes)
     stacks = [ids[j : j + size] for ids in groups.values() for j in range(0, len(ids), size)]
-    stack_runs = [[runs[i] for i in ids] for ids in stacks]
+    failed = threading.Event()  # set by a failing stack, so that no later stack starts work
+
+    def scored_stack(ids: list[int]) -> list[tuple]:
+        """Metric report and objectives of each run of one stack, in run order."""
+        if failed.is_set():
+            return []  # an earlier stack failed; the main thread raises its error first
+        try:
+            cals, samps = zip(*(runs[i] for i in ids))
+            x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
+            return [(metric_report(x, x_ref), trace.objectives) for x, trace in zip(x0, traces)]
+        except Exception:
+            failed.set()
+            raise
+
     scored = [None] * len(jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_stack = pool.map(_scored_stack, repeat(x_ref), stack_runs, repeat(d), repeat(s))
-        for ids, scores in zip(stacks, per_stack):
+        for ids, scores in zip(stacks, pool.map(scored_stack, stacks)):
             for i, score in zip(ids, scores):
                 scored[i] = score  # back in job order
 
@@ -316,34 +316,10 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig, count: int) -> int:
-    if count == 0:
-        return EXIT_OK
-    if cfg.output_dir is None:
-        raise ConfigError("sample needs io.output")
-    s = build_schedule(cfg)
-    d = build_denoiser(cfg, None)
-    shape = tuple(d.means.shape[1:])
-    master = RngSeed(cfg.seed)
-    out = Path(cfg.output_dir)
-    for old in out.glob("sample_*"):  # an earlier run's samples numbered count or higher
-        m = re.fullmatch(r"sample_(\d{3,})", old.name)
-        if m and int(m[1]) >= count and old.is_dir():
-            remove_video(old)  # any other file inside is not a frame: OSError, exit 2
-    grid = ddim_grid(s, s.num_steps, s.num_steps)  # the full ancestral chain; sampler.* unused
-    for j in range(count):
-        rng = master.substream(_STREAM_SAMPLE_CMD, j)
-        chain = SamplerConfig(eta=1.0, num_steps=s.num_steps, rng=rng.substream(1))
-        x0, _ = denoise_from(gaussian_noise(shape, rng.substream(0)), grid, d, s, chain)
-        write_video(x0, out / f"sample_{j:03d}")
-    print(f"sample: wrote {count} sample dirs to {out}", file=sys.stderr)
-    return EXIT_OK
-
-
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         cfg = replace(cfg, input_dir=args.input)
     if getattr(args, "output", None) is not None:
         cfg = replace(cfg, output_dir=args.output)
@@ -410,10 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument(
         "--threads", type=_int_at_least(1), default=1, help="parallelism over stacks of runs"
     )
-
-    p_smp = sub.add_parser("sample", help="unconditional samples from the denoiser's model")
-    add_common(p_smp, "output")
-    p_smp.add_argument("--count", type=_int_at_least(0), default=1)
     return parser
 
 
@@ -425,9 +397,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "enhance":
             return cmd_enhance(cfg, args.baseline, args.threads)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)
-        return cmd_sample(cfg, args.count)
+        return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)
     except (PnmFormatError, TensorFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -154,10 +154,12 @@ class GmmDenoiser(Denoiser):
         # stacked matrix-vector products, B*F of them; a GEMM over the rows
         # would sum in another order and make a row's bytes depend on B
         dots = np.matmul(m, c[..., None])[..., 0]  # (B, F, n): m_kf . c_bf
-        dots -= np.matmul(mbar[:, None, :], c[..., None])[..., 0]  # (m_kf - mbar_f) . c_bf
+        # the two dot products of a whole frame or video are numpy sums: BLAS
+        # splits a long dot over threads, and the thread count would change its bits
+        dots -= np.multiply(c, mbar).sum(axis=2)[..., None]  # (m_kf - mbar_f) . c_bf
         # frame sums over materialised (F, n) arrays add in the same order for both
         msq = np.ascontiguousarray(np.broadcast_to(self._msq.T, (f, n)))
-        cc = np.array([np.vdot(row, row) for row in c])[:, None]  # (B, 1): ||c_b||^2
+        cc = np.square(c).reshape(b, -1).sum(axis=1)[:, None]  # (B, 1): ||c_b||^2
         sq = cc - 2.0 * root * dots.sum(axis=1) + abar * msq.sum(axis=0)  # (B, n)
         del c  # the output below takes two more full-size buffers
         # per-component marginal variance of x_t

@@ -166,5 +166,9 @@ def gaussian_noise(shape: tuple[int, ...], rng: RngSeed | Sequence[RngSeed]) -> 
 
 
 def l2_norm(x: VideoTensor) -> float:
-    """Euclidean norm over all elements."""
-    return float(np.linalg.norm(x.ravel()))
+    """Euclidean norm over all elements.
+
+    A numpy sum, not np.linalg.norm: that goes through BLAS ddot, which splits
+    a long vector over threads, so its last bits depend on the thread count.
+    """
+    return float(np.sqrt(np.square(x).sum()))

@@ -170,18 +170,6 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
         list(pool.map(write_pnm, x, paths))
 
 
-def remove_video(dir_path) -> None:
-    """Delete a frame directory: its frame files, then the directory itself.
-
-    Any other file inside makes the final rmdir raise OSError.
-    """
-    dir_path = Path(dir_path)
-    for p in dir_path.iterdir():
-        if _FRAME_RE.match(p.name):
-            p.unlink()
-    dir_path.rmdir()
-
-
 # -- raw tensor container --
 
 

@@ -295,6 +295,8 @@ _GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
         pytest.param({"sampler": {"eta": "1"}}, None, id="eta-string"),
         pytest.param({"sampler": {"eta": -1.0}}, None, id="negative-eta"),
         pytest.param({"sampler": {"num_steps": 2.5}}, None, id="num-steps-fraction"),
+        pytest.param({"sampler": {"num_steps": 0}}, None, id="num-steps-0"),
+        pytest.param({"sampler": {"num_steps": 51}}, None, id="num-steps-above-T"),
         pytest.param({"calibration": {"N": -1}}, None, id="negative-N"),
         pytest.param({"calibration": {"nu": 1.5}}, None, id="nu-above-1"),
         pytest.param({"denoiser": {"kind": "unet"}}, None, id="unknown-denoiser-kind"),
@@ -318,8 +320,8 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_negative_eta_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
-    # the config is at fault, not a sweep cell, and no run starts
+def assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message):
+    """The config is at fault, not a sweep cell, and no run starts."""
     calls = []
     real = GmmDenoiser.posterior_mean
 
@@ -328,14 +330,29 @@ def test_sweep_negative_eta_is_rejected_by_load_config(tmp_path, capsys, monkeyp
         return real(self, x_t, t, s)
 
     monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
-    cfg = setup_workdir(tmp_path, {"sampler": {"eta": -1.0}})
+    cfg = setup_workdir(tmp_path, {"sampler": sampler})
     argv = ["sweep", "--config", str(cfg), "--t0-list", "30", "--nu-list", "1.0"]
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "sampler.eta must be >= 0" in captured.err
+    assert message in captured.err
     assert "sweep cell" not in captured.err
     assert calls == []
+
+
+def test_sweep_negative_eta_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
+    sampler = {"eta": -1.0}
+    assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, "sampler.eta must be >= 0")
+
+
+@pytest.mark.parametrize("num_steps", [0, 51])
+def test_sweep_num_steps_out_of_range_is_rejected_by_load_config(
+    tmp_path, capsys, monkeypatch, num_steps
+):
+    # T=50 in every workdir here
+    message = f"sampler.num_steps must be in [1, 50], got {num_steps}"
+    sampler = {"num_steps": num_steps}
+    assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message)
 
 
 _BAD_TENSORS = {
@@ -398,18 +415,15 @@ def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command,
         ["sweep", "--config", "CFG", "--t0-list", "0.4,abc", "--nu-list", "1.0"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--seeds", "0"],
         ["sweep", "--config", "NO_IO", "--t0-list", "30", "--nu-list", "1.0"],
-        ["sample", "--config", "CFG", "--count", "-1"],
-        ["sample", "--config", "NO_IO"],
         ["sweep", "--config", "CFG", "--t0-list", "30,,40", "--nu-list", "1.0"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "0.5,1.0,"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--output", "x"],
-        ["sample", "--config", "CFG", "--input", "x"],
     ],
     ids=[
         "seeds-abc", "unknown-flag", "no-config", "no-command",
         "enhance-threads-0", "enhance-threads-neg", "sweep-threads-0", "sweep-threads-neg",
-        "t0-list-abc", "seeds-0", "sweep-no-input", "count-neg", "sample-no-output",
-        "t0-list-empty-entry", "nu-list-trailing-comma", "sweep-output", "sample-input",
+        "t0-list-abc", "seeds-0", "sweep-no-input",
+        "t0-list-empty-entry", "nu-list-trailing-comma", "sweep-output",
     ],
 )
 def test_bad_flags_are_config_errors(tmp_path, capsys, argv):
@@ -448,20 +462,28 @@ def test_python_m_noisecal_cli_points_to_the_entry_point(tmp_path):
 
 def test_enhance_bytes_do_not_depend_on_blas_threads(tmp_path):
     """The posterior runs on BLAS matrix-vector products.  16 components of
-    32x32 frames are enough for OpenBLAS to split each product over threads."""
-    cfg = setup_workdir(tmp_path)
-    write_video(small_video(202, frames=16, size=32), tmp_path / "data")
-    write_video(small_video(203, size=32), tmp_path / "input")
-    runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out-blas-{threads}"
-        proc = run_module(
-            "enhance", "--config", str(cfg), "--output", str(out), OPENBLAS_NUM_THREADS=threads
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        runs.append((frame_bytes(out), (out / "trace.csv").read_bytes()))
-    assert len(runs[0][0]) == 2
-    assert runs[0] == runs[1]
+    32x32 frames are enough for OpenBLAS to split each product over threads.
+    One 128x128 frame (16384 elements) is enough for it to split a dot product
+    too, so no whole-frame dot or sum of squares may go through BLAS."""
+    sweep = ["sweep", "--t0-list", "30", "--nu-list", "0.5", "--seeds", "2"]
+    for frames, size in ((2, 32), (1, 128)):
+        root = tmp_path / f"{frames}x{size}"
+        cfg = setup_workdir(root)
+        write_video(small_video(202, frames=16, size=size), root / "data")
+        write_video(small_video(203, frames=frames, size=size), root / "input")
+        runs = []
+        for threads in ("1", "2"):
+            out = root / f"out-blas-{threads}"
+            proc = run_module(
+                "enhance", "--config", str(cfg), "--output", str(out), OPENBLAS_NUM_THREADS=threads
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            csv = run_module(*sweep, "--config", str(cfg), OPENBLAS_NUM_THREADS=threads)
+            assert csv.returncode == EXIT_OK, csv.stderr
+            files = [out / "trace.csv", out / "metrics.json"]
+            runs.append((frame_bytes(out), [p.read_bytes() for p in files], csv.stdout))
+        assert len(runs[0][0]) == frames
+        assert runs[0] == runs[1], (frames, size)
 
 
 def test_console_script_is_cli_main():
@@ -727,46 +749,10 @@ def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monke
     assert len(calls) < total // 2
 
 
-# ---------------------------------------------------------------- sample
-
-
-def test_sample_zero_count(tmp_path, capsys):
+def test_sample_is_no_longer_a_command(tmp_path, capsys):
     cfg = setup_workdir(tmp_path)
-    assert main(["sample", "--config", str(cfg), "--count", "0"]) == EXIT_OK
-    assert not (tmp_path / "out").exists()
-
-
-def test_sample_writes_reproducible_dirs(tmp_path):
-    cfg = setup_workdir(tmp_path)
-    main(["sample", "--config", str(cfg), "--count", "2", "--output", str(tmp_path / "s1")])
-    main(["sample", "--config", str(cfg), "--count", "2", "--output", str(tmp_path / "s2")])
-    for j in range(2):
-        assert (tmp_path / "s1" / f"sample_{j:03d}" / "frame_00000.pgm").exists()
-        assert frame_bytes(tmp_path / "s1" / f"sample_{j:03d}") == frame_bytes(
-            tmp_path / "s2" / f"sample_{j:03d}"
-        )
-
-
-def test_sample_removes_stale_sample_dirs(tmp_path, capsys):
-    cfg = setup_workdir(tmp_path)
-    out = tmp_path / "s"
-    assert main(["sample", "--config", str(cfg), "--count", "3", "--output", str(out)]) == EXIT_OK
-    assert main(["sample", "--config", str(cfg), "--count", "2", "--output", str(out)]) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == ["sample_000", "sample_001"]
-    # a stale directory holding more than frames is not deleted: I/O error
-    (out / "sample_005").mkdir()
-    (out / "sample_005" / "notes.txt").write_text("keep")
-    rc = main(["sample", "--config", str(cfg), "--count", "2", "--output", str(out)])
-    assert rc == EXIT_IO
-    assert (out / "sample_005" / "notes.txt").read_text() == "keep"
-
-
-def test_sample_ignores_sampler_steps_and_eta(tmp_path):
-    # sample always runs the full ancestral chain: every step of T at eta=1
-    cfg = setup_workdir(tmp_path)
-    other = setup_workdir(tmp_path / "other", {"sampler": {"num_steps": 2, "eta": 0.0}})
-    main(["sample", "--config", str(cfg), "--output", str(tmp_path / "s1")])
-    main(["sample", "--config", str(other), "--output", str(tmp_path / "s2")])
-    assert frame_bytes(tmp_path / "s1" / "sample_000") == frame_bytes(
-        tmp_path / "s2" / "sample_000"
-    )
+    assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "input"]

@@ -143,7 +143,7 @@ def write_case(draw, root: Path, damage: str) -> None:
 
 
 def argv_for(draw, root: Path, damage: str) -> list[str]:
-    cmd = draw(st.sampled_from(["enhance", "sample", "sweep", "metrics"]))
+    cmd = draw(st.sampled_from(["enhance", "sweep", "metrics"]))
     if cmd == "metrics":
         dirs = st.sampled_from(["input", "data", "missing"])
         return [cmd, str(root / draw(dirs)), str(root / draw(dirs))]
@@ -153,8 +153,6 @@ def argv_for(draw, root: Path, damage: str) -> list[str]:
     if cmd == "enhance":
         argv.append(f"--threads={draw(st.integers(1, 2))}")
         argv += draw(st.sampled_from([[], ["--baseline"]]))
-    elif cmd == "sample":
-        argv.append(f"--count={draw(st.integers(0, 2))}")
     else:
         if damage == "list":
             t0s = nus = st.lists(NUMBER_TEXT, max_size=3)

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used or re-exported through __all__,
-every name in __all__ is used outside the module that defines it, private
-names stay inside their modules, and every package name the benchmark
-harness looks up exists."""
+every name in __all__ is used outside the module that defines it, every
+top-level function and class of the package is named somewhere beyond its
+definition, private names stay inside their modules, and every package name
+the benchmark harness looks up exists."""
 
 import ast
 import importlib
@@ -81,6 +82,21 @@ def test_every_exported_name_is_used_outside_its_module():
         and not any(name in used[path] for path in files if path != home[name])
     ]
     assert unused == [], f"exported but used only in their own module: {unused}"
+
+
+def test_every_top_level_definition_is_named_beyond_it():
+    # a function or class that no code and no entry point names is dead code
+    named = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    for folder in (*SCANNED, "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            named |= names_used(ast.parse(path.read_text(), str(path)))
+    dead = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted((ROOT / "src" / "noisecal").glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert dead == [], "defined but never named:\n" + "\n".join(dead)
 
 
 def test_private_names_are_imported_only_from_tensor():

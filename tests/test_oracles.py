@@ -15,7 +15,9 @@ centred means; the oracle keeps the broadcast form, which builds the residual
 from every scaled mean, and runs it in long double as the exact reference.
 Runs that share t0 advance as one (B, F, C, H, W) stack; the oracles keep the
 pipeline one run at a time and the posterior as a loop over the stack's rows,
-and every stacked row must equal its run byte for byte.
+and every stacked row must equal its run byte for byte.  l2_norm and the
+posterior's whole-frame dots are numpy sums; the oracles keep the BLAS forms
+they replace (np.linalg.norm, np.vdot and a matmul of two vectors).
 """
 
 import json
@@ -328,6 +330,47 @@ def test_posterior_mean_matches_longdouble_reference(schedule, t):
     assert err <= 1e-12
 
 
+def blas_posterior_mean(d, x_t, t, schedule):
+    """posterior_mean of one video as it was while its two whole-frame dot
+    products went through BLAS: ||c||^2 by np.vdot and each frame's mbar . c by
+    a matmul of two vectors, where c = x_t - root * mbar."""
+    n, f = len(d.means), x_t.shape[0]
+    abar = float(schedule.alpha_bar[t])
+    root = np.sqrt(abar)
+    x = x_t.reshape(f, -1)
+    flat = d.means.reshape(n, d.means.shape[1], -1)
+    m = np.broadcast_to(flat, (n,) + x.shape).transpose(1, 0, 2)  # (F, n, D)
+    mbar = np.broadcast_to(flat.mean(axis=0), x.shape)
+    c = x - root * mbar
+    dots = np.matmul(m, c[..., None])[..., 0] - np.matmul(mbar[:, None, :], c[..., None])[..., 0]
+    msq = np.square(m - mbar[:, None, :]).sum(axis=2)  # (F, n)
+    sq = np.vdot(c, c) - 2.0 * root * dots.sum(axis=0) + abar * msq.sum(axis=0)
+    s = abar * d.variances + (1.0 - abar)
+    log_r = np.log(d.weights) - sq / (2.0 * s) - 0.5 * x.size * np.log(s)
+    r = np.exp(log_r - log_r.max())
+    r /= r.sum()
+    gain = root * d.variances / s
+    out = np.matmul((r * (1.0 - gain * root))[None, None, :], m)[:, 0] + (r @ gain) * x
+    return out.reshape(x_t.shape)
+
+
+@pytest.mark.parametrize("one_frame", [True, False], ids=["one-frame", "per-frame"])
+@pytest.mark.parametrize("shape", [(3, 2, 6, 7), (8, 1, 128, 128)], ids=["small", "128x128"])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_sums_of_squares_match_blas_forms(one_frame, shape, offset):
+    """l2_norm and the posterior's whole-frame dots are numpy sums, which
+    OpenBLAS cannot split over threads; the oracles keep the BLAS forms they
+    replace, np.linalg.norm, np.vdot and a matmul of two vectors."""
+    rng = RngSeed(6500)
+    x = offset + gaussian_noise(shape, rng)
+    assert l2_norm(x) == pytest.approx(float(np.linalg.norm(x.ravel())), rel=1e-12, abs=0)
+    mean_shape = (1,) + shape[1:] if one_frame else shape
+    d, x_t = noised_mixture(rng.substream(1), 4, mean_shape, [0.3, 0.0, 0.05, 1.0], offset,
+                            600, SCHED, shape[0])
+    want = blas_posterior_mean(d, x_t, 600, SCHED)
+    np.testing.assert_allclose(d.posterior_mean(x_t, 600, SCHED), want, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------- stacked runs
 
 
@@ -382,6 +425,15 @@ def test_stacked_posterior_mean_equals_per_row_calls(batch, one_frame, zero_vari
     assert got.tobytes() == per_row_posterior_mean(d, stack, t, SCHED).tobytes()
     eps = np.stack([d.predict_eps(row, t, SCHED) for row in stack])
     assert d.predict_eps(stack, t, SCHED).tobytes() == eps.tobytes()
+
+
+@pytest.mark.parametrize("one_frame", [True, False], ids=["one-frame", "per-frame"])
+def test_stacked_posterior_mean_equals_per_row_calls_on_large_frames(one_frame):
+    """Whole-row sums of 8x128x128 rows: a reduction over the stack at once,
+    such as an einsum to shape (B,), adds a row in another order than the row alone."""
+    d, stack = stacked_case(6050, 5, one_frame, False, (8, 1, 128, 128))
+    got = d.posterior_mean(stack, 600, SCHED)
+    assert got.tobytes() == per_row_posterior_mean(d, stack, 600, SCHED).tobytes()
 
 
 _BLAS_PROBE = """
