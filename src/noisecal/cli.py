@@ -1,7 +1,7 @@
 """Command-line frontend: enhance, metrics, sweep.
 
-Configuration comes from a strict JSON file (unknown keys rejected); a few
-flags override file values.  stdout carries machine-readable output only;
+Configuration comes from a strict JSON file (unknown keys rejected); `--seed`
+overrides `sampler.seed`.  stdout carries machine-readable output only;
 diagnostics go to stderr.  Exit codes: 0 success, 1 configuration or flag
 error, 2 I/O error, 3 numeric failure.
 """
@@ -72,10 +72,9 @@ class RunConfig:
     t0: int
     n_iters: int
     nu: float
-    denoiser_kind: str | None
-    denoiser_spec: str | None
-    input_dir: str | None
-    output_dir: str | None
+    denoiser_kind: str
+    denoiser_spec: str
+    input_dir: str
 
 
 def resolve_t0(raw, t_max: int) -> int:
@@ -98,13 +97,16 @@ def resolve_t0(raw, t_max: int) -> int:
     return t0
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+def _section(doc: dict, name: str, allowed: set[str], required: bool = False) -> dict:
+    """doc[name]; a required section must hold every allowed key."""
     block = doc.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    if required and set(block) != allowed:
+        raise ConfigError(f"config section {name!r} needs {sorted(allowed)}")
     return block
 
 
@@ -118,7 +120,9 @@ def _num(block: dict, key: str, default, kind=float):
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file; unknown keys are errors."""
+    """Parse and validate a JSON config file, reading no other file.  Unknown
+    keys are errors, and so are missing denoiser and io keys: both commands
+    that read a config use all of them."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -133,12 +137,15 @@ def load_config(path) -> RunConfig:
     sched = _section(doc, "schedule", {"T", "beta_start", "beta_end"})
     sampler = _section(doc, "sampler", {"num_steps", "eta", "seed"})
     cal = _section(doc, "calibration", {"t0", "N", "nu"})
-    den = _section(doc, "denoiser", {"kind", "spec"})
-    io_block = _section(doc, "io", {"input", "output"})
+    den = _section(doc, "denoiser", {"kind", "spec"}, required=True)
+    io_block = _section(doc, "io", {"input"}, required=True)
 
     t_max = _num(sched, "T", 1000, int)
     if not 1 <= t_max <= _T_LIMIT:
         raise ConfigError(f"T must be in [1, {_T_LIMIT}], got {t_max}")
+    beta_start = _num(sched, "beta_start", 1e-4)
+    beta_end = _num(sched, "beta_end", 0.02)
+    linear_beta_schedule(t_max, beta_start, beta_end)  # its own checks, before any input is read
     t0 = resolve_t0(cal.get("t0", 0.6), t_max)
     n_iters = _num(cal, "N", 3, int)
     if n_iters < 0:
@@ -154,24 +161,19 @@ def load_config(path) -> RunConfig:
     if eta < 0:
         raise ConfigError(f"sampler.eta must be >= 0, got {eta}")
 
-    kind = den.get("kind")
-    if kind is not None and kind not in ("gmm", "dataset"):
+    kind = den["kind"]
+    if kind not in ("gmm", "dataset"):
         raise ConfigError(f"denoiser kind must be 'gmm' or 'dataset', got {kind!r}")
-    spec = den.get("spec")
-    if (kind is None) != (spec is None):
-        raise ConfigError("denoiser needs both 'kind' and 'spec'")
 
-    def _resolve(key: str, p):
-        if p is None:
-            return None
+    def _resolve(key: str, p) -> str:
         if not isinstance(p, str):
             raise ConfigError(f"{key} must be a path string, got {p!r}")
         return str(path.parent / p)
 
     return RunConfig(
         t_max=t_max,
-        beta_start=_num(sched, "beta_start", 1e-4),
-        beta_end=_num(sched, "beta_end", 0.02),
+        beta_start=beta_start,
+        beta_end=beta_end,
         num_steps=num_steps,
         eta=eta,
         seed=_num(sampler, "seed", 0, int),
@@ -179,9 +181,8 @@ def load_config(path) -> RunConfig:
         n_iters=n_iters,
         nu=nu,
         denoiser_kind=kind,
-        denoiser_spec=_resolve("denoiser.spec", spec),
-        input_dir=_resolve("io.input", io_block.get("input")),
-        output_dir=_resolve("io.output", io_block.get("output")),
+        denoiser_spec=_resolve("denoiser.spec", den["spec"]),
+        input_dir=_resolve("io.input", io_block["input"]),
     )
 
 
@@ -193,8 +194,6 @@ def build_denoiser(cfg: RunConfig, n_frames: int) -> GmmDenoiser:
     """Load the configured denoiser.  For an n_frames-long input its means
     must have 1 frame (a static-video prior, which posterior_mean applies to
     every frame) or n_frames; this is checked before any run starts."""
-    if cfg.denoiser_kind is None:
-        raise ConfigError("this command needs a 'denoiser' config section")
     if cfg.denoiser_kind == "dataset":
         d = GmmDenoiser.from_dataset(cfg.denoiser_spec)
     else:
@@ -218,12 +217,7 @@ def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
     return cal, samp
 
 
-def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
-    if cfg.input_dir is None or cfg.output_dir is None:
-        raise ConfigError("enhance needs io.input and io.output")
-    if baseline and cfg.n_iters > 0:
-        print(f"baseline flag set: overriding N={cfg.n_iters} with N=0", file=sys.stderr)
-        cfg = replace(cfg, n_iters=0)
+def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
     x_ref = read_video(cfg.input_dir)
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
@@ -231,7 +225,7 @@ def cmd_enhance(cfg: RunConfig, baseline: bool, threads: int) -> int:
     x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
     report = metric_report(x0, x_ref)  # before any write: frames too small for SSIM fail here
 
-    out = Path(cfg.output_dir)
+    out = Path(output_dir)
     write_video(x0, out, threads)
     (out / "trace.csv").write_text(trace.to_csv())
     (out / "metrics.json").write_text(report.to_json() + "\n")
@@ -255,8 +249,6 @@ def _float_bits(x: float) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
-    if cfg.input_dir is None:
-        raise ConfigError("sweep needs io.input")
     x_ref = read_video(cfg.input_dir)
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
@@ -267,40 +259,38 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
         if (t0, nu) in cells[:i]:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
-    runs = []  # every run is built, and so checked, before any runs
-    groups: dict[int, list[int]] = {}  # t0 -> the indices of its jobs
-    for i, (t0, nu, k) in enumerate(jobs):
+    # every run is built, and so checked, before any runs.  No two --t0-list
+    # entries resolve to one t0 (that would list each of its cells twice), so
+    # a t0's jobs are adjacent and its group, in insertion order, is job order
+    groups: dict[int, list[tuple]] = {}  # t0 -> its runs
+    for t0, nu, k in jobs:
         try:
             start_grid(s, cfg.num_steps, t0)
             rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
-            runs.append(_run_configs(cfg, rng, t0, nu))
+            groups.setdefault(t0, []).append(_run_configs(cfg, rng, t0, nu))
         except ValueError as e:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
-        groups.setdefault(t0, []).append(i)
 
     # runs that share t0 share every level, so they step as one stack, cut
     # into stacks of at most _STACK_BYTES of video
     size = max(1, _STACK_BYTES // x_ref.nbytes)
-    stacks = [ids[j : j + size] for ids in groups.values() for j in range(0, len(ids), size)]
+    stacks = [runs[j : j + size] for runs in groups.values() for j in range(0, len(runs), size)]
     failed = threading.Event()  # set by a failing stack, so that no later stack starts work
 
-    def scored_stack(ids: list[int]) -> list[tuple]:
+    def scored_stack(stack: list[tuple]) -> list[tuple]:
         """Metric report and objectives of each run of one stack, in run order."""
         if failed.is_set():
             return []  # an earlier stack failed; the main thread raises its error first
         try:
-            cals, samps = zip(*(runs[i] for i in ids))
+            cals, samps = zip(*stack)
             x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
             return [(metric_report(x, x_ref), trace.objectives) for x, trace in zip(x0, traces)]
         except Exception:
             failed.set()
             raise
 
-    scored = [None] * len(jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for ids, scores in zip(stacks, pool.map(scored_stack, stacks)):
-            for i, score in zip(ids, scores):
-                scored[i] = score  # back in job order
+        scored = [score for scores in pool.map(scored_stack, stacks) for score in scores]
 
     n_obj = cfg.n_iters + 1  # every run records the objective after 0..N updates
     header = ["t0", "nu", "seed", "mse_low", "mse", "ssim", "d_sf"]
@@ -314,16 +304,6 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
         row = [str(t0), repr(nu), "mean"] + [repr(float(v)) for v in means] + [""] * n_obj
         print(",".join(row))
     return EXIT_OK
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.input is not None:
-        cfg = replace(cfg, input_dir=args.input)
-    if getattr(args, "output", None) is not None:
-        cfg = replace(cfg, output_dir=args.output)
-    return cfg
 
 
 def _int_at_least(low: int):
@@ -361,15 +341,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *io_keys):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, help="override sampler.seed")
-        for key in io_keys:  # only the io keys the command reads
-            p.add_argument(f"--{key}", help=f"override io.{key}")
 
     p_enh = sub.add_parser("enhance", help="enhance a frame directory")
-    add_common(p_enh, "input", "output")
-    p_enh.add_argument("--baseline", action="store_true", help="force N=0 (no calibration)")
+    add_common(p_enh)
+    p_enh.add_argument("--output", required=True, help="directory for frames, trace and metrics")
     p_enh.add_argument(
         "--threads", type=_int_at_least(1), default=1, help="frame-write parallelism"
     )
@@ -379,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("dir_b")
 
     p_swp = sub.add_parser("sweep", help="grid over t0 and nu")
-    add_common(p_swp, "input")
+    add_common(p_swp)
     p_swp.add_argument("--t0-list", type=_numbers, required=True, help="comma-separated t0 values")
     p_swp.add_argument("--nu-list", type=_numbers, required=True, help="comma-separated nu values")
     p_swp.add_argument("--seeds", type=_int_at_least(1), default=1, help="seeds per cell")
@@ -394,9 +372,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "metrics":
             return cmd_metrics(args.dir_a, args.dir_b)
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         if args.command == "enhance":
-            return cmd_enhance(cfg, args.baseline, args.threads)
+            return cmd_enhance(cfg, args.output, args.threads)
         return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)
     except (PnmFormatError, TensorFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -404,7 +384,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:  # ConfigError included
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

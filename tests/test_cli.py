@@ -44,7 +44,7 @@ _BASE = {
     "sampler": {"num_steps": 5, "eta": 1.0, "seed": 7},
     "calibration": {"t0": 0.6, "N": 2, "nu": 1.0},
     "denoiser": {"kind": "dataset", "spec": "data"},
-    "io": {"input": "input", "output": "out"},
+    "io": {"input": "input"},
 }
 
 
@@ -68,6 +68,11 @@ def setup_workdir(root: Path, overrides=None) -> Path:
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps(doc))
     return cfg
+
+
+def enhance(cfg: Path, *extra: str) -> int:
+    """`noisecal enhance` on cfg, writing to `out` beside it."""
+    return main(["enhance", "--config", str(cfg), "--output", str(cfg.parent / "out"), *extra])
 
 
 def frame_bytes(d):
@@ -99,21 +104,26 @@ def test_resolve_t0_conventions():
         resolve_t0("600", 1000)
 
 
+# the keys without defaults: every config must hold them
+_MINIMAL = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}, "io": {"input": "frames"}}
+
+
 def test_load_config_defaults(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text("{}")
+    p.write_text(json.dumps(_MINIMAL))
     cfg = load_config(p)
     assert (cfg.t_max, cfg.t0, cfg.n_iters, cfg.nu) == (1000, 600, 3, 1.0)
     assert (cfg.num_steps, cfg.eta, cfg.seed) == (30, 1.0, 0)
-    assert cfg.denoiser_kind is None
+    assert (cfg.beta_start, cfg.beta_end) == (1e-4, 0.02)
 
 
 def test_load_config_resolves_paths_relative_to_file(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()
     p = sub / "cfg.json"
-    p.write_text(json.dumps({"io": {"input": "frames"}}))
-    assert load_config(p).input_dir == str(sub / "frames")
+    p.write_text(json.dumps(_MINIMAL))
+    cfg = load_config(p)
+    assert (cfg.input_dir, cfg.denoiser_spec) == (str(sub / "frames"), str(sub / "gmm.json"))
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -132,8 +142,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_lonely_denoiser_kind(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"denoiser": {"kind": "gmm"}}))
-    with pytest.raises(ConfigError, match="both"):
+    p.write_text(json.dumps({"denoiser": {"kind": "gmm"}, "io": {"input": "frames"}}))
+    with pytest.raises(ConfigError, match=r"'denoiser' needs \['kind', 'spec'\]"):
         load_config(p)
 
 
@@ -141,10 +151,12 @@ def test_load_config_rejects_lonely_denoiser_kind(tmp_path):
 def test_load_config_bounds_schedule_length(tmp_path, t_max):
     # checked before build_schedule, so the bad value never allocates
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schedule": {"T": t_max}}))
+    p.write_text(json.dumps({"schedule": {"T": t_max}, **_MINIMAL}))
     with pytest.raises(ConfigError, match="T must be in"):
         load_config(p)
-    p.write_text(json.dumps({"schedule": {"T": 100_000}}))
+    # the default betas drive alpha_bar to 0 long before 100000 steps
+    betas = {"beta_start": 1e-7, "beta_end": 1e-5}
+    p.write_text(json.dumps({"schedule": {"T": 100_000, **betas}, **_MINIMAL}))
     assert load_config(p).t_max == 100_000
 
 
@@ -153,7 +165,7 @@ def test_load_config_bounds_schedule_length(tmp_path, t_max):
 
 def test_enhance_end_to_end(tmp_path, capsys):
     cfg = setup_workdir(tmp_path)
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_OK
+    assert enhance(cfg) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out == ""  # stdout is reserved for machine output
     assert "enhance: wrote 2 frames" in captured.err
@@ -190,16 +202,6 @@ def test_enhance_seed_override_changes_run(tmp_path):
     assert trace("o1") != trace("o3")
 
 
-def test_enhance_baseline_flag_forces_n0(tmp_path, capsys):
-    cfg = setup_workdir(tmp_path)
-    assert main(["enhance", "--config", str(cfg), "--baseline"]) == EXIT_OK
-    assert "baseline flag set: overriding N=2" in capsys.readouterr().err
-    trace = (tmp_path / "out" / "trace.csv").read_text()
-    data = [ln for ln in trace.strip().split("\n")[1:] if not ln.startswith("#")]
-    assert len(data) == 1  # single baseline entry
-    assert "# calibration_calls=0" in trace
-
-
 def test_enhance_with_gmm_spec(tmp_path):
     means = [gaussian_noise((1, 1, 12, 12), RngSeed(s)) * 0.1 + 0.5 for s in (210, 211)]
     write_tensor(as_video(means[0]), tmp_path / "m0.vnt")
@@ -210,7 +212,7 @@ def test_enhance_with_gmm_spec(tmp_path):
     ]
     (tmp_path / "gmm.json").write_text(json.dumps(spec))
     cfg = setup_workdir(tmp_path, {"denoiser": {"kind": "gmm", "spec": "gmm.json"}})
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_OK
+    assert enhance(cfg) == EXIT_OK
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
@@ -218,27 +220,27 @@ def test_enhance_frames_below_ssim_window_write_nothing(tmp_path, capsys):
     cfg = setup_workdir(tmp_path)
     for name, frames in (("data", 3), ("input", 2)):  # same frame names, now 8x8
         write_video(small_video(213, frames)[:, :, :8, :8], tmp_path / name)
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert enhance(cfg) == EXIT_CONFIG
     assert "window" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_enhance_missing_input_is_io_error(tmp_path, capsys):
     cfg = setup_workdir(tmp_path, {"io": {"input": "nowhere"}})
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_IO
+    assert enhance(cfg) == EXIT_IO
     assert "error:" in capsys.readouterr().err
 
 
 def test_enhance_without_io_is_config_error(tmp_path, capsys):
     cfg = setup_workdir(tmp_path, {"io": None})
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert enhance(cfg) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text("{not json")
-    assert main(["enhance", "--config", str(p)]) == EXIT_CONFIG
+    assert enhance(p) == EXIT_CONFIG
     assert "invalid JSON" in capsys.readouterr().err
 
 
@@ -246,7 +248,7 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
 def test_enhance_rejects_t0_outside_sampling_range(tmp_path, capsys, t0):
     # T=1000 with 5 steps puts the first grid step at 200: t0=20 has nothing to sample
     cfg = setup_workdir(tmp_path, {"schedule": {"T": 1000}, "calibration": {"t0": t0}})
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert enhance(cfg) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -271,7 +273,7 @@ def test_enhance_rejects_non_finite_config_number(tmp_path, capsys, section, key
         root = tmp_path / str(i)
         root.mkdir()
         cfg = setup_workdir(root, {section: {key: bad}})
-        assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+        assert enhance(cfg) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (root / "out").exists()
 
@@ -313,7 +315,7 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
     else:  # the whole document
         cfg = setup_workdir(tmp_path)
         cfg.write_text(json.dumps(overrides))
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert enhance(cfg) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
@@ -369,7 +371,7 @@ def test_enhance_bad_tensor_file_is_io_error(tmp_path, capsys, blob):
     (tmp_path / "m0.vnt").write_bytes(b"VNT1" + blob)
     (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
     cfg = setup_workdir(tmp_path, _GMM)
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_IO
+    assert enhance(cfg) == EXIT_IO
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -379,7 +381,7 @@ def test_enhance_rejects_mixture_frame_count(tmp_path, capsys):
     write_tensor(small_video(212, frames=3), tmp_path / "m0.vnt")
     (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
     cfg = setup_workdir(tmp_path, _GMM)
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_CONFIG
+    assert enhance(cfg) == EXIT_CONFIG
     assert "do not match input frames (2)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -391,10 +393,11 @@ def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command,
     write_tensor(gaussian_noise(dims, RngSeed(213)), tmp_path / "m0.vnt")
     (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
     cfg = setup_workdir(tmp_path, _GMM)
-    argv = [command, "--config", str(cfg)]
     if command == "sweep":
-        argv += ["--t0-list", "30", "--nu-list", "1.0", "--threads", "2"]
-    assert main(argv) == EXIT_CONFIG
+        argv = ["sweep", "--config", str(cfg), "--t0-list", "30", "--nu-list", "1.0"]
+        assert main(argv + ["--threads", "2"]) == EXIT_CONFIG
+    else:
+        assert enhance(cfg) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "shape mismatch" in captured.err
@@ -405,11 +408,12 @@ def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command,
     "argv",
     [
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--seeds", "abc"],
-        ["enhance", "--config", "CFG", "--no-such-flag"],
+        ["enhance", "--config", "CFG", "--output", "OUT", "--no-such-flag"],
         ["enhance"],
+        ["enhance", "--config", "CFG"],
         [],
-        ["enhance", "--config", "CFG", "--threads", "0"],
-        ["enhance", "--config", "CFG", "--threads", "-1"],
+        ["enhance", "--config", "CFG", "--output", "OUT", "--threads", "0"],
+        ["enhance", "--config", "CFG", "--output", "OUT", "--threads", "-1"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--threads", "0"],
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--threads", "-1"],
         ["sweep", "--config", "CFG", "--t0-list", "0.4,abc", "--nu-list", "1.0"],
@@ -420,25 +424,82 @@ def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command,
         ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--output", "x"],
     ],
     ids=[
-        "seeds-abc", "unknown-flag", "no-config", "no-command",
+        "seeds-abc", "unknown-flag", "no-config", "no-output", "no-command",
         "enhance-threads-0", "enhance-threads-neg", "sweep-threads-0", "sweep-threads-neg",
         "t0-list-abc", "seeds-0", "sweep-no-input",
         "t0-list-empty-entry", "nu-list-trailing-comma", "sweep-output",
     ],
 )
 def test_bad_flags_are_config_errors(tmp_path, capsys, argv):
-    cfg = {"CFG": setup_workdir(tmp_path), "NO_IO": setup_workdir(tmp_path / "no_io", {"io": None})}
-    assert main([str(cfg.get(a, a)) for a in argv]) == EXIT_CONFIG
+    paths = {
+        "CFG": setup_workdir(tmp_path),
+        "NO_IO": setup_workdir(tmp_path / "no_io", {"io": None}),
+        "OUT": tmp_path / "out",
+    }
+    assert main([str(paths.get(a, a)) for a in argv]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
     assert not (tmp_path / "out").exists()
 
 
-def test_input_flag_overrides_config(tmp_path):
-    cfg = setup_workdir(tmp_path, {"io": {"input": "nowhere"}})
-    assert main(["enhance", "--config", str(cfg), "--input", str(tmp_path / "input")]) == EXIT_OK
-    assert len(frame_bytes(tmp_path / "out")) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enhance", "--config", "CFG", "--output", "OUT", "--baseline"],
+        ["enhance", "--config", "CFG", "--output", "OUT", "--input", "IN"],
+        ["sweep", "--config", "CFG", "--t0-list", "30", "--nu-list", "1.0", "--input", "IN"],
+    ],
+    ids=["enhance-baseline", "enhance-input", "sweep-input"],
+)
+def test_removed_flags_are_unrecognized(tmp_path, capsys, argv):
+    """N=0 and the input directory have one way in each: the config."""
+    paths = {"CFG": setup_workdir(tmp_path), "OUT": tmp_path / "out", "IN": tmp_path / "input"}
+    assert main([str(paths.get(a, a)) for a in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "input"]
+
+
+def test_config_io_output_is_an_unknown_key(tmp_path, capsys):
+    """The output directory has one way in: enhance --output."""
+    cfg = setup_workdir(tmp_path, {"io": {"output": "elsewhere"}})
+    assert enhance(cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown keys in 'io'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "input"]
+
+
+@pytest.mark.parametrize("command", ["enhance", "sweep"])
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"schedule": {"beta_start": 0.5, "beta_end": 0.1}, "io": {"input": "nope"}},
+         "beta_start <= beta_end"),
+        ({"denoiser": None}, "'denoiser' needs"),
+        ({"io": None}, "'io' needs"),
+    ],
+    ids=["betas-reversed", "no-denoiser", "no-input"],
+)
+def test_load_config_checks_come_before_any_read(
+    tmp_path, capsys, monkeypatch, command, overrides, message
+):
+    """A config at fault exits 1, even where its input directory is missing too."""
+    reads = []
+    monkeypatch.setattr(cli, "read_video", lambda path: reads.append(path))
+    cfg = setup_workdir(tmp_path, overrides)
+    if command == "sweep":
+        argv = ["sweep", "--config", str(cfg), "--t0-list", "30", "--nu-list", "1.0"]
+        assert main(argv) == EXIT_CONFIG
+    else:
+        assert enhance(cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
 
 
 def run_module(*args, module="noisecal", **env):
@@ -501,7 +562,8 @@ def test_help_exits_zero(capsys):
 
 def test_quick_start_calibration_beats_baseline(tmp_path):
     """The README quick start runs where calibration pays: on the workspace
-    from make_toy_data.py, enhance keeps more of the low band than --baseline."""
+    from make_toy_data.py, enhance keeps more of the low band than the same
+    config with N=0, the plain SDEdit baseline."""
     spec = importlib.util.spec_from_file_location("make_toy_data", SCRIPTS / "make_toy_data.py")
     make_toy_data = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_toy_data)
@@ -510,11 +572,16 @@ def test_quick_start_calibration_beats_baseline(tmp_path):
     cfg = work / "enhance.json"
     np.testing.assert_array_equal(build_schedule(load_config(cfg)).alpha_bar, toy_schedule().alpha_bar)
 
+    doc = json.loads(cfg.read_text())
+    doc["calibration"]["N"] = 0
+    (work / "baseline.json").write_text(json.dumps(doc))
+
     mse_low = {}
-    for name, extra in (("cal", []), ("base", ["--baseline"])):
+    for name, config in (("cal", cfg), ("base", work / "baseline.json")):
         out = work / name
-        assert main(["enhance", "--config", str(cfg), "--output", str(out)] + extra) == EXIT_OK
+        assert main(["enhance", "--config", str(config), "--output", str(out)]) == EXIT_OK
         mse_low[name] = json.loads((out / "metrics.json").read_text())["mse_low"]
+    assert "# calibration_calls=0" in (work / "base" / "trace.csv").read_text()
     assert mse_low["cal"] < mse_low["base"]
 
 
@@ -525,7 +592,7 @@ def test_numeric_failure_maps_to_exit3(tmp_path, capsys, monkeypatch):
         raise NumericError("synthetic")
 
     monkeypatch.setattr("noisecal.cli.cmd_enhance", boom)
-    assert main(["enhance", "--config", str(cfg)]) == EXIT_NUMERIC
+    assert enhance(cfg) == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
 
 
@@ -604,6 +671,29 @@ def test_sweep_accepts_fractional_t0(tmp_path, capsys):
     assert len(lines) == 7
     assert lines[1].startswith("20,0.5,0,")
     assert lines[3].startswith("40,0.5,0,")
+
+
+def test_sweep_rows_come_in_list_order(tmp_path, capsys, monkeypatch):
+    """Rows follow the lists as given, unsorted and mixing fractions with
+    absolute steps: t0 outer, then nu, seeds innermost, then one mean row per
+    cell in the same order; also when a t0 group is cut into several stacks.
+    Each t0's rows are those of a sweep over that t0 alone, so no row carries
+    another run's values under its labels."""
+    cfg = setup_workdir(tmp_path, {"schedule": {"T": 100}})  # 0.8 -> 80, 0.4 -> 40
+    monkeypatch.setattr(cli, "_STACK_BYTES", 3 * read_video(tmp_path / "input").nbytes)
+
+    def rows(t0_list: str) -> list[str]:
+        argv = ["sweep", "--config", str(cfg), "--t0-list", t0_list, "--nu-list", "1.0,0.5"]
+        assert main(argv + ["--seeds", "2", "--threads", "2"]) == EXIT_OK
+        return capsys.readouterr().out.strip().split("\n")[1:]
+
+    lines = rows("0.8,20,0.4")
+    cells = [(t0, nu) for t0 in ("80", "20", "40") for nu in ("1.0", "0.5")]
+    want = [(t0, nu, str(k)) for t0, nu in cells for k in range(2)]
+    want += [(t0, nu, "mean") for t0, nu in cells]
+    assert [tuple(ln.split(",")[:3]) for ln in lines] == want
+    for raw, t0 in (("0.8", "80"), ("20", "20"), ("0.4", "40")):
+        assert [ln for ln in lines if ln.startswith(t0 + ",")] == rows(raw)
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):

@@ -86,7 +86,7 @@ def config(draw) -> dict:
             "nu": draw(st.floats(0.0, 1.0)),
         },
         "denoiser": {"kind": kind, "spec": spec},
-        "io": {"input": "input", "output": "out"},
+        "io": {"input": "input"},
     }
 
 
@@ -151,8 +151,7 @@ def argv_for(draw, root: Path, damage: str) -> list[str]:
     if draw(st.booleans()):
         argv.append(f"--seed={draw(st.integers(0, 2**64 - 1))}")
     if cmd == "enhance":
-        argv.append(f"--threads={draw(st.integers(1, 2))}")
-        argv += draw(st.sampled_from([[], ["--baseline"]]))
+        argv += [f"--output={root / 'out'}", f"--threads={draw(st.integers(1, 2))}"]
     else:
         if damage == "list":
             t0s = nus = st.lists(NUMBER_TEXT, max_size=3)
