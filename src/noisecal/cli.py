@@ -82,16 +82,14 @@ def resolve_t0(raw, t_max: int) -> int:
 
     The resolved timestep must lie in [1, t_max]; nothing is clamped.
     """
-    if isinstance(raw, bool):
-        raise ConfigError(f"t0 must be a number, got {raw!r}")
-    if isinstance(raw, int):
-        t0 = raw
-    elif isinstance(raw, float):
+    try:
+        t0 = _finite_number(raw, "t0")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if isinstance(raw, float):
         if not 0.0 <= raw <= 1.0:
             raise ConfigError(f"fractional t0 must be in [0, 1], got {raw}")
         t0 = round(raw * t_max)
-    else:
-        raise ConfigError(f"t0 must be a number, got {raw!r}")
     if not 1 <= t0 <= t_max:
         raise ConfigError(f"t0={raw!r} resolves to timestep {t0}, outside [1, {t_max}]")
     return t0

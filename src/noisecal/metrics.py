@@ -2,6 +2,12 @@
 
 All metrics operate in the tensors' own value space (frames in [0, 1]);
 no report scaling is applied.
+
+SSIM's Gaussian filter runs as per-row BLAS matrix-vector products (GEMV),
+never as a matrix-matrix product (GEMM).  A banded-matrix GEMM filter is
+faster, but its bits change between OPENBLAS_NUM_THREADS=1 and 2 from 96x96
+frames up; each GEMV output is one 11-tap dot whatever the thread count, so
+the metric's bits do not depend on it.
 """
 
 from __future__ import annotations
@@ -65,17 +71,28 @@ def _gaussian_kernel() -> np.ndarray:
 _KERNEL = _gaussian_kernel()
 
 
-def _filter_valid(img: np.ndarray) -> np.ndarray:
-    """Separable Gaussian filter, valid mode: (H, W) -> (H-10, W-10)."""
-    out = sliding_window_view(img, _SSIM_WINDOW, axis=0) @ _KERNEL
-    return sliding_window_view(out, _SSIM_WINDOW, axis=1) @ _KERNEL
+# Bytes of one chunk's (5, k, H, W) stack of maps: k (frame, channel) pairs,
+# at least one, so the working set stays in cache and memory does not grow
+# with the frame count.
+_STACK_BYTES = 256 * 1024
+
+
+def _filter_rows(s: np.ndarray) -> np.ndarray:
+    """Valid 11-tap Gaussian filter along axis -2, returned with the last two
+    axes swapped, in C order: (..., H, W) -> (..., W, H-10).  Twice gives
+    the valid 2-D filter, (..., H, W) -> (..., H-10, W-10).  A pass is one
+    GEMV per output row, on the (W, 11) view of that row's windows."""
+    out = sliding_window_view(s, _SSIM_WINDOW, axis=-2) @ _KERNEL
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
 
 
 def ssim(a: VideoTensor, b: VideoTensor) -> float:
     """Mean structural similarity with the standard 11x11 Gaussian window.
 
     Computed per frame and channel over valid window positions, then
-    averaged; expects values in [0, 1] (dynamic range 1).
+    averaged in frame-major order; expects values in [0, 1] (dynamic
+    range 1).  The maps x, y, x*x, y*y and x*y of a chunk of (frame,
+    channel) pairs are filtered as one stack.
     """
     _require_same_shape(a, b)
     frames, channels, height, width = a.shape
@@ -83,18 +100,25 @@ def ssim(a: VideoTensor, b: VideoTensor) -> float:
         raise ValueError(
             f"frames are {height}x{width}; the {_SSIM_WINDOW}x{_SSIM_WINDOW} window does not fit"
         )
+    xs = a.reshape(-1, height, width)  # a view of a C-order video
+    ys = b.reshape(-1, height, width)
+    chunk = max(1, _STACK_BYTES // (5 * xs[0].nbytes))
     total = 0.0
-    for f in range(frames):
-        for c in range(channels):
-            x, y = a[f, c], b[f, c]
-            mu_x = _filter_valid(x)
-            mu_y = _filter_valid(y)
-            var_x = _filter_valid(x * x) - mu_x * mu_x
-            var_y = _filter_valid(y * y) - mu_y * mu_y
-            cov = _filter_valid(x * y) - mu_x * mu_y
-            num = (2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-            den = (mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)
-            total += float(np.mean(num / den))
+    for start in range(0, len(xs), chunk):
+        x, y = xs[start : start + chunk], ys[start : start + chunk]
+        stack = np.empty((5,) + x.shape)
+        stack[0], stack[1] = x, y
+        np.multiply(x, x, out=stack[2])
+        np.multiply(y, y, out=stack[3])
+        np.multiply(x, y, out=stack[4])
+        mu_x, mu_y, xx, yy, xy = _filter_rows(_filter_rows(stack))
+        var_x = xx - mu_x * mu_x
+        var_y = yy - mu_y * mu_y
+        cov = xy - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)
+        for mean in np.mean(num / den, axis=(1, 2)):
+            total += float(mean)
     return total / (frames * channels)
 
 
@@ -104,12 +128,12 @@ def spatial_frequency(x: VideoTensor) -> float:
     Sums of squared differences are normalized by the full H*W pixel count
     (boundary rows/columns contribute zero); 1x1 frames give 0.
     """
-    frames, channels, height, width = x.shape
+    height, width = x.shape[-2:]
     n = float(height * width)
     row_diff = np.diff(x, axis=3)  # horizontal neighbors
     col_diff = np.diff(x, axis=2)  # vertical neighbors
-    rf_sq = np.sum(row_diff * row_diff, axis=(2, 3)) / n  # (F, C)
-    cf_sq = np.sum(col_diff * col_diff, axis=(2, 3)) / n
+    rf_sq = np.einsum("fchw,fchw->fc", row_diff, row_diff) / n  # (F, C)
+    cf_sq = np.einsum("fchw,fchw->fc", col_diff, col_diff) / n
     return float(np.mean(np.sqrt(rf_sq + cf_sq)))
 
 

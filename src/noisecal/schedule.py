@@ -64,7 +64,8 @@ def linear_beta_schedule(
     """Schedule whose per-step noise rates interpolate linearly.
 
     beta[t] runs from beta_start at t=1 to beta_end at t=T;
-    alpha_bar[t] = prod_{s<=t} (1 - beta[s]).
+    alpha_bar[t] = prod_{s<=t} (1 - beta[s]), which must stay strictly
+    decreasing in float64 through t=T (with the default betas, T <= 73252).
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -74,6 +75,14 @@ def linear_beta_schedule(
         )
     betas = np.linspace(beta_start, beta_end, num_steps, dtype=np.float64)
     alpha_bar = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
+    flat = np.flatnonzero(np.diff(alpha_bar) >= 0)  # the product underflows, or 1 - beta rounds to 1
+    if flat.size:
+        t = int(flat[0]) + 1
+        raise ValueError(
+            f"alpha_bar must be strictly decreasing, but with T={num_steps} and betas from "
+            f"{beta_start} to {beta_end} it stops decreasing at step {t}, where it is "
+            f"{alpha_bar[t]:.3g}; use a smaller T or other betas"
+        )
     return NoiseSchedule(alpha_bar=alpha_bar)
 
 

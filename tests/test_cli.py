@@ -237,6 +237,17 @@ def test_enhance_without_io_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_enhance_names_t_when_alpha_bar_underflows(tmp_path, capsys):
+    # T is within its bound, but with the default betas alpha_bar reaches
+    # 1.43e-322 at step 85546 and stays there
+    cfg = setup_workdir(tmp_path, {"schedule": {"T": 100_000, "beta_start": 1e-4, "beta_end": 0.02}})
+    assert enhance(cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "T=100000 and betas from 0.0001 to 0.02" in err
+    assert "stops decreasing at step 85547" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_json_is_config_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text("{not json")

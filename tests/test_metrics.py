@@ -1,6 +1,11 @@
 """Consistency and detail metrics."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,9 @@ from noisecal import (
     spatial_frequency,
     ssim,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def frame(arr):
@@ -102,6 +110,47 @@ def test_ssim_window_must_fit():
     a = gaussian_noise((1, 1, 10, 16), RngSeed(99))
     with pytest.raises(ValueError, match="window"):
         ssim(a, a)
+
+
+_SSIM_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from noisecal import RngSeed, gaussian_noise, ssim
+for shape in ((2, 1, 40, 900), (1, 3, 900, 40)):
+    a, b = (gaussian_noise(shape, RngSeed(108, k)) * 0.2 + 0.5 for k in (0, 1))
+    print(repr(ssim(a, b)))
+"""
+
+
+def test_ssim_bits_do_not_depend_on_blas_threads():
+    """Rows of 900 pixels are long enough for OpenBLAS to use both threads;
+    the filter's per-row GEMVs give the same bits either way (a GEMM need not)."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SSIM_PROBE, str(SRC)],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
+
+
+def test_ssim_peak_memory_does_not_grow_with_frames():
+    """Chunks of maps bound the working set: 16 frames peak like 2."""
+    peaks = []
+    for frames in (2, 16):
+        a, b = (gaussian_noise((frames, 3, 64, 64), RngSeed(109, k)) for k in (0, 1))
+        ssim(a, b)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # ---------------------------------------------------------------- sf

@@ -18,6 +18,9 @@ pipeline one run at a time and the posterior as a loop over the stack's rows,
 and every stacked row must equal its run byte for byte.  l2_norm and the
 posterior's whole-frame dots are numpy sums; the oracles keep the BLAS forms
 they replace (np.linalg.norm, np.vdot and a matmul of two vectors).
+SSIM filters the five maps of a chunk of (frame, channel) pairs as one stack,
+and spatial frequency sums squared differences with einsum; the oracles keep
+the per-pair, per-map separable filter and the squared np.diff sums.
 """
 
 import json
@@ -30,12 +33,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from noisecal import (
     CalibrationConfig,
     GmmDenoiser,
     RngSeed,
     SamplerConfig,
+    as_video,
     calibrate_noise,
     content_objective,
     ddim_grid,
@@ -54,9 +59,12 @@ from noisecal import (
     nc_sdedit,
     read_video,
     replace_low_freq,
+    spatial_frequency,
+    ssim,
     toy_schedule,
     write_video,
 )
+from noisecal import metrics
 from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedule, load_config, main
 from noisecal.tensor import _freeze
 
@@ -554,3 +562,50 @@ def test_read_video_order_moves_metrics_only_in_the_last_digits(tmp_path):
         got, old = metric_report(a, b), metric_report(*last)
         for key, value in json.loads(got.to_json()).items():
             assert value == pytest.approx(getattr(old, key), rel=0, abs=1e-12), key
+
+
+def filter_valid(img):
+    """Separable Gaussian filter, valid mode: (H, W) -> (H-10, W-10)."""
+    out = sliding_window_view(img, 11, axis=0) @ metrics._KERNEL
+    return sliding_window_view(out, 11, axis=1) @ metrics._KERNEL
+
+
+def per_pair_ssim(a, b):
+    total = 0.0
+    for f in range(a.shape[0]):
+        for c in range(a.shape[1]):
+            x, y = a[f, c], b[f, c]
+            mu_x, mu_y = filter_valid(x), filter_valid(y)
+            var_x = filter_valid(x * x) - mu_x * mu_x
+            var_y = filter_valid(y * y) - mu_y * mu_y
+            cov = filter_valid(x * y) - mu_x * mu_y
+            num = (2.0 * mu_x * mu_y + metrics._SSIM_C1) * (2.0 * cov + metrics._SSIM_C2)
+            den = (mu_x * mu_x + mu_y * mu_y + metrics._SSIM_C1) * (var_x + var_y + metrics._SSIM_C2)
+            total += float(np.mean(num / den))
+    return total / (a.shape[0] * a.shape[1])
+
+
+def diff_spatial_frequency(x):
+    n = float(x.shape[2] * x.shape[3])
+    row_diff, col_diff = np.diff(x, axis=3), np.diff(x, axis=2)
+    rf_sq = np.sum(row_diff * row_diff, axis=(2, 3)) / n
+    cf_sq = np.sum(col_diff * col_diff, axis=(2, 3)) / n
+    return float(np.mean(np.sqrt(rf_sq + cf_sq)))
+
+
+def metric_pair(seed, shape):
+    return [as_video(np.clip(gaussian_noise(shape, RngSeed(seed, k)) * 0.2 + 0.5, 0, 1))
+            for k in (0, 1)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 11, 11), (3, 1, 17, 23), (5, 3, 64, 64), (2, 1, 128, 128)])
+@pytest.mark.parametrize("pairs_per_chunk", [None, 4], ids=["default-chunk", "4-pair-chunk"])
+def test_ssim_and_spatial_frequency_match_per_pair_oracles(monkeypatch, shape, pairs_per_chunk):
+    """Measured: within 2.3e-16.  At 4 pairs a chunk, 5x3 frames end on a chunk of 3."""
+    if pairs_per_chunk is not None:
+        monkeypatch.setattr(metrics, "_STACK_BYTES", pairs_per_chunk * 5 * shape[2] * shape[3] * 8)
+    a, b = metric_pair(6500 + shape[0], shape)
+    assert ssim(a, b) == pytest.approx(per_pair_ssim(a, b), rel=0, abs=1e-12)
+    assert ssim(b, a) == pytest.approx(per_pair_ssim(b, a), rel=0, abs=1e-12)
+    for x in (a, b):
+        assert spatial_frequency(x) == pytest.approx(diff_spatial_frequency(x), rel=0, abs=1e-12)
