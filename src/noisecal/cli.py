@@ -72,7 +72,6 @@ class RunConfig:
     t0: int
     n_iters: int
     nu: float
-    denoiser_kind: str
     denoiser_spec: str
     input_dir: str
 
@@ -156,12 +155,10 @@ def load_config(path) -> RunConfig:
     if not 1 <= num_steps <= t_max:
         raise ConfigError(f"sampler.num_steps must be in [1, {t_max}], got {num_steps}")
     eta = _num(sampler, "eta", 1.0)
-    if eta < 0:
-        raise ConfigError(f"sampler.eta must be >= 0, got {eta}")
-
-    kind = den["kind"]
-    if kind not in ("gmm", "dataset"):
-        raise ConfigError(f"denoiser kind must be 'gmm' or 'dataset', got {kind!r}")
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"sampler.eta must be in [0, 1], got {eta}")
+    if den["kind"] != "gmm":
+        raise ConfigError(f"denoiser kind must be 'gmm', got {den['kind']!r}")
 
     def _resolve(key: str, p) -> str:
         if not isinstance(p, str):
@@ -178,7 +175,6 @@ def load_config(path) -> RunConfig:
         t0=t0,
         n_iters=n_iters,
         nu=nu,
-        denoiser_kind=kind,
         denoiser_spec=_resolve("denoiser.spec", den["spec"]),
         input_dir=_resolve("io.input", io_block["input"]),
     )
@@ -192,10 +188,7 @@ def build_denoiser(cfg: RunConfig, n_frames: int) -> GmmDenoiser:
     """Load the configured denoiser.  For an n_frames-long input its means
     must have 1 frame (a static-video prior, which posterior_mean applies to
     every frame) or n_frames; this is checked before any run starts."""
-    if cfg.denoiser_kind == "dataset":
-        d = GmmDenoiser.from_dataset(cfg.denoiser_spec)
-    else:
-        d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
+    d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
     if d.means.shape[1] not in (1, n_frames):
         raise ConfigError(
             f"denoiser frames ({d.means.shape[1]}) do not match input frames ({n_frames})"

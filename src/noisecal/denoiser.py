@@ -73,20 +73,6 @@ class GmmDenoiser(Denoiser):
             buf.sum(axis=1, out=self._msq[k])
 
     @classmethod
-    def from_dataset(cls, dir_path) -> "GmmDenoiser":
-        """Empirical denoiser over a frame directory.
-
-        Each frame becomes a zero-variance component of shape (1, C, H, W)
-        with weight 1/F; posterior_mean applies the mixture to every frame
-        of a (F', C, H, W) input, for any F'.
-        """
-        from .vio import read_video
-
-        video = read_video(dir_path)
-        n = video.shape[0]
-        return cls([(1.0 / n, video[i : i + 1], 0.0) for i in range(n)])
-
-    @classmethod
     def from_json_spec(cls, path) -> "GmmDenoiser":
         """Mixture from a JSON list of {weight, mean, variance} entries.
 

@@ -1,10 +1,26 @@
-"""Test doubles for the Denoiser protocol; nothing in the package uses them."""
+"""Test doubles for the Denoiser protocol, and a frame-set prior writer;
+nothing in the package uses them."""
 
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 
-from noisecal import Denoiser, NoiseSchedule, VideoTensor, as_video
+from noisecal import Denoiser, NoiseSchedule, VideoTensor, as_video, write_tensor
+
+
+def write_frame_prior(video: VideoTensor, root: Path) -> Path:
+    """The empirical denoiser of video's frames as a `gmm` spec, root/prior.json:
+    one equal-weight, zero-variance, one-frame component per frame, whose mean
+    is root/prior_<i>.vnt."""
+    root.mkdir(parents=True, exist_ok=True)
+    spec = []
+    for i, frame in enumerate(video):
+        write_tensor(frame[None], root / f"prior_{i}.vnt")
+        spec.append({"weight": 1.0, "mean": f"prior_{i}.vnt", "variance": 0.0})
+    (root / "prior.json").write_text(json.dumps(spec))
+    return root / "prior.json"
 
 
 class ConstantDenoiser(Denoiser):

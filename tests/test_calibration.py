@@ -268,6 +268,8 @@ def test_stack_runs_must_share_level_budget_and_eta(tiny_sched, toy_gmm):
         nc_sdedit(x_ref, [cal_cfg()], sampler_cfg(), toy_gmm, tiny_sched)
     with pytest.raises(ValueError, match="sampler configs"):
         nc_sdedit(x_ref, cal_cfg(), [sampler_cfg()] * 2, toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="at least one run"):
+        nc_sdedit(x_ref, [], [], toy_gmm, tiny_sched)
 
 
 def test_pipeline_n0_equals_plain_sdedit(tiny_sched, toy_gmm):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from doubles import write_frame_prior
 from noisecal import (
     GmmDenoiser,
     NumericError,
@@ -43,7 +44,7 @@ _BASE = {
     "schedule": {"T": 50, "beta_start": 0.001, "beta_end": 0.02},
     "sampler": {"num_steps": 5, "eta": 1.0, "seed": 7},
     "calibration": {"t0": 0.6, "N": 2, "nu": 1.0},
-    "denoiser": {"kind": "dataset", "spec": "data"},
+    "denoiser": {"kind": "gmm", "spec": "prior.json"},
     "io": {"input": "input"},
 }
 
@@ -54,7 +55,7 @@ def small_video(seed, frames=2, size=12):
 
 
 def setup_workdir(root: Path, overrides=None) -> Path:
-    """Config file plus dataset and input frame dirs, all under one root."""
+    """Config file, a 3-frame prior and an input frame dir, all under one root."""
     doc = json.loads(json.dumps(_BASE))
     for section, block in (overrides or {}).items():
         if block is None:
@@ -63,11 +64,15 @@ def setup_workdir(root: Path, overrides=None) -> Path:
             doc.setdefault(section, {}).update(block)
         else:
             doc[section] = block
-    write_video(small_video(200, frames=3), root / "data")
+    write_frame_prior(small_video(200, frames=3), root)
     write_video(small_video(201), root / "input")
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps(doc))
     return cfg
+
+
+# what setup_workdir writes: a run that fails on its config leaves exactly this
+_WORKDIR = ["cfg.json", "input", "prior.json", "prior_0.vnt", "prior_1.vnt", "prior_2.vnt"]
 
 
 def enhance(cfg: Path, *extra: str) -> int:
@@ -190,7 +195,7 @@ def test_enhance_rerun_is_byte_identical(tmp_path):
 
 
 def test_enhance_seed_override_changes_run(tmp_path):
-    # the zero-variance dataset model quantizes to near seed-independent
+    # the zero-variance frame prior quantizes to near seed-independent
     # frames, so seed sensitivity is checked on the full-precision trace
     cfg = setup_workdir(tmp_path)
     main(["enhance", "--config", str(cfg), "--output", str(tmp_path / "o1")])
@@ -218,8 +223,9 @@ def test_enhance_with_gmm_spec(tmp_path):
 
 def test_enhance_frames_below_ssim_window_write_nothing(tmp_path, capsys):
     cfg = setup_workdir(tmp_path)
-    for name, frames in (("data", 3), ("input", 2)):  # same frame names, now 8x8
-        write_video(small_video(213, frames)[:, :, :8, :8], tmp_path / name)
+    # the same frames and components, now 8x8
+    write_frame_prior(small_video(213, 3)[:, :, :8, :8], tmp_path)
+    write_video(small_video(213, 2)[:, :, :8, :8], tmp_path / "input")
     assert enhance(cfg) == EXIT_CONFIG
     assert "window" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -307,6 +313,7 @@ _GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
         pytest.param({"sampler": []}, None, id="section-not-an-object"),
         pytest.param({"sampler": {"eta": "1"}}, None, id="eta-string"),
         pytest.param({"sampler": {"eta": -1.0}}, None, id="negative-eta"),
+        pytest.param({"sampler": {"eta": 1.5}}, None, id="eta-above-1"),
         pytest.param({"sampler": {"num_steps": 2.5}}, None, id="num-steps-fraction"),
         pytest.param({"sampler": {"num_steps": 0}}, None, id="num-steps-0"),
         pytest.param({"sampler": {"num_steps": 51}}, None, id="num-steps-above-T"),
@@ -354,8 +361,15 @@ def assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message
 
 
 def test_sweep_negative_eta_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
-    sampler = {"eta": -1.0}
-    assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, "sampler.eta must be >= 0")
+    message = "sampler.eta must be in [0, 1], got -1.0"
+    assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, {"eta": -1.0}, message)
+
+
+def test_sweep_eta_above_1_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
+    # DDIM's eta is in [0, 1]; whether a larger one fits sigma^2 <= 1 - alpha_bar
+    # depends on the grid, so it would fail late, in a stack
+    message = "sampler.eta must be in [0, 1], got 1.5"
+    assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, {"eta": 1.5}, message)
 
 
 @pytest.mark.parametrize("num_steps", [0, 51])
@@ -470,7 +484,7 @@ def test_removed_flags_are_unrecognized(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "input"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == _WORKDIR
 
 
 def test_config_io_output_is_an_unknown_key(tmp_path, capsys):
@@ -480,7 +494,7 @@ def test_config_io_output_is_an_unknown_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown keys in 'io'" in captured.err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "input"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == _WORKDIR
 
 
 @pytest.mark.parametrize("command", ["enhance", "sweep"])
@@ -490,9 +504,11 @@ def test_config_io_output_is_an_unknown_key(tmp_path, capsys):
         ({"schedule": {"beta_start": 0.5, "beta_end": 0.1}, "io": {"input": "nope"}},
          "beta_start <= beta_end"),
         ({"denoiser": None}, "'denoiser' needs"),
+        ({"denoiser": {"kind": "dataset", "spec": "input"}},
+         "denoiser kind must be 'gmm', got 'dataset'"),
         ({"io": None}, "'io' needs"),
     ],
-    ids=["betas-reversed", "no-denoiser", "no-input"],
+    ids=["betas-reversed", "no-denoiser", "dataset-kind", "no-input"],
 )
 def test_load_config_checks_come_before_any_read(
     tmp_path, capsys, monkeypatch, command, overrides, message
@@ -541,7 +557,7 @@ def test_enhance_bytes_do_not_depend_on_blas_threads(tmp_path):
     for frames, size in ((2, 32), (1, 128)):
         root = tmp_path / f"{frames}x{size}"
         cfg = setup_workdir(root)
-        write_video(small_video(202, frames=16, size=size), root / "data")
+        write_frame_prior(small_video(202, frames=16, size=size), root)
         write_video(small_video(203, frames=frames, size=size), root / "input")
         runs = []
         for threads in ("1", "2"):
@@ -837,8 +853,8 @@ def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monke
 
     monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
     cfg = setup_workdir(tmp_path)
-    for name, frames in (("data", 3), ("input", 2)):
-        write_video(small_video(213, frames)[:, :, :8, :8], tmp_path / name)
+    write_frame_prior(small_video(213, 3)[:, :, :8, :8], tmp_path)
+    write_video(small_video(213, 2)[:, :, :8, :8], tmp_path / "input")
     argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40,50", "--nu-list", "1.0"]
     assert main(argv + ["--seeds", "4"]) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -856,4 +872,4 @@ def test_sample_is_no_longer_a_command(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice" in captured.err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "input"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == _WORKDIR

@@ -15,7 +15,6 @@ from noisecal import (
     gaussian_noise,
     linear_beta_schedule,
     write_tensor,
-    write_video,
 )
 
 
@@ -176,18 +175,6 @@ def test_counting_denoiser(quarter_sched):
         c.predict_eps(one_pixel(1.0), 1, quarter_sched),
         inner.predict_eps(one_pixel(1.0), 1, quarter_sched),
     )
-
-
-def test_from_dataset_loader(tmp_path):
-    rng = RngSeed(11)
-    video = as_video(
-        np.clip(0.5 + 0.1 * np.asarray(gaussian_noise((4, 1, 6, 6), rng)), 0, 1)
-    )
-    write_video(video, tmp_path / "frames")
-    d = GmmDenoiser.from_dataset(tmp_path / "frames")
-    assert d.means.shape == (4, 1, 1, 6, 6)
-    assert np.allclose(d.weights, 0.25)
-    assert np.all(d.variances == 0.0)
 
 
 def test_from_json_spec_loader(tmp_path):

@@ -1,8 +1,9 @@
 """Random configs and random PNM/VNT bytes through the CLI.
 
-Each case writes a valid workspace (config, input and dataset frames, a
-mixture spec and its tensors), then damages at most one part of it: a config
-value, key or byte, the spec, one frame, one tensor, or a sweep list.
+Each case writes a valid workspace (config, input frames, a second frame
+directory for `metrics`, a mixture spec and its tensors), then damages at
+most one part of it: a config value, key or byte, the spec, one frame, one
+tensor, or a sweep list.
 Whatever the input, `main` returns a documented exit code (0 ok, 1 config,
 2 I/O, 3 numeric) and lets no exception escape.  Cases stay small: T <= 64,
 frames at most 2x3x12x12, at most 2 mixture components.  Large T and step
@@ -68,7 +69,6 @@ def config(draw) -> dict:
     num_steps = draw(st.integers(1, t_max))
     first = (2 * t_max + num_steps) // (2 * num_steps)
     beta_start = draw(st.floats(1e-5, 0.05))
-    kind, spec = draw(st.sampled_from([("gmm", "gmm.json"), ("dataset", "data")]))
     return {
         "schedule": {
             "T": t_max,
@@ -85,7 +85,7 @@ def config(draw) -> dict:
             "N": draw(st.integers(0, 3)),
             "nu": draw(st.floats(0.0, 1.0)),
         },
-        "denoiser": {"kind": kind, "spec": spec},
+        "denoiser": {"kind": "gmm", "spec": "gmm.json"},
         "io": {"input": "input"},
     }
 

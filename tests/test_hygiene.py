@@ -2,9 +2,10 @@
 every name in __all__ is used outside the module that defines it, every
 top-level function and class of the package is named somewhere beyond its
 definition, private names stay inside their modules, and every package name
-the benchmark harness looks up exists."""
+and config field the benchmark harness looks up exists."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -139,7 +140,9 @@ def resolves(module: str, name: str) -> bool:
 
 
 def test_every_package_name_the_benchmark_uses_exists():
-    # the span targets in spans.TARGETS are strings and may name what is gone
+    # the span targets in spans.TARGETS are strings and may name what is gone;
+    # `cfg` and `self.cfg` there hold what cli.load_config returns
+    fields = {f.name for f in dataclasses.fields(importlib.import_module("noisecal.cli").RunConfig)}
     missing = []
     for where, tree in perfbench_trees():
         for node in ast.walk(tree):
@@ -154,4 +157,6 @@ def test_every_package_name_the_benchmark_uses_exists():
                 owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
                 if owner in ("cli", "vio") and not resolves(f"noisecal.{owner}", node.attr):
                     missing.append(f"{where}:{node.lineno}: noisecal.{owner}.{node.attr}")
+                elif owner == "cfg" and node.attr not in fields:
+                    missing.append(f"{where}:{node.lineno}: cli.RunConfig.{node.attr}")
     assert missing == [], "perfbench uses names the package does not have:\n" + "\n".join(missing)

@@ -35,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from doubles import write_frame_prior
 from noisecal import (
     CalibrationConfig,
     GmmDenoiser,
@@ -503,12 +504,12 @@ def write_sweep_workspace(root: Path) -> Path:
     raw = gaussian_noise((3, 1, 12, 12), rng.substream(0)) * 0.2 + 0.5
     write_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0, root / "input")
     raw = gaussian_noise((4, 1, 12, 12), rng.substream(1)) * 0.2 + 0.5
-    write_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0, root / "data")
+    write_frame_prior(np.floor(np.clip(raw, 0, 1) * 255) / 255.0, root)
     cfg = {
         "schedule": {"T": 50, "beta_start": 0.001, "beta_end": 0.02},
         "sampler": {"num_steps": 5, "eta": 1.0, "seed": 7},
         "calibration": {"N": 2},
-        "denoiser": {"kind": "dataset", "spec": "data"},
+        "denoiser": {"kind": "gmm", "spec": "prior.json"},
         "io": {"input": "input"},
     }
     (root / "cfg.json").write_text(json.dumps(cfg))
@@ -527,7 +528,7 @@ def test_sweep_row_equals_standalone_run(tmp_path, capsys):
     rows = sweep_rows(capsys, cfg_path, "20,40", "0.5,1.0", 4)
     cfg = load_config(cfg_path)
     x_ref = read_video(cfg.input_dir)
-    d = GmmDenoiser.from_dataset(cfg.denoiser_spec)
+    d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
     s = build_schedule(cfg)
     for t0, nu, k in [(20, 0.5, 0), (40, 1.0, 3), (40, 0.5, 2)]:
         rng = RngSeed(cfg.seed).substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
