@@ -15,8 +15,8 @@ from .diffusion import (
     estimate_x0,
     forward_noise,
 )
-from .frequency import content_objective, frequency_mask, high_pass, low_pass
-from .metrics import MetricReport, metric_report, mse, mse_low, spatial_frequency, ssim
+from .frequency import content_objective, high_pass, low_pass
+from .metrics import MetricReport, metric_report, mse, mse_low, ssim
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import (
     NumericError,
@@ -61,7 +61,6 @@ __all__ = [
     "denoise_from",
     "estimate_x0",
     "forward_noise",
-    "frequency_mask",
     "gaussian_noise",
     "high_pass",
     "l2_norm",
@@ -75,7 +74,6 @@ __all__ = [
     "read_tensor",
     "read_video",
     "replace_low_freq",
-    "spatial_frequency",
     "ssim",
     "toy_benchmark",
     "toy_schedule",

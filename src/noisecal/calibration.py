@@ -52,8 +52,6 @@ class CalibrationConfig:
     rng: RngSeed
 
     def __post_init__(self) -> None:
-        if self.t0 < 1:
-            raise ValueError(f"t0 must be >= 1, got {self.t0}")
         if self.n_iters < 0:
             raise ValueError(f"n_iters must be >= 0, got {self.n_iters}")
         if not 0.0 <= self.nu <= 1.0:
@@ -147,17 +145,6 @@ def replace_low_freq(
     return _freeze(x_t0 + s.signal_scale(t0) * low_pass(x_ref - x0_hat, nu))
 
 
-def start_grid(s: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
-    """The num_steps sampling grid from t0 down; a t0 below its lowest step is an error."""
-    grid = ddim_grid(s, num_steps, t0)
-    if not grid:
-        lowest = ddim_grid(s, num_steps, s.num_steps)[-1]
-        raise ValueError(
-            f"t0={t0} is below {lowest}, the lowest step of the {num_steps}-step sampling grid"
-        )
-    return grid
-
-
 def nc_sdedit(
     x_ref: VideoTensor,
     cfg: CalibrationConfig | Sequence[CalibrationConfig],
@@ -185,7 +172,7 @@ def nc_sdedit(
             "cfg and sampler must be one run's configs or two sequences of one length, "
             f"got {len(cals)} calibration and {len(samps)} sampler configs"
         )
-    grid = start_grid(s, _shared(samps, "num_steps"), _shared(cals, "t0"))
+    grid = ddim_grid(s, _shared(samps, "num_steps"), _shared(cals, "t0"))
     stack = [replace(cal, t0=grid[0]) for cal in cals]  # a run is the stack of one
     eps0 = gaussian_noise((len(stack),) + x_ref.shape, [cal.rng for cal in stack])
     eps, traces = calibrate_noise(x_ref, eps0, stack, d, s)

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, nc_sdedit, start_grid
+from .calibration import CalibrationConfig, nc_sdedit
 from .denoiser import GmmDenoiser
 from .diffusion import SamplerConfig
 from .metrics import metric_report
-from .schedule import NoiseSchedule, linear_beta_schedule
+from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import NumericError, RngSeed, _finite_number
 from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
@@ -119,7 +119,8 @@ def _num(block: dict, key: str, default, kind=float):
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file, reading no other file.  Unknown
     keys are errors, and so are missing denoiser and io keys: both commands
-    that read a config use all of them."""
+    that read a config use all of them.  The ranges of the run settings are
+    checked by building the schedule, the sampling grid and the run configs."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -140,23 +141,6 @@ def load_config(path) -> RunConfig:
     t_max = _num(sched, "T", 1000, int)
     if not 1 <= t_max <= _T_LIMIT:
         raise ConfigError(f"T must be in [1, {_T_LIMIT}], got {t_max}")
-    beta_start = _num(sched, "beta_start", 1e-4)
-    beta_end = _num(sched, "beta_end", 0.02)
-    linear_beta_schedule(t_max, beta_start, beta_end)  # its own checks, before any input is read
-    t0 = resolve_t0(cal.get("t0", 0.6), t_max)
-    n_iters = _num(cal, "N", 3, int)
-    if n_iters < 0:
-        raise ConfigError(f"N must be >= 0, got {n_iters}")
-    nu = _num(cal, "nu", 1.0)
-    if not 0.0 <= nu <= 1.0:
-        raise ConfigError(f"nu must be in [0, 1], got {nu}")
-
-    num_steps = _num(sampler, "num_steps", 30, int)
-    if not 1 <= num_steps <= t_max:
-        raise ConfigError(f"sampler.num_steps must be in [1, {t_max}], got {num_steps}")
-    eta = _num(sampler, "eta", 1.0)
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"sampler.eta must be in [0, 1], got {eta}")
     if den["kind"] != "gmm":
         raise ConfigError(f"denoiser kind must be 'gmm', got {den['kind']!r}")
 
@@ -165,19 +149,25 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{key} must be a path string, got {p!r}")
         return str(path.parent / p)
 
-    return RunConfig(
+    cfg = RunConfig(
         t_max=t_max,
-        beta_start=beta_start,
-        beta_end=beta_end,
-        num_steps=num_steps,
-        eta=eta,
+        beta_start=_num(sched, "beta_start", 1e-4),
+        beta_end=_num(sched, "beta_end", 0.02),
+        num_steps=_num(sampler, "num_steps", 30, int),
+        eta=_num(sampler, "eta", 1.0),
         seed=_num(sampler, "seed", 0, int),
-        t0=t0,
-        n_iters=n_iters,
-        nu=nu,
+        t0=resolve_t0(cal.get("t0", 0.6), t_max),
+        n_iters=_num(cal, "N", 3, int),
+        nu=_num(cal, "nu", 1.0),
         denoiser_spec=_resolve("denoiser.spec", den["spec"]),
         input_dir=_resolve("io.input", io_block["input"]),
     )
+    try:  # the library's own checks, before any input is read
+        ddim_grid(build_schedule(cfg), cfg.num_steps, cfg.t0)
+        _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return cfg
 
 
 def build_schedule(cfg: RunConfig) -> NoiseSchedule:
@@ -256,7 +246,7 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     groups: dict[int, list[tuple]] = {}  # t0 -> its runs
     for t0, nu, k in jobs:
         try:
-            start_grid(s, cfg.num_steps, t0)
+            ddim_grid(s, cfg.num_steps, t0)
             rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
             groups.setdefault(t0, []).append(_run_configs(cfg, rng, t0, nu))
         except ValueError as e:
@@ -365,7 +355,7 @@ def main(argv=None) -> int:
             return cmd_metrics(args.dir_a, args.dir_b)
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, seed=RngSeed(args.seed).seed)  # checked before any read
         if args.command == "enhance":
             return cmd_enhance(cfg, args.output, args.threads)
         return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)

@@ -91,20 +91,17 @@ def ddim_grid(schedule: NoiseSchedule, num_steps: int, t0: int) -> list[int]:
 
     Builds the evenly spaced grid round(i * T / num_steps) for i = 1..num_steps
     (integer-exact rounding; num_steps <= T keeps the entries distinct), keeps
-    only entries <= t0, and returns them in decreasing order.  Empty iff t0
-    falls below the first grid point; sampling then has nothing to do.
+    only entries <= t0, and returns them in decreasing order.  A t0 below the
+    first grid point would leave sampling nothing to do, and is an error.
     """
     big_t = schedule.num_steps
     if not 1 <= num_steps <= big_t:
         raise ValueError(f"num_steps must be in [1, {big_t}], got {num_steps}")
-    if not 0 <= t0 <= big_t:
-        raise ValueError(f"t0 must be in [0, {big_t}], got {t0}")
-    grid: list[int] = []
-    for i in range(1, num_steps + 1):
-        # round(i*T/n) without float roundoff, ties away from zero
-        t = (2 * i * big_t + num_steps) // (2 * num_steps)
-        if t > t0:
-            break
-        grid.append(t)
-    grid.reverse()
-    return grid
+    # round(i*T/n) without float roundoff, ties away from zero
+    grid = [(2 * i * big_t + num_steps) // (2 * num_steps) for i in range(1, num_steps + 1)]
+    if not grid[0] <= t0 <= big_t:
+        raise ValueError(
+            f"t0={t0} is outside [{grid[0]}, {big_t}]; "
+            f"{grid[0]} is the lowest step of the {num_steps}-step sampling grid"
+        )
+    return [t for t in reversed(grid) if t <= t0]

@@ -24,7 +24,6 @@ from noisecal import (
     denoise_from,
     estimate_x0,
     forward_noise,
-    frequency_mask,
     gaussian_noise,
     high_pass,
     l2_norm,
@@ -34,7 +33,6 @@ from noisecal import (
     mse_low,
     nc_sdedit,
     replace_low_freq,
-    spatial_frequency,
     ssim,
     toy_benchmark,
     toy_schedule,
@@ -42,6 +40,8 @@ from noisecal import (
     write_video,
 )
 from noisecal.cli import main
+from noisecal.frequency import frequency_mask
+from noisecal.metrics import spatial_frequency
 
 SCHED = linear_beta_schedule(1000, 1e-4, 0.02)
 TOY_SCHED = toy_schedule()

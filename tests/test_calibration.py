@@ -45,9 +45,13 @@ def cal_cfg(t0=8, n_iters=2, nu=0.5, seed=0):
     return CalibrationConfig(t0=t0, n_iters=n_iters, nu=nu, rng=RngSeed(seed))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CalibrationConfig(t0=0, n_iters=1, nu=0.5, rng=RngSeed(0))
+def test_config_validation(tiny_sched, toy_gmm):
+    # t0 is checked against the schedule, where one is at hand
+    x_ref = gaussian_noise((1, 1, 4, 4), RngSeed(63))
+    with pytest.raises(ValueError, match="timestep 0 outside"):
+        calibrate_noise(x_ref, x_ref, cal_cfg(t0=0), toy_gmm, tiny_sched)
+    with pytest.raises(ValueError, match="t0=0 is outside"):
+        nc_sdedit(x_ref, cal_cfg(t0=0), sampler_cfg(), toy_gmm, tiny_sched)
     with pytest.raises(ValueError):
         CalibrationConfig(t0=5, n_iters=-1, nu=0.5, rng=RngSeed(0))
     with pytest.raises(ValueError):

@@ -361,14 +361,14 @@ def assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message
 
 
 def test_sweep_negative_eta_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
-    message = "sampler.eta must be in [0, 1], got -1.0"
+    message = "eta must be in [0, 1], got -1.0"
     assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, {"eta": -1.0}, message)
 
 
 def test_sweep_eta_above_1_is_rejected_by_load_config(tmp_path, capsys, monkeypatch):
     # DDIM's eta is in [0, 1]; whether a larger one fits sigma^2 <= 1 - alpha_bar
     # depends on the grid, so it would fail late, in a stack
-    message = "sampler.eta must be in [0, 1], got 1.5"
+    message = "eta must be in [0, 1], got 1.5"
     assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, {"eta": 1.5}, message)
 
 
@@ -377,7 +377,7 @@ def test_sweep_num_steps_out_of_range_is_rejected_by_load_config(
     tmp_path, capsys, monkeypatch, num_steps
 ):
     # T=50 in every workdir here
-    message = f"sampler.num_steps must be in [1, 50], got {num_steps}"
+    message = f"num_steps must be in [1, 50], got {num_steps}"
     sampler = {"num_steps": num_steps}
     assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message)
 
@@ -499,19 +499,27 @@ def test_config_io_output_is_an_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["enhance", "sweep"])
 @pytest.mark.parametrize(
-    "overrides,message",
+    "overrides,flags,message",
     [
-        ({"schedule": {"beta_start": 0.5, "beta_end": 0.1}, "io": {"input": "nope"}},
+        ({"schedule": {"beta_start": 0.5, "beta_end": 0.1}, "io": {"input": "nope"}}, [],
          "beta_start <= beta_end"),
-        ({"denoiser": None}, "'denoiser' needs"),
-        ({"denoiser": {"kind": "dataset", "spec": "input"}},
+        ({"denoiser": None}, [], "'denoiser' needs"),
+        ({"denoiser": {"kind": "dataset", "spec": "input"}}, [],
          "denoiser kind must be 'gmm', got 'dataset'"),
-        ({"io": None}, "'io' needs"),
+        ({"io": None}, [], "'io' needs"),
+        # T=50 with 5 steps puts the first grid step at 10
+        ({"calibration": {"t0": 5}}, [], "t0=5 is outside [10, 50]"),
+        ({"sampler": {"seed": -1}}, [], "seed must be a 64-bit unsigned integer, got -1"),
+        ({"sampler": {"seed": 2**64}}, [], f"64-bit unsigned integer, got {2**64}"),
+        ({}, ["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
     ],
-    ids=["betas-reversed", "no-denoiser", "dataset-kind", "no-input"],
+    ids=[
+        "betas-reversed", "no-denoiser", "dataset-kind", "no-input",
+        "t0-below-grid", "negative-seed", "seed-2-64", "negative-seed-flag",
+    ],
 )
 def test_load_config_checks_come_before_any_read(
-    tmp_path, capsys, monkeypatch, command, overrides, message
+    tmp_path, capsys, monkeypatch, command, overrides, flags, message
 ):
     """A config at fault exits 1, even where its input directory is missing too."""
     reads = []
@@ -519,9 +527,9 @@ def test_load_config_checks_come_before_any_read(
     cfg = setup_workdir(tmp_path, overrides)
     if command == "sweep":
         argv = ["sweep", "--config", str(cfg), "--t0-list", "30", "--nu-list", "1.0"]
-        assert main(argv) == EXIT_CONFIG
+        assert main(argv + flags) == EXIT_CONFIG
     else:
-        assert enhance(cfg) == EXIT_CONFIG
+        assert enhance(cfg, *flags) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

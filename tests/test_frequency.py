@@ -10,12 +10,12 @@ from noisecal import (
     as_video,
     blurred,
     content_objective,
-    frequency_mask,
     gaussian_noise,
     high_pass,
     l2_norm,
     low_pass,
 )
+from noisecal.frequency import frequency_mask
 
 
 def nyquist_columns(n=8):

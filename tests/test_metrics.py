@@ -20,9 +20,9 @@ from noisecal import (
     metric_report,
     mse,
     mse_low,
-    spatial_frequency,
     ssim,
 )
+from noisecal.metrics import spatial_frequency
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -49,7 +49,6 @@ from noisecal import (
     denoise_from,
     estimate_x0,
     forward_noise,
-    frequency_mask,
     gaussian_noise,
     high_pass,
     l2_norm,
@@ -60,13 +59,14 @@ from noisecal import (
     nc_sdedit,
     read_video,
     replace_low_freq,
-    spatial_frequency,
     ssim,
     toy_schedule,
     write_video,
 )
 from noisecal import metrics
 from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedule, load_config, main
+from noisecal.frequency import frequency_mask
+from noisecal.metrics import spatial_frequency
 from noisecal.tensor import _freeze
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -71,8 +71,10 @@ def test_ddim_grid_filtered(sched):
 
 
 def test_ddim_grid_empty_below_first_point(sched):
-    assert ddim_grid(sched, 10, 0) == []
-    assert ddim_grid(sched, 10, 99) == []
+    # a grid that would be empty is an error that names the lowest step
+    for t0 in (0, 99):
+        with pytest.raises(ValueError, match=rf"t0={t0} is outside \[100, 1000\]"):
+            ddim_grid(sched, 10, t0)
     assert ddim_grid(sched, 10, 100) == [100]
 
 
@@ -85,15 +87,18 @@ def test_ddim_grid_validation(sched):
         ddim_grid(sched, 10, 1001)
 
 
-@given(st.integers(1, 200), st.integers(0, 999), st.integers(0, 999))
-def test_ddim_grid_prefix_filter_property(num_steps, a, b):
+@given(st.integers(1, 200), st.data())
+def test_ddim_grid_prefix_filter_property(num_steps, data):
     s = linear_beta_schedule(1000, 1e-4, 0.02)
-    lo, hi = sorted((a, b))
+    lowest = ddim_grid(s, num_steps, 1000)[-1]
+    lo, hi = sorted(data.draw(st.integers(lowest, 1000)) for _ in range(2))
     grid_lo = ddim_grid(s, num_steps, lo)
     grid_hi = ddim_grid(s, num_steps, hi)
-    assert set(grid_lo) <= set(grid_hi)
-    assert grid_hi[-len(grid_lo):] == grid_lo if grid_lo else True
+    assert grid_lo[-1] == grid_hi[-1] == lowest
+    assert grid_hi[-len(grid_lo):] == grid_lo
     assert all(x > y for x, y in zip(grid_hi, grid_hi[1:]))  # strictly decreasing
+    with pytest.raises(ValueError, match=f"{lowest} is the lowest step"):
+        ddim_grid(s, num_steps, data.draw(st.integers(0, lowest - 1)))
 
 
 @given(
