@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class CalibrationConfig:
 
     def __post_init__(self) -> None:
         if self.n_iters < 0:
-            raise ValueError(f"n_iters must be >= 0, got {self.n_iters}")
+            raise ValueError(f"N (n_iters) must be >= 0, got {self.n_iters}")
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"nu must be in [0, 1], got {self.nu}")
 
@@ -161,10 +162,15 @@ def nc_sdedit(
     evaluations plus one per grid entry.
 
     cfg and sampler are one run's configs, or equal-length sequences of B
-    runs' configs on the one reference.  The runs then advance as one
-    (B, F, C, H, W) stack, one denoiser call per step for all of them, and
-    must share t0, n_iters, eta and num_steps; x0 is the stack, with a list
-    of B traces.  A single run is the stack of one.
+    runs' configs on the one reference, which must share n_iters, eta and
+    num_steps; x0 is then the stack, with a list of B traces, both in the
+    order given.  A single run is the stack of one.  The runs advance as one
+    (B, F, C, H, W) stack, ordered by decreasing start: the runs of each
+    start are calibrated together, at one denoiser call per iteration, and
+    then every run joins the reverse pass at its start, sharing one call per
+    step with the runs already on the way.  Each grid is a suffix of the
+    longest (ddim_grid filters one list), so every row steps as it would
+    alone.
     """
     cals, samps = _Runs(cfg), _Runs(sampler)
     if (cals.stacked, len(cals)) != (samps.stacked, len(samps)):
@@ -172,14 +178,26 @@ def nc_sdedit(
             "cfg and sampler must be one run's configs or two sequences of one length, "
             f"got {len(cals)} calibration and {len(samps)} sampler configs"
         )
-    grid = ddim_grid(s, _shared(samps, "num_steps"), _shared(cals, "t0"))
-    stack = [replace(cal, t0=grid[0]) for cal in cals]  # a run is the stack of one
-    eps0 = gaussian_noise((len(stack),) + x_ref.shape, [cal.rng for cal in stack])
-    eps, traces = calibrate_noise(x_ref, eps0, stack, d, s)
-    x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), grid[0], eps, s)
-    x0, first_x0_hat = denoise_from(x_t0, grid, d, s, list(samps))
-    for cal, trace, x0_hat in zip(stack, traces, first_x0_hat):
+    num_steps = _shared(samps, "num_steps")
+    _shared(cals, "n_iters")  # calibrate_noise checks it only within one start
+    grids = [ddim_grid(s, num_steps, cal.t0) for cal in cals]
+    order = sorted(range(len(cals)), key=lambda b: -grids[b][0])  # stable
+    stack = [replace(cals[b], t0=grids[b][0]) for b in order]
+    parts, traces = [], []
+    for t0, group in groupby(stack, key=lambda cal: cal.t0):
+        group = list(group)
+        eps0 = gaussian_noise((len(group),) + x_ref.shape, [cal.rng for cal in group])
+        eps, group_traces = calibrate_noise(x_ref, eps0, group, d, s)
+        parts.append(forward_noise(np.broadcast_to(x_ref, eps.shape), t0, eps, s))
+        traces += group_traces
+    x_t0 = parts[0] if len(parts) == 1 else _freeze(np.concatenate(parts))
+    starts = [cal.t0 for cal in stack]
+    x0, first_x0_hat = denoise_from(x_t0, grids[order[0]], d, s, [samps[b] for b in order], starts)
+    for b, cal, trace, x0_hat in zip(order, stack, traces, first_x0_hat):
         # first sampling evaluation doubles as the final objective reading
         trace.objectives.append(content_objective(x_ref, x0_hat, cal.nu))
-        trace.sampling_calls = len(grid)
+        trace.sampling_calls = len(grids[b])
+    if order != sorted(order):  # back to the order given
+        back = np.argsort(order)
+        x0, traces = _freeze(x0[back]), [traces[i] for i in back]
     return cals.given(x0), cals.given(traces)

@@ -240,22 +240,20 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
         if (t0, nu) in cells[:i]:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
-    # every run is built, and so checked, before any runs.  No two --t0-list
-    # entries resolve to one t0 (that would list each of its cells twice), so
-    # a t0's jobs are adjacent and its group, in insertion order, is job order
-    groups: dict[int, list[tuple]] = {}  # t0 -> its runs
+    runs = []  # every run is built, and so checked, before any runs
     for t0, nu, k in jobs:
         try:
             ddim_grid(s, cfg.num_steps, t0)
             rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
-            groups.setdefault(t0, []).append(_run_configs(cfg, rng, t0, nu))
+            runs.append(_run_configs(cfg, rng, t0, nu))
         except ValueError as e:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
 
-    # runs that share t0 share every level, so they step as one stack, cut
-    # into stacks of at most _STACK_BYTES of video
+    # every grid is a suffix of the largest t0's, so runs of any t0 step as one
+    # stack, sharing the steps below their starts; cut in job order into
+    # stacks of at most _STACK_BYTES of video
     size = max(1, _STACK_BYTES // x_ref.nbytes)
-    stacks = [runs[j : j + size] for runs in groups.values() for j in range(0, len(runs), size)]
+    stacks = [runs[j : j + size] for j in range(0, len(runs), size)]
     failed = threading.Event()  # set by a failing stack, so that no later stack starts work
 
     def scored_stack(stack: list[tuple]) -> list[tuple]:

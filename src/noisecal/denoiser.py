@@ -45,25 +45,30 @@ class GmmDenoiser(Denoiser):
         components = list(components)
         if not components:
             raise ValueError("GmmDenoiser needs at least one component")
-        weights = np.array([float(w) for w, _, _ in components], dtype=np.float64)
-        if np.any(weights <= 0) or not np.isfinite(sum(weights.tolist())):  # no overflow warning
-            raise ValueError("component weights must be positive, with a finite sum")
         means = [as_video(m) for _, m, _ in components]
         shape = means[0].shape
         for i, m in enumerate(means):
             if m.shape != shape:
                 raise ValueError(f"component {i} mean shape {m.shape} != {shape}")
-        variances = np.array([float(v) for _, _, v in components], dtype=np.float64)
+        weights, _, variances = zip(*components)
+        self._set(weights, np.stack(means), variances)
+
+    def _set(self, weights, means: np.ndarray, variances) -> None:
+        """Take finite float64 means of shape (n, F, C, H, W) as they are."""
+        weights = np.array([float(w) for w in weights], dtype=np.float64)
+        if np.any(weights <= 0) or not np.isfinite(sum(weights.tolist())):  # no overflow warning
+            raise ValueError("component weights must be positive, with a finite sum")
+        variances = np.array([float(v) for v in variances], dtype=np.float64)
         if np.any(variances < 0):
             raise ValueError("component variances must be >= 0")
         self.weights = weights / weights.sum()
-        self.means = np.stack(means)  # (n, F, C, H, W)
+        self.means = means
         self.variances = variances
         self.weights.flags.writeable = False
         self.means.flags.writeable = False
         self.variances.flags.writeable = False
         # centre of the means and each mean's squared distance to it, per frame
-        flat = self.means.reshape(len(means), shape[0], -1)  # (n, F_m, D)
+        flat = self.means.reshape(len(means), means.shape[1], -1)  # (n, F_m, D)
         self._mbar = flat.mean(axis=0)  # (F_m, D)
         self._msq = np.empty(flat.shape[:2])  # (n, F_m)
         buf = np.empty_like(self._mbar)
@@ -77,6 +82,8 @@ class GmmDenoiser(Denoiser):
         """Mixture from a JSON list of {weight, mean, variance} entries.
 
         "mean" is a tensor file path, resolved relative to the spec file.
+        Each file's float32 payload is cast, exactly, into its row of one
+        (n, F, C, H, W) float64 array, which the mixture keeps.
         """
         from .vio import read_tensor
 
@@ -84,7 +91,7 @@ class GmmDenoiser(Denoiser):
         spec = json.loads(path.read_text())
         if not isinstance(spec, list) or not spec:
             raise ValueError(f"{path}: expected a nonempty JSON list of components")
-        components = []
+        weights, means, variances = [], None, []
         for i, entry in enumerate(spec):
             where = f"{path}: component {i}"
             if not isinstance(entry, dict):
@@ -97,10 +104,18 @@ class GmmDenoiser(Denoiser):
                 raise ValueError(f"{where} lacks keys {sorted(missing)}")
             if not isinstance(entry["mean"], str):
                 raise ValueError(f"{where} mean must be a file path, got {entry['mean']!r}")
-            weight = _finite_number(entry["weight"], f"{where} weight")
-            variance = _finite_number(entry.get("variance", 0.0), f"{where} variance")
-            components.append((weight, read_tensor(path.parent / entry["mean"]), variance))
-        return cls(components)
+            weights.append(_finite_number(entry["weight"], f"{where} weight"))
+            variances.append(_finite_number(entry.get("variance", 0.0), f"{where} variance"))
+            mean = path.parent / entry["mean"]
+            if means is None:  # the first file fixes the shape
+                first = read_tensor(mean)
+                means = np.empty((len(spec),) + first.shape)
+                means[0] = first
+            else:
+                read_tensor(mean, out=means[i])
+        d = cls.__new__(cls)
+        d._set(weights, means, variances)
+        return d
 
     def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
         """E[x0 | x_t] in closed form; predict_eps is derived from it.

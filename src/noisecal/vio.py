@@ -182,7 +182,11 @@ def write_tensor(x: VideoTensor, path) -> None:
     _atomic_write_bytes(path, header + payload)
 
 
-def read_tensor(path) -> VideoTensor:
+def read_tensor(path, out: np.ndarray | None = None) -> VideoTensor:
+    """A tensor file's float32 payload, checked finite and cast to float64.
+
+    By default into a new read-only array; with out, a float64 array of the
+    file's shape, into out, which is returned.  The cast is exact."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != _TENSOR_MAGIC:
@@ -204,8 +208,14 @@ def read_tensor(path) -> VideoTensor:
         raise TensorFormatError(
             f"{path}: payload has {len(payload)} bytes, expected {expected} for dims {dims}"
         )
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f4").reshape(dims)
     if not np.isfinite(values).all():
         raise TensorFormatError(f"{path}: payload holds NaN or Inf")
-    values.flags.writeable = False  # frozen in place: no second copy
-    return values.reshape(dims)
+    if out is None:
+        out = values.astype(np.float64)
+        out.flags.writeable = False  # frozen in place: no second copy
+    elif out.shape != dims:
+        raise ValueError(f"{path}: shape mismatch: {dims} vs {out.shape}")
+    else:
+        out[...] = values
+    return out

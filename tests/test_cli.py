@@ -299,32 +299,36 @@ _GMM = {"denoiser": {"kind": "gmm", "spec": "gmm.json"}}
 
 
 @pytest.mark.parametrize(
-    "overrides,spec",
+    "overrides,spec,message",
     [
-        pytest.param({"denoiser": {"kind": "gmm", "spec": 5}}, None, id="spec-not-a-path"),
-        pytest.param({"io": {"input": ["a"]}}, None, id="input-not-a-path"),
-        pytest.param(_GMM, [3], id="component-not-an-object"),
-        pytest.param(_GMM, [], id="spec-empty-list"),
-        pytest.param(_GMM, {"weight": 1.0, "mean": "m0.vnt"}, id="spec-an-object"),
-        pytest.param(_GMM, [{"weight": 1.0}], id="component-without-mean"),
-        pytest.param(_GMM, [{"weight": None, "mean": "m0.vnt"}], id="null-weight"),
-        pytest.param(_GMM, [{"weight": 1.0, "mean": 7}], id="mean-not-a-path"),
-        pytest.param([], None, id="top-level-list"),
-        pytest.param({"sampler": []}, None, id="section-not-an-object"),
-        pytest.param({"sampler": {"eta": "1"}}, None, id="eta-string"),
-        pytest.param({"sampler": {"eta": -1.0}}, None, id="negative-eta"),
-        pytest.param({"sampler": {"eta": 1.5}}, None, id="eta-above-1"),
-        pytest.param({"sampler": {"num_steps": 2.5}}, None, id="num-steps-fraction"),
-        pytest.param({"sampler": {"num_steps": 0}}, None, id="num-steps-0"),
-        pytest.param({"sampler": {"num_steps": 51}}, None, id="num-steps-above-T"),
-        pytest.param({"calibration": {"N": -1}}, None, id="negative-N"),
-        pytest.param({"calibration": {"nu": 1.5}}, None, id="nu-above-1"),
-        pytest.param({"denoiser": {"kind": "unet"}}, None, id="unknown-denoiser-kind"),
-        pytest.param({"schedule": {"beta_start": 0.5, "beta_end": 0.1}}, None, id="betas-reversed"),
-        pytest.param({"denoiser": None}, None, id="no-denoiser"),
+        pytest.param({"denoiser": {"kind": "gmm", "spec": 5}}, None, None, id="spec-not-a-path"),
+        pytest.param({"io": {"input": ["a"]}}, None, None, id="input-not-a-path"),
+        pytest.param(_GMM, [3], None, id="component-not-an-object"),
+        pytest.param(_GMM, [], None, id="spec-empty-list"),
+        pytest.param(_GMM, {"weight": 1.0, "mean": "m0.vnt"}, None, id="spec-an-object"),
+        pytest.param(_GMM, [{"weight": 1.0}], None, id="component-without-mean"),
+        pytest.param(_GMM, [{"weight": None, "mean": "m0.vnt"}], None, id="null-weight"),
+        pytest.param(_GMM, [{"weight": 1.0, "mean": 7}], None, id="mean-not-a-path"),
+        pytest.param([], None, None, id="top-level-list"),
+        pytest.param({"sampler": []}, None, None, id="section-not-an-object"),
+        pytest.param({"sampler": {"eta": "1"}}, None, None, id="eta-string"),
+        pytest.param({"sampler": {"eta": -1.0}}, None, None, id="negative-eta"),
+        pytest.param({"sampler": {"eta": 1.5}}, None, None, id="eta-above-1"),
+        pytest.param({"sampler": {"num_steps": 2.5}}, None, None, id="num-steps-fraction"),
+        pytest.param({"sampler": {"num_steps": 0}}, None, None, id="num-steps-0"),
+        pytest.param({"sampler": {"num_steps": 51}}, None, None, id="num-steps-above-T"),
+        pytest.param(
+            {"calibration": {"N": -1}}, None, "N (n_iters) must be >= 0, got -1", id="negative-N"
+        ),
+        pytest.param({"calibration": {"nu": 1.5}}, None, None, id="nu-above-1"),
+        pytest.param({"denoiser": {"kind": "unet"}}, None, None, id="unknown-denoiser-kind"),
+        pytest.param(
+            {"schedule": {"beta_start": 0.5, "beta_end": 0.1}}, None, None, id="betas-reversed"
+        ),
+        pytest.param({"denoiser": None}, None, None, id="no-denoiser"),
     ],
 )
-def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spec):
+def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spec, message):
     write_tensor(small_video(212, frames=1), tmp_path / "m0.vnt")
     if spec is not None:
         (tmp_path / "gmm.json").write_text(json.dumps(spec))
@@ -337,6 +341,7 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
+    assert message is None or message in captured.err  # names the config key
     assert not (tmp_path / "out").exists()
 
 
@@ -711,7 +716,7 @@ def test_sweep_accepts_fractional_t0(tmp_path, capsys):
 def test_sweep_rows_come_in_list_order(tmp_path, capsys, monkeypatch):
     """Rows follow the lists as given, unsorted and mixing fractions with
     absolute steps: t0 outer, then nu, seeds innermost, then one mean row per
-    cell in the same order; also when a t0 group is cut into several stacks.
+    cell in the same order; also when the runs are cut into several stacks.
     Each t0's rows are those of a sweep over that t0 alone, so no row carries
     another run's values under its labels."""
     cfg = setup_workdir(tmp_path, {"schedule": {"T": 100}})  # 0.8 -> 80, 0.4 -> 40
@@ -742,12 +747,13 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
 
 
 def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypatch):
-    # the runs that share t0 advance as one stack: N + len(grid) calls per t0
+    # one stack of every run: N calls per t0 group, largest t0 first, then one call
+    # per step of the largest t0's grid, which each group joins at its start
     calls = []
     real = GmmDenoiser.posterior_mean
 
     def counted(self, x_t, t, s):
-        calls.append(x_t.shape[0])
+        calls.append((t, x_t.shape[0]))
         return real(self, x_t, t, s)
 
     monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
@@ -755,13 +761,17 @@ def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypa
     argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40", "--nu-list", "0.5,1.0"]
     assert main(argv + ["--seeds", "2"]) == EXIT_OK
     s = build_schedule(load_config(cfg))
-    assert len(calls) == sum(2 + len(ddim_grid(s, 5, t0)) for t0 in (20, 30, 40))
-    assert calls == [4] * len(calls)  # 2 nu values x 2 seeds in every stack
+    assert ddim_grid(s, 5, 40) == [40, 30, 20, 10]
+    # 2 nu values x 2 seeds in every group
+    assert calls == [(40, 4)] * 2 + [(30, 4)] * 2 + [(20, 4)] * 2 + [
+        (40, 4), (30, 8), (20, 12), (10, 12)
+    ]
 
 
 def test_sweep_cuts_a_t0_group_into_stacks_of_bounded_bytes(tmp_path, capsys, monkeypatch):
-    # a budget of three runs' video cuts each group of four into stacks of 3 and 1,
-    # and no row's bytes depend on the stack it ran in
+    # a budget of three runs' video cuts the eight runs, in job order, into stacks
+    # t0=(20, 20, 20), (20, 30, 30) and (30, 30), and no row's bytes depend on the
+    # stack it ran in
     cfg = setup_workdir(tmp_path)
     argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30", "--nu-list", "0.5,1.0"]
     assert main(argv + ["--seeds", "2"]) == EXIT_OK
@@ -779,7 +789,11 @@ def test_sweep_cuts_a_t0_group_into_stacks_of_bounded_bytes(tmp_path, capsys, mo
     assert main(argv + ["--seeds", "2", "--threads", "2"]) == EXIT_OK
     assert capsys.readouterr().out == whole
     s = build_schedule(load_config(cfg))
-    assert sorted(calls) == sorted([3, 1] * sum(2 + len(ddim_grid(s, 5, t0)) for t0 in (20, 30)))
+    assert (ddim_grid(s, 5, 20), ddim_grid(s, 5, 30)) == ([20, 10], [30, 20, 10])
+    first = [3, 3] + [3, 3]  # N=2 calls, then the grid of 20
+    second = [2, 2] + [1, 1] + [2, 3, 3]  # the groups of 30 and 20, then the grid of 30
+    third = [2, 2] + [2, 2, 2]
+    assert sorted(calls) == sorted(first + second + third)
 
 
 def test_sweep_empty_list_is_config_error(tmp_path, capsys):
@@ -851,7 +865,8 @@ def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
 
 def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monkeypatch):
     # 8x8 frames are below SSIM's window, so the first stack's metrics fail; the
-    # error must not wait for the other three t0 stacks (22 stacked calls in all)
+    # error must not wait for the other three stacks of one t0 each (22 stacked
+    # calls in all)
     calls = []
     real = GmmDenoiser.posterior_mean
 
@@ -863,6 +878,7 @@ def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monke
     cfg = setup_workdir(tmp_path)
     write_frame_prior(small_video(213, 3)[:, :, :8, :8], tmp_path)
     write_video(small_video(213, 2)[:, :, :8, :8], tmp_path / "input")
+    monkeypatch.setattr(cli, "_STACK_BYTES", 4 * read_video(tmp_path / "input").nbytes)
     argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40,50", "--nu-list", "1.0"]
     assert main(argv + ["--seeds", "4"]) == EXIT_CONFIG
     captured = capsys.readouterr()

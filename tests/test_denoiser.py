@@ -11,6 +11,7 @@ from noisecal import (
     GmmDenoiser,
     NoiseSchedule,
     RngSeed,
+    TensorFormatError,
     as_video,
     gaussian_noise,
     linear_beta_schedule,
@@ -192,6 +193,20 @@ def test_from_json_spec_loader(tmp_path):
     assert d.weights[1] == pytest.approx(0.75)
     assert d.variances[1] == 0.0
     assert np.allclose(d.means[0], m0, atol=1e-7)  # float32 storage
+
+
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_from_json_spec_checks_every_file_against_the_first(tmp_path, bad):
+    # a later file's payload goes straight into its row of the means
+    write_tensor(gaussian_noise((2, 1, 4, 4), RngSeed(13)), tmp_path / "m0.vnt")
+    second = np.full((2, 1, 4, 4), np.nan) if bad == "nan" else np.zeros((2, 1, 4, 3))
+    write_tensor(second, tmp_path / "m1.vnt")
+    spec = [{"weight": 1.0, "mean": "m0.vnt"}, {"weight": 1.0, "mean": "m1.vnt"}]
+    (tmp_path / "mix.json").write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match="m1.vnt") as info:
+        GmmDenoiser.from_json_spec(tmp_path / "mix.json")
+    # NaN is the file's fault (exit 2); a shape that fits no row is the spec's (exit 1)
+    assert isinstance(info.value, TensorFormatError) == (bad == "nan")
 
 
 def test_from_json_spec_rejects_unknown_keys(tmp_path):

@@ -257,6 +257,26 @@ def test_denoise_from_single_entry_grid_returns_output_twice(sched):
     assert first_x0_hat.tobytes() == out.tobytes()
 
 
+def test_denoise_from_rows_enter_at_their_starts(sched):
+    # each row steps on the grid below its start, as it would alone, and the
+    # stack makes one call per entry of the longest grid
+    rng = RngSeed(40)
+    counter = CountingDenoiser(GmmDenoiser([(1.0, gaussian_noise((1, 1, 4, 4), rng), 0.2)]))
+    x = gaussian_noise((3, 1, 1, 4, 4), [rng.substream(b) for b in range(3)])
+    cfgs = [cfg_for(1.0, seed=b) for b in range(3)]
+    grid = ddim_grid(sched, 30, 600)
+    starts = [grid[0], grid[2], grid[2]]
+    out, first_x0_hat = denoise_from(x, grid, counter, sched, cfgs, starts)
+    assert counter.calls == len(grid)
+    for row, first, x_row, cfg, start in zip(out, first_x0_hat, x, cfgs, starts):
+        want, want_first = denoise_from(x_row, grid[grid.index(start):], counter, sched, cfg)
+        assert row.tobytes() == want.tobytes()
+        assert first.tobytes() == want_first.tobytes()
+    for bad in ([grid[2], grid[0], grid[0]], [grid[1]] * 3, [grid[0], 599, 599], grid[:2]):
+        with pytest.raises(ValueError, match="starts"):
+            denoise_from(x, grid, counter, sched, cfgs, bad)
+
+
 @pytest.mark.parametrize("scale", [1e6, -1e6])
 def test_steps_finite_at_large_magnitude(sched, scale):
     x = np.full((1, 1, 4, 4), scale, dtype=np.float64)

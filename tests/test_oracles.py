@@ -13,9 +13,12 @@ every frame of a video; the oracle repeats each mean along the frame axis.
 The package's GMM posterior is per-frame matrix-vector products against the
 centred means; the oracle keeps the broadcast form, which builds the residual
 from every scaled mean, and runs it in long double as the exact reference.
-Runs that share t0 advance as one (B, F, C, H, W) stack; the oracles keep the
-pipeline one run at a time and the posterior as a loop over the stack's rows,
-and every stacked row must equal its run byte for byte.  l2_norm and the
+Runs advance as one (B, F, C, H, W) stack, each joining the reverse pass at
+its own start; the oracles keep the pipeline one run at a time and the
+posterior as a loop over the stack's rows, and every stacked row must equal
+its run byte for byte.  The mixture loader casts each float32 payload into
+its row of one buffer; the oracle keeps the load that cast each mean alone
+and stacked them.  l2_norm and the
 posterior's whole-frame dots are numpy sums; the oracles keep the BLAS forms
 they replace (np.linalg.norm, np.vdot and a matmul of two vectors).
 SSIM filters the five maps of a chunk of (frame, channel) pairs as one stack,
@@ -35,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from doubles import write_frame_prior
+from doubles import CountingDenoiser, write_frame_prior
 from noisecal import (
     CalibrationConfig,
     GmmDenoiser,
@@ -57,10 +60,12 @@ from noisecal import (
     metric_report,
     mse_low,
     nc_sdedit,
+    read_tensor,
     read_video,
     replace_low_freq,
     ssim,
     toy_schedule,
+    write_tensor,
     write_video,
 )
 from noisecal import metrics
@@ -478,24 +483,63 @@ def test_stacked_posterior_mean_bytes_do_not_depend_on_blas_threads():
 
 
 def test_stacked_nc_sdedit_rows_equal_per_run_oracle(sched):
+    """Runs of mixed, unsorted t0 advance as one staggered stack: each start
+    is calibrated once, and the reverse pass makes one call per step of the
+    longest grid."""
     rng = RngSeed(6200)
     d = GmmDenoiser([(0.5, gaussian_noise((2, 1, 6, 6), rng.substream(k)), 0.3) for k in (0, 1)])
     x_ref = gaussian_noise((2, 1, 6, 6), rng.substream(2))
-    nus = [0.5, 1.0, 0.0, 0.5]
-    cals = [CalibrationConfig(t0=600, n_iters=3, nu=nu, rng=rng.substream(10, b))
-            for b, nu in enumerate(nus)]
-    samps = [SamplerConfig(eta=1.0, num_steps=6, rng=rng.substream(20, b)) for b in range(4)]
-    x0, traces = nc_sdedit(x_ref, cals, samps, d, sched)
-    grid = ddim_grid(sched, 6, 600)
+    t0s, nus = [400, 600, 200, 600, 650], [0.5, 1.0, 0.0, 0.5, 0.77]
+    cals = [CalibrationConfig(t0=t0, n_iters=3, nu=nu, rng=rng.substream(10, b))
+            for b, (t0, nu) in enumerate(zip(t0s, nus))]
+    samps = [SamplerConfig(eta=1.0, num_steps=6, rng=rng.substream(20, b)) for b in range(5)]
+    counter = CountingDenoiser(d)
+    x0, traces = nc_sdedit(x_ref, cals, samps, counter, sched)
+    starts = {ddim_grid(sched, 6, t0)[0] for t0 in t0s}
+    assert sorted(starts) == [167, 333, 500]  # 600 and 650 share a start
+    assert counter.calls == 3 * len(starts) + len(ddim_grid(sched, 6, 650))
     assert x0.shape == (len(nus),) + x_ref.shape
     for row, trace, cal, samp in zip(x0, traces, cals, samps):
         want, objectives = per_run_nc_sdedit(x_ref, cal, samp, d, sched)
         assert row.tobytes() == want.tobytes()
         assert trace.objectives == objectives
-        assert (trace.calibration_calls, trace.sampling_calls) == (3, len(grid))
+        own_grid = ddim_grid(sched, 6, cal.t0)
+        assert (trace.calibration_calls, trace.sampling_calls) == (3, len(own_grid))
         one, one_trace = nc_sdedit(x_ref, cal, samp, d, sched)  # the stack of one
         assert one.tobytes() == want.tobytes()
         assert one_trace.objectives == objectives
+
+
+def stacked_load(path):
+    """The mixture as the loader built it before: each float32 payload cast to
+    float64 alone, checked again as a video, and the means copied by np.stack."""
+    spec = json.loads(Path(path).read_text())
+    means = [read_tensor(Path(path).parent / entry["mean"]) for entry in spec]
+    return GmmDenoiser(
+        [(entry["weight"], m, entry.get("variance", 0.0)) for entry, m in zip(spec, means)]
+    )
+
+
+@pytest.mark.parametrize("mean_frames", [1, 3])
+def test_one_buffer_load_equals_stacked_load(tmp_path, mean_frames):
+    rng = RngSeed(6250)
+    spec = []
+    for k in range(5):
+        mean = gaussian_noise((mean_frames, 2, 5, 7), rng.substream(k))
+        write_tensor(mean, tmp_path / f"m{k}.vnt")
+        spec.append({"weight": 0.5 + k, "mean": f"m{k}.vnt", "variance": 0.1 * k})
+    (tmp_path / "gmm.json").write_text(json.dumps(spec))
+    got = GmmDenoiser.from_json_spec(tmp_path / "gmm.json")
+    want = stacked_load(tmp_path / "gmm.json")
+    assert got.means.tobytes() == want.means.tobytes()
+    assert (got.means.shape, got.means.dtype) == (want.means.shape, want.means.dtype)
+    assert not got.means.flags.writeable
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.variances.tobytes() == want.variances.tobytes()
+    x_t = gaussian_noise((3, 2, 5, 7), rng.substream(9))
+    assert got.posterior_mean(x_t, 600, SCHED).tobytes() == (
+        want.posterior_mean(x_t, 600, SCHED).tobytes()
+    )
 
 
 def write_sweep_workspace(root: Path) -> Path:
