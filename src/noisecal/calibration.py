@@ -15,6 +15,10 @@ with x_t0 rebuilt from eps and x0_hat the one-shot clean estimate.  One
 low_pass of the gap x0_hat - x_ref gives the objective (its norm) and f_h
 (the gap minus it).  The equivalent view (replace_low_freq) overwrites the
 low band of x_t0 with the reference's; both agree to roundoff.
+
+A stack of runs is filtered with one low_pass call per distinct nu, in each
+iteration and in the final objective reading; each run's objective is the
+norm of its own row.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .denoiser import Denoiser
 from .diffusion import SamplerConfig, denoise_from, estimate_x0, forward_noise
-from .frequency import content_objective, low_pass
+from .frequency import low_pass
 from .schedule import NoiseSchedule, ddim_grid
 from .tensor import (
     RngSeed,
@@ -88,6 +92,21 @@ class CalibrationTrace:
         return buf.getvalue()
 
 
+def _low_pass_rows(x: np.ndarray, nus: Sequence[float]) -> np.ndarray:
+    """low_pass of each row of a stack x at its own nu, one call per distinct nu.
+
+    When every row has one nu this is low_pass's own result; otherwise the
+    rows of each nu, adjacent or not, are filtered together into one buffer.
+    """
+    if len(set(nus)) == 1:
+        return low_pass(x, nus[0])
+    low = np.empty_like(x)
+    for nu in dict.fromkeys(nus):
+        rows = [b for b, row_nu in enumerate(nus) if row_nu == nu]
+        low[rows] = low_pass(x[rows], nu)
+    return low
+
+
 def calibrate_noise(
     x_ref: VideoTensor,
     eps0: VideoTensor,
@@ -103,7 +122,8 @@ def calibrate_noise(
 
     For a stack, eps0 is (B, *x_ref.shape) and cfg a sequence of B
     CalibrationConfigs that share t0 and n_iters; each row is filtered at its
-    own nu, and a list of B traces comes back.
+    own nu, with one low_pass call per distinct nu and iteration, and a list
+    of B traces comes back.
     """
     runs = _Runs(cfg)
     if runs.run_shape(eps0.shape) != x_ref.shape:
@@ -113,18 +133,17 @@ def calibrate_noise(
     s._check_t(t0)
     coef = s.signal_scale(t0) / s.noise_scale(t0)
     traces = [CalibrationTrace(calibration_calls=n_iters) for _ in runs]
+    nus = [run.nu for run in runs]
     ref = np.broadcast_to(x_ref, eps0.shape)
     eps = eps0
     for _ in range(n_iters):
         x_t0 = forward_noise(ref, t0, eps, s)
         eps_pred = d.predict_eps(x_t0, t0, s)
         gap = estimate_x0(x_t0, t0, eps_pred, s) - ref
-        low = np.empty_like(gap)
-        rows = zip(runs, traces, gap.reshape(stack), low.reshape(stack))
-        for run, trace, gap_row, low_row in rows:  # each run's band at its own nu
-            low_row[...] = low_pass(gap_row, run.nu)
+        low = _low_pass_rows(gap.reshape(stack), nus)  # each run's band at its own nu
+        for trace, low_row in zip(traces, low):
             trace.objectives.append(l2_norm(low_row))
-        eps = _freeze(eps_pred + coef * (gap - low))
+        eps = _freeze(eps_pred + coef * (gap - low.reshape(gap.shape)))
     return eps, runs.given(traces)
 
 
@@ -193,9 +212,10 @@ def nc_sdedit(
     x_t0 = parts[0] if len(parts) == 1 else _freeze(np.concatenate(parts))
     starts = [cal.t0 for cal in stack]
     x0, first_x0_hat = denoise_from(x_t0, grids[order[0]], d, s, [samps[b] for b in order], starts)
-    for b, cal, trace, x0_hat in zip(order, stack, traces, first_x0_hat):
-        # first sampling evaluation doubles as the final objective reading
-        trace.objectives.append(content_objective(x_ref, x0_hat, cal.nu))
+    # the first sampling evaluation doubles as the final objective reading
+    low = _low_pass_rows(first_x0_hat - x_ref, [cal.nu for cal in stack])
+    for b, trace, low_row in zip(order, traces, low):
+        trace.objectives.append(l2_norm(low_row))
         trace.sampling_calls = len(grids[b])
     if order != sorted(order):  # back to the order given
         back = np.argsort(order)

@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import CalibrationConfig, nc_sdedit
 from .denoiser import GmmDenoiser
 from .diffusion import SamplerConfig
-from .metrics import metric_report
+from .metrics import check_ssim_window, metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import NumericError, RngSeed, _finite_number
 from .vio import PnmFormatError, TensorFormatError, read_video, write_video
@@ -200,11 +200,12 @@ def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
 
 def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
     x_ref = read_video(cfg.input_dir)
+    check_ssim_window(x_ref.shape)  # frames too small for the report fail before any run
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
     cal, samp = _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
     x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
-    report = metric_report(x0, x_ref)  # before any write: frames too small for SSIM fail here
+    report = metric_report(x0, x_ref)
 
     out = Path(output_dir)
     write_video(x0, out, threads)
@@ -231,6 +232,7 @@ def _float_bits(x: float) -> int:
 
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
     x_ref = read_video(cfg.input_dir)
+    check_ssim_window(x_ref.shape)
     s = build_schedule(cfg)
     d = build_denoiser(cfg, x_ref.shape[0])
     master = RngSeed(cfg.seed)
@@ -263,7 +265,7 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
         try:
             cals, samps = zip(*stack)
             x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
-            return [(metric_report(x, x_ref), trace.objectives) for x, trace in zip(x0, traces)]
+            return list(zip(metric_report(x0, x_ref), [trace.objectives for trace in traces]))
         except Exception:
             failed.set()
             raise

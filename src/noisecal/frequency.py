@@ -6,7 +6,9 @@ independently per frame and channel.  low_pass is the one filter: the mask
 is conjugate symmetric, so it runs on the real FFT's half-plane and its
 output is real by construction, and a mask that passes every bin (nu=1)
 runs no FFT at all.  The high band is the residual x - low_pass(x), so the
-two bands sum back to x.
+two bands sum back to x.  The filter acts on the last two axes, so one call
+filters a whole stack of runs (B, F, C, H, W), each row to the bytes it has
+alone.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ def frequency_mask(height: int, width: int, nu: float) -> np.ndarray:
 
 
 def low_pass(x: VideoTensor, nu: float) -> VideoTensor:
-    """Keep only FFT bins with normalized radius <= nu (none at nu=0); a full mask copies x."""
+    """Keep only FFT bins with normalized radius <= nu (none at nu=0); a full mask copies x.
+
+    x is a video or any stack of them; every leading axis is filtered in one call.
+    """
     height, width = x.shape[-2:]
     keep = frequency_mask(height, width, nu)
     if keep.all():

@@ -1,7 +1,9 @@
 """Consistency and detail metrics for enhancement outputs.
 
 All metrics operate in the tensors' own value space (frames in [0, 1]);
-no report scaling is applied.
+no report scaling is applied.  metric_report also scores a stack of
+candidates (B, F, C, H, W) against one reference in one call, and each of
+its B reports has the bytes of that row's report alone.
 
 SSIM's Gaussian filter runs as per-row BLAS matrix-vector products (GEMV),
 never as a matrix-matrix product (GEMM).  A banded-matrix GEMM filter is
@@ -25,6 +27,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_C1 = (0.01) ** 2  # (K1 * L)^2 with dynamic range L = 1
 _SSIM_C2 = (0.03) ** 2
+_MSE_LOW_NU = 0.5  # band cutoff of mse_low and of metric_report's mse_low
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def mse(a: VideoTensor, b: VideoTensor) -> float:
     return float(np.mean(diff * diff))
 
 
-def mse_low(a: VideoTensor, b: VideoTensor, nu: float = 0.5) -> float:
+def mse_low(a: VideoTensor, b: VideoTensor, nu: float = _MSE_LOW_NU) -> float:
     """Mean squared difference restricted to the low-frequency band."""
     _require_same_shape(a, b)
     diff = low_pass(a - b, nu)
@@ -86,28 +89,35 @@ def _filter_rows(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(out, -1, -2))
 
 
-def ssim(a: VideoTensor, b: VideoTensor) -> float:
-    """Mean structural similarity with the standard 11x11 Gaussian window.
-
-    Computed per frame and channel over valid window positions, then
-    averaged in frame-major order; expects values in [0, 1] (dynamic
-    range 1).  The maps x, y, x*x, y*y and x*y of a chunk of (frame,
-    channel) pairs are filtered as one stack.
-    """
-    _require_same_shape(a, b)
-    frames, channels, height, width = a.shape
+def check_ssim_window(shape: tuple[int, ...]) -> None:
+    """Raise ValueError when frames of `shape` (..., H, W) are smaller than
+    SSIM's window; the CLI checks its input here before any run starts."""
+    height, width = shape[-2:]
     if height < _SSIM_WINDOW or width < _SSIM_WINDOW:
         raise ValueError(
             f"frames are {height}x{width}; the {_SSIM_WINDOW}x{_SSIM_WINDOW} window does not fit"
         )
-    xs = a.reshape(-1, height, width)  # a view of a C-order video
+
+
+def _ssim_plane_means(a: np.ndarray, b: VideoTensor) -> np.ndarray:
+    """Mean SSIM map of each (frame, channel) pair of a against b, in C order.
+
+    a is b's shape or a stack of such videos: its pairs are compared with b's
+    pairs in turn.  The maps x, y, x*x, y*y and x*y of a chunk of pairs,
+    which may span rows of a stack, are filtered as one stack.
+    """
+    check_ssim_window(b.shape)
+    height, width = b.shape[-2:]
+    xs = a.reshape(-1, height, width)  # a view of a C-order video or stack
     ys = b.reshape(-1, height, width)
     chunk = max(1, _STACK_BYTES // (5 * xs[0].nbytes))
-    total = 0.0
+    means = np.empty(len(xs))
     for start in range(0, len(xs), chunk):
-        x, y = xs[start : start + chunk], ys[start : start + chunk]
-        stack = np.empty((5,) + x.shape)
-        stack[0], stack[1] = x, y
+        stop = min(start + chunk, len(xs))
+        stack = np.empty((5, stop - start, height, width))
+        x, y = stack[0], stack[1]
+        x[...] = xs[start:stop]
+        np.take(ys, range(start, stop), axis=0, out=y, mode="wrap")  # b's pairs, row after row
         np.multiply(x, x, out=stack[2])
         np.multiply(y, y, out=stack[3])
         np.multiply(x, y, out=stack[4])
@@ -117,9 +127,27 @@ def ssim(a: VideoTensor, b: VideoTensor) -> float:
         cov = xy - mu_x * mu_y
         num = (2.0 * mu_x * mu_y + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
         den = (mu_x * mu_x + mu_y * mu_y + _SSIM_C1) * (var_x + var_y + _SSIM_C2)
-        for mean in np.mean(num / den, axis=(1, 2)):
-            total += float(mean)
-    return total / (frames * channels)
+        means[start:stop] = np.mean(num / den, axis=(1, 2))
+    return means
+
+
+def _mean_in_order(means: np.ndarray) -> float:
+    """Mean of a run's pair means, summed one by one in frame-major order."""
+    total = 0.0
+    for mean in means:
+        total += float(mean)
+    return total / len(means)
+
+
+def ssim(a: VideoTensor, b: VideoTensor) -> float:
+    """Mean structural similarity with the standard 11x11 Gaussian window.
+
+    Computed per frame and channel over valid window positions, then
+    averaged in frame-major order; expects values in [0, 1] (dynamic
+    range 1).
+    """
+    _require_same_shape(a, b)
+    return _mean_in_order(_ssim_plane_means(a, b))
 
 
 def spatial_frequency(x: VideoTensor) -> float:
@@ -137,15 +165,36 @@ def spatial_frequency(x: VideoTensor) -> float:
     return float(np.mean(np.sqrt(rf_sq + cf_sq)))
 
 
-def metric_report(a: VideoTensor, b: VideoTensor) -> MetricReport:
-    """Full suite for candidate a against reference b."""
-    sf_a = spatial_frequency(a)
+def metric_report(a: np.ndarray, b: VideoTensor) -> MetricReport | list[MetricReport]:
+    """Full suite for candidate a against reference b.
+
+    a may also be a stack (B, F, C, H, W) of candidates for the one
+    reference; then a list of B reports comes back, each the report of its
+    row alone.  The stack shares one difference, one mse and one mse_low
+    reduction, one band filter, one pass of every row's SSIM pairs and one
+    sf_b; sf_a is computed row by row.
+    """
+    rows = a if a.ndim == 5 else a[None]  # a run is the stack of one
+    _require_same_shape(rows[0], b)
+    diff = rows - b
+    mses = np.mean(diff * diff, axis=(1, 2, 3, 4))
+    low = low_pass(diff, _MSE_LOW_NU)
+    del diff
+    mse_lows = np.mean(low * low, axis=(1, 2, 3, 4))
+    del low
+    ssims = _ssim_plane_means(rows, b).reshape(len(rows), -1)
     sf_b = spatial_frequency(b)
-    return MetricReport(
-        mse=mse(a, b),
-        mse_low=mse_low(a, b),
-        ssim=ssim(a, b),
-        sf_a=sf_a,
-        sf_b=sf_b,
-        d_sf=sf_a - sf_b,
-    )
+    reports = []
+    for row, row_mse, row_mse_low, row_ssims in zip(rows, mses, mse_lows, ssims):
+        sf_a = spatial_frequency(row)
+        reports.append(
+            MetricReport(
+                mse=float(row_mse),
+                mse_low=float(row_mse_low),
+                ssim=_mean_in_order(row_ssims),
+                sf_a=sf_a,
+                sf_b=sf_b,
+                d_sf=sf_a - sf_b,
+            )
+        )
+    return reports if a.ndim == 5 else reports[0]

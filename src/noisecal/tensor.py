@@ -5,6 +5,7 @@ A video tensor is a read-only float64 numpy array of shape
 returns tensors in this form and guarantees all elements are finite.  The
 pipeline also takes a stack of runs on one leading axis, (B, F, C, H, W),
 with one config or stream per row; each row's bytes are those of its run.
+A stack's noise comes from one generator per fill, re-keyed for each row.
 """
 
 from __future__ import annotations
@@ -59,9 +60,12 @@ class RngSeed:
             s = _splitmix64((s ^ _splitmix64(tok & _MASK64)) & _MASK64)
         return RngSeed(self.seed, s)
 
+    def _key(self) -> np.ndarray:
+        """The Philox key of this stream: (seed, stream_id)."""
+        return np.array([self.seed, self.stream_id], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key()))
 
 
 def _freeze(arr: np.ndarray) -> VideoTensor:
@@ -156,12 +160,19 @@ def gaussian_noise(shape: tuple[int, ...], rng: RngSeed | Sequence[RngSeed]) -> 
 
     A run's shape takes one RngSeed.  A stack's shape (B, F, C, H, W) takes
     a sequence of B seeds, and row b is seed b's draw at the run's shape.
+    One generator fills the stack: before each row its bit generator is
+    re-keyed to that row's seed, at counter 0 with an empty buffer, which is
+    the state a fresh seed.generator() starts in.
     """
     rngs = _Runs(rng)
     run_shape = rngs.run_shape(shape)
     out = np.empty(shape, dtype=np.float64)
+    gen = rngs[0].generator()
+    fresh = gen.bit_generator.state  # counter 0, empty buffer
     for row, r in zip(out.reshape((len(rngs),) + run_shape), rngs):
-        r.generator().standard_normal(dtype=np.float64, out=row)
+        fresh["state"]["key"] = r._key()
+        gen.bit_generator.state = fresh
+        gen.standard_normal(dtype=np.float64, out=row)
     return _freeze(out)
 
 

@@ -152,6 +152,27 @@ def test_stack_filters_each_row_at_its_own_nu(tiny_sched, toy_gmm, monkeypatch):
         assert trace.objectives == want_trace.objectives
 
 
+def test_stack_makes_one_fft_per_iteration_for_each_nu_below_1(tiny_sched, toy_gmm, monkeypatch):
+    # the three nu=0.5 rows, adjacent or not, share one filter call per iteration
+    ffts = []
+    real = np.fft.rfft2
+
+    def counted(x, *args, **kwargs):
+        ffts.append(x.shape[0])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    x_ref = gaussian_noise((1, 1, 4, 4), RngSeed(89))
+    eps0 = gaussian_noise((4, 1, 1, 4, 4), [RngSeed(90, b) for b in range(4)])
+    cals = [cal_cfg(n_iters=3, nu=nu) for nu in (0.5, 1.0, 0.5, 0.5)]
+    eps, traces = calibrate_noise(x_ref, eps0, cals, toy_gmm, tiny_sched)
+    assert ffts == [3, 3, 3]  # one rfft2 of the three nu=0.5 rows per iteration
+    for row, trace, cal, row0 in zip(eps, traces, cals, eps0):
+        want, want_trace = calibrate_noise(x_ref, row0, cal, toy_gmm, tiny_sched)
+        assert row.tobytes() == want.tobytes()
+        assert trace.objectives == want_trace.objectives
+
+
 @pytest.mark.parametrize("v", [0.03, 0.3, 3.0])
 @pytest.mark.parametrize("t0", [300, 600, 900])
 @pytest.mark.parametrize("nu", [0.5, 1.0])

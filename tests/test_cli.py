@@ -80,6 +80,19 @@ def enhance(cfg: Path, *extra: str) -> int:
     return main(["enhance", "--config", str(cfg), "--output", str(cfg.parent / "out"), *extra])
 
 
+def denoiser_calls(monkeypatch) -> list:
+    """The level t of every GmmDenoiser.posterior_mean call from here on, in order."""
+    calls = []
+    real = GmmDenoiser.posterior_mean
+
+    def counted(self, x_t, t, s):
+        calls.append(t)
+        return real(self, x_t, t, s)
+
+    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    return calls
+
+
 def frame_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(Path(d).glob("frame_*"))}
 
@@ -221,7 +234,8 @@ def test_enhance_with_gmm_spec(tmp_path):
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
-def test_enhance_frames_below_ssim_window_write_nothing(tmp_path, capsys):
+def test_enhance_frames_below_ssim_window_write_nothing(tmp_path, capsys, monkeypatch):
+    calls = denoiser_calls(monkeypatch)
     cfg = setup_workdir(tmp_path)
     # the same frames and components, now 8x8
     write_frame_prior(small_video(213, 3)[:, :, :8, :8], tmp_path)
@@ -229,6 +243,20 @@ def test_enhance_frames_below_ssim_window_write_nothing(tmp_path, capsys):
     assert enhance(cfg) == EXIT_CONFIG
     assert "window" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert calls == []  # the input is checked before any run starts
+
+
+def test_sweep_frames_below_ssim_window_run_nothing(tmp_path, capsys, monkeypatch):
+    calls = denoiser_calls(monkeypatch)
+    cfg = setup_workdir(tmp_path)
+    write_frame_prior(small_video(213, 3)[:, :, :8, :8], tmp_path)
+    write_video(small_video(213, 2)[:, :, :8, :8], tmp_path / "input")
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30", "--nu-list", "1.0"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window" in captured.err
+    assert calls == []
 
 
 def test_enhance_missing_input_is_io_error(tmp_path, capsys):
@@ -347,14 +375,7 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
 
 def assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message):
     """The config is at fault, not a sweep cell, and no run starts."""
-    calls = []
-    real = GmmDenoiser.posterior_mean
-
-    def counted(self, x_t, t, s):
-        calls.append(t)
-        return real(self, x_t, t, s)
-
-    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    calls = denoiser_calls(monkeypatch)
     cfg = setup_workdir(tmp_path, {"sampler": sampler})
     argv = ["sweep", "--config", str(cfg), "--t0-list", "30", "--nu-list", "1.0"]
     assert main(argv) == EXIT_CONFIG
@@ -845,14 +866,7 @@ def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
     tmp_path, capsys, monkeypatch, t0_list, nu_list, threads
 ):
     # T=50 with 5 steps puts the first grid step at 10; the bad cell comes last
-    calls = []
-    real = GmmDenoiser.posterior_mean
-
-    def counted(self, x_t, t, s):
-        calls.append(t)
-        return real(self, x_t, t, s)
-
-    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    calls = denoiser_calls(monkeypatch)
     cfg = setup_workdir(tmp_path)
     argv = ["sweep", "--config", str(cfg), "--t0-list", t0_list, "--nu-list", nu_list]
     rc = main(argv + ["--threads", threads])
@@ -864,30 +878,48 @@ def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
 
 
 def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monkeypatch):
-    # 8x8 frames are below SSIM's window, so the first stack's metrics fail; the
-    # error must not wait for the other three stacks of one t0 each (22 stacked
-    # calls in all)
-    calls = []
-    real = GmmDenoiser.posterior_mean
+    # the first stack's metrics fail; the error must not wait for the other three
+    # stacks of one t0 each (22 stacked calls in all)
+    calls = denoiser_calls(monkeypatch)
 
-    def counted(self, x_t, t, s):
-        calls.append(t)
-        return real(self, x_t, t, s)
+    def failing_report(x0, x_ref):
+        raise NumericError("metric report of the first stack failed")
 
-    monkeypatch.setattr(GmmDenoiser, "posterior_mean", counted)
+    monkeypatch.setattr(cli, "metric_report", failing_report)
     cfg = setup_workdir(tmp_path)
-    write_frame_prior(small_video(213, 3)[:, :, :8, :8], tmp_path)
-    write_video(small_video(213, 2)[:, :, :8, :8], tmp_path / "input")
     monkeypatch.setattr(cli, "_STACK_BYTES", 4 * read_video(tmp_path / "input").nbytes)
     argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40,50", "--nu-list", "1.0"]
-    assert main(argv + ["--seeds", "4"]) == EXIT_CONFIG
+    assert main(argv + ["--seeds", "4"]) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "window" in captured.err
+    assert "first stack failed" in captured.err
     s = build_schedule(load_config(cfg))
     total = sum(2 + len(ddim_grid(s, 5, t0)) for t0 in (20, 30, 40, 50))
     assert total == 22
-    assert len(calls) < total // 2
+    assert 0 < len(calls) < total // 2
+
+
+def test_sweep_scores_each_stack_with_one_metric_report(tmp_path, capsys, monkeypatch):
+    # 24 runs: one stack at the default budget, four stacks of six at a budget of
+    # six runs' video; every call gets its stack's rows against the one input
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30,40", "--nu-list", "0.5,1.0"]
+    rows = []
+    real = cli.metric_report
+
+    def counted(x0, x_ref):
+        rows.append(x0.shape[0])
+        return real(x0, x_ref)
+
+    monkeypatch.setattr(cli, "metric_report", counted)
+    assert main(argv + ["--seeds", "4"]) == EXIT_OK
+    whole = capsys.readouterr().out
+    assert rows == [24]
+    rows.clear()
+    monkeypatch.setattr(cli, "_STACK_BYTES", 6 * read_video(tmp_path / "input").nbytes)
+    assert main(argv + ["--seeds", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == whole
+    assert rows == [6, 6, 6, 6]
 
 
 def test_sample_is_no_longer_a_command(tmp_path, capsys):

@@ -24,6 +24,12 @@ they replace (np.linalg.norm, np.vdot and a matmul of two vectors).
 SSIM filters the five maps of a chunk of (frame, channel) pairs as one stack,
 and spatial frequency sums squared differences with einsum; the oracles keep
 the per-pair, per-map separable filter and the squared np.diff sums.
+Each per-row job of a stack is one call per stack: the noise of every row
+comes from one generator re-keyed per row, the band split is one low_pass
+per distinct nu, and metric_report scores the whole stack against the one
+reference.  The oracles keep the per-row forms (a fresh generator per row,
+low_pass per row, and a run's report from its per-metric functions with the
+chunked SSIM of one run), and every row must equal its oracle byte for byte.
 """
 
 import json
@@ -58,6 +64,7 @@ from noisecal import (
     linear_beta_schedule,
     low_pass,
     metric_report,
+    mse,
     mse_low,
     nc_sdedit,
     read_tensor,
@@ -68,7 +75,8 @@ from noisecal import (
     write_tensor,
     write_video,
 )
-from noisecal import metrics
+from noisecal import MetricReport, metrics
+from noisecal.calibration import _low_pass_rows
 from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedule, load_config, main
 from noisecal.frequency import frequency_mask
 from noisecal.metrics import spatial_frequency
@@ -587,7 +595,7 @@ def test_sweep_row_equals_standalone_run(tmp_path, capsys):
 def test_sweep_rows_do_not_depend_on_batch_composition(tmp_path, capsys):
     cfg = write_sweep_workspace(tmp_path)
     full = sweep_rows(capsys, cfg, "20,40", "0.5,1.0", 4)
-    for nu_list, seeds in (("0.5,1.0", 1), ("0.5", 4), ("1.0", 2), ("0.5", 1)):
+    for nu_list, seeds in (("0.5,1.0", 1), ("1.0,0.5", 3), ("0.5", 4), ("1.0", 2), ("0.5", 1)):
         part = sweep_rows(capsys, cfg, "20,40", nu_list, seeds)
         assert len(part) == 2 * len(nu_list.split(",")) * seeds
         assert all(full[key] == line for key, line in part.items())
@@ -654,3 +662,92 @@ def test_ssim_and_spatial_frequency_match_per_pair_oracles(monkeypatch, shape, p
     assert ssim(b, a) == pytest.approx(per_pair_ssim(b, a), rel=0, abs=1e-12)
     for x in (a, b):
         assert spatial_frequency(x) == pytest.approx(diff_spatial_frequency(x), rel=0, abs=1e-12)
+
+
+def test_stacked_noise_rows_equal_fresh_generator_draws():
+    """One generator, re-keyed per row, against a fresh generator per row: a
+    short stack after a long one, a row that ends inside a Philox block, and
+    keys that repeat (the same object too) must not carry state between rows."""
+    a, b, c = RngSeed(6600), RngSeed(6600, 1).substream(3), RngSeed(2**64 - 1, 2**64 - 1)
+    for shape, seeds in (
+        ((3, 2, 1, 7, 9), [a, b, a]),
+        ((4, 1, 1, 1, 3), [b, b, c, b]),
+        ((2, 1, 1, 1, 1), [c, RngSeed(2**64 - 1, 2**64 - 1)]),
+        ((1, 1, 1, 5, 5), [a]),
+    ):
+        stack = gaussian_noise(shape, seeds)
+        for row, seed in zip(stack, seeds):
+            assert row.tobytes() == seed.generator().standard_normal(shape[1:]).tobytes()
+    assert gaussian_noise((1, 1, 5, 5), a).tobytes() == a.generator().standard_normal(
+        (1, 1, 5, 5)
+    ).tobytes()
+
+
+def test_per_nu_filter_equals_low_pass_per_row():
+    """Rows of one nu need not be adjacent; each row equals low_pass of it alone."""
+    nus = [0.5, 1.0, 0.5, 0.25]
+    x = gaussian_noise((4, 2, 1, 9, 8), [RngSeed(6700, b) for b in range(4)])
+    for row_nus in (nus, [0.5] * 4, [1.0] * 4):
+        low = _low_pass_rows(x, row_nus)
+        assert low.shape == x.shape
+        for got, row, nu in zip(low, x, row_nus):
+            assert got.tobytes() == low_pass(row, nu).tobytes()
+
+
+def per_run_ssim(a, b):
+    """SSIM of one run, its pairs in chunks of at most metrics._STACK_BYTES of maps."""
+    frames, channels, height, width = a.shape
+    xs, ys = a.reshape(-1, height, width), b.reshape(-1, height, width)
+    chunk = max(1, metrics._STACK_BYTES // (5 * xs[0].nbytes))
+    total = 0.0
+    for start in range(0, len(xs), chunk):
+        x, y = xs[start : start + chunk], ys[start : start + chunk]
+        stack = np.empty((5,) + x.shape)
+        stack[0], stack[1] = x, y
+        np.multiply(x, x, out=stack[2])
+        np.multiply(y, y, out=stack[3])
+        np.multiply(x, y, out=stack[4])
+        mu_x, mu_y, xx, yy, xy = metrics._filter_rows(metrics._filter_rows(stack))
+        var_x = xx - mu_x * mu_x
+        var_y = yy - mu_y * mu_y
+        cov = xy - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + metrics._SSIM_C1) * (2.0 * cov + metrics._SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + metrics._SSIM_C1) * (var_x + var_y + metrics._SSIM_C2)
+        for mean in np.mean(num / den, axis=(1, 2)):
+            total += float(mean)
+    return total / (frames * channels)
+
+
+def per_run_report(a, b):
+    """The report of one run from its per-metric functions, sf_b included."""
+    sf_a, sf_b = spatial_frequency(a), spatial_frequency(b)
+    return MetricReport(
+        mse=mse(a, b), mse_low=mse_low(a, b), ssim=per_run_ssim(a, b),
+        sf_a=sf_a, sf_b=sf_b, d_sf=sf_a - sf_b,
+    )
+
+
+def as_video_stack(noise):
+    """Noise moved into [0, 1], as a read-only stack."""
+    return _freeze(np.clip(noise * 0.2 + 0.5, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2, 3, 17, 23), (3, 1, 1, 255, 255), (2, 3, 3, 33, 47), (4, 1, 1, 11, 11)]
+)
+@pytest.mark.parametrize("pairs_per_chunk", [None, 4], ids=["default-chunk", "4-pair-chunk"])
+def test_stacked_metric_report_equals_per_run_reports(monkeypatch, shape, pairs_per_chunk):
+    """Every field of every row, byte for byte.  At 4 pairs a chunk, SSIM
+    chunks cross rows of 6 and 9 pairs and split them."""
+    if pairs_per_chunk is not None:
+        monkeypatch.setattr(metrics, "_STACK_BYTES", pairs_per_chunk * 5 * shape[-2] * shape[-1] * 8)
+    seeds = [RngSeed(6800 + shape[0], k) for k in range(shape[0])]
+    stack = as_video_stack(gaussian_noise(shape, seeds))
+    ref = metric_pair(6900 + shape[0], shape[1:])[0]
+    reports = metric_report(stack, ref)
+    assert len(reports) == shape[0]
+    for report, row in zip(reports, stack):
+        want = per_run_report(row, ref).to_csv_row()
+        assert report.to_csv_row() == want
+        assert metric_report(row, ref).to_csv_row() == want  # a run is the stack of one
+
