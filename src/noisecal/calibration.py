@@ -26,7 +26,6 @@ from __future__ import annotations
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -183,13 +182,13 @@ def nc_sdedit(
     cfg and sampler are one run's configs, or equal-length sequences of B
     runs' configs on the one reference, which must share n_iters, eta and
     num_steps; x0 is then the stack, with a list of B traces, both in the
-    order given.  A single run is the stack of one.  The runs advance as one
-    (B, F, C, H, W) stack, ordered by decreasing start: the runs of each
-    start are calibrated together, at one denoiser call per iteration, and
-    then every run joins the reverse pass at its start, sharing one call per
-    step with the runs already on the way.  Each grid is a suffix of the
-    longest (ddim_grid filters one list), so every row steps as it would
-    alone.
+    order given.  A single run is the stack of one.  Only here may the runs
+    of a stack start at different levels: each grid is a suffix of the
+    longest (ddim_grid filters one list), and the starts are taken in
+    decreasing order.  The runs of a start are calibrated together, at one
+    call per iteration, join the rows on the way, and the stack runs the
+    reverse pass down to the next start, one call per step.  A pass split at
+    a grid step is the whole pass, so every row steps as it would alone.
     """
     cals, samps = _Runs(cfg), _Runs(sampler)
     if (cals.stacked, len(cals)) != (samps.stacked, len(samps)):
@@ -202,22 +201,24 @@ def nc_sdedit(
     grids = [ddim_grid(s, num_steps, cal.t0) for cal in cals]
     order = sorted(range(len(cals)), key=lambda b: -grids[b][0])  # stable
     stack = [replace(cals[b], t0=grids[b][0]) for b in order]
-    parts, traces = [], []
-    for t0, group in groupby(stack, key=lambda cal: cal.t0):
-        group = list(group)
+    starts = sorted({cal.t0 for cal in stack}, reverse=True)
+    x, firsts, traces = None, [], []
+    for t0, stop in zip(starts, starts[1:] + [0]):
+        group = [cal for cal in stack if cal.t0 == t0]
         eps0 = gaussian_noise((len(group),) + x_ref.shape, [cal.rng for cal in group])
         eps, group_traces = calibrate_noise(x_ref, eps0, group, d, s)
-        parts.append(forward_noise(np.broadcast_to(x_ref, eps.shape), t0, eps, s))
         traces += group_traces
-    x_t0 = parts[0] if len(parts) == 1 else _freeze(np.concatenate(parts))
-    starts = [cal.t0 for cal in stack]
-    x0, first_x0_hat = denoise_from(x_t0, grids[order[0]], d, s, [samps[b] for b in order], starts)
+        x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), t0, eps, s)
+        x = x_t0 if x is None else _freeze(np.concatenate([x, x_t0]))
+        segment = [t for t in grids[order[0]] if stop < t <= t0]
+        x, x0_hat = denoise_from(x, segment, d, s, [samps[b] for b in order[: len(x)]], stop)
+        firsts.append(x0_hat[-len(group) :])  # the joining rows' first estimates
     # the first sampling evaluation doubles as the final objective reading
-    low = _low_pass_rows(first_x0_hat - x_ref, [cal.nu for cal in stack])
+    low = _low_pass_rows(np.concatenate(firsts) - x_ref, [cal.nu for cal in stack])
     for b, trace, low_row in zip(order, traces, low):
         trace.objectives.append(l2_norm(low_row))
         trace.sampling_calls = len(grids[b])
     if order != sorted(order):  # back to the order given
         back = np.argsort(order)
-        x0, traces = _freeze(x0[back]), [traces[i] for i in back]
-    return cals.given(x0), cals.given(traces)
+        x, traces = _freeze(x[back]), [traces[i] for i in back]
+    return cals.given(x), cals.given(traces)

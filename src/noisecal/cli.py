@@ -23,7 +23,7 @@ from .denoiser import GmmDenoiser
 from .diffusion import SamplerConfig
 from .metrics import check_ssim_window, metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
-from .tensor import NumericError, RngSeed, _finite_number
+from .tensor import NumericError, RngSeed, _finite_number, _unique_keys
 from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
 EXIT_OK = 0
@@ -123,8 +123,8 @@ def load_config(path) -> RunConfig:
     checked by building the schedule, the sampling grid and the run configs."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as e:  # a JSONDecodeError, or a key given twice
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -251,9 +251,8 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
         except ValueError as e:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
 
-    # every grid is a suffix of the largest t0's, so runs of any t0 step as one
-    # stack, sharing the steps below their starts; cut in job order into
-    # stacks of at most _STACK_BYTES of video
+    # runs of any t0 share a stack (nc_sdedit staggers their starts); cut in
+    # job order into stacks of at most _STACK_BYTES of video
     size = max(1, _STACK_BYTES // x_ref.nbytes)
     stacks = [runs[j : j + size] for j in range(0, len(runs), size)]
     failed = threading.Event()  # set by a failing stack, so that no later stack starts work
@@ -287,16 +286,15 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     return EXIT_OK
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer flag with a floor; a usage error below it."""
-
-    def integer(text: str) -> int:
-        v = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if v < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
-        return v
-
-    return integer
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1; anything else is a usage error."""
+    try:
+        v = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
 
 
 def _numbers(text: str) -> list:
@@ -330,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_enh)
     p_enh.add_argument("--output", required=True, help="directory for frames, trace and metrics")
     p_enh.add_argument(
-        "--threads", type=_int_at_least(1), default=1, help="frame-write parallelism"
+        "--threads", type=_positive_int, default=1, help="frame-write parallelism"
     )
 
     p_met = sub.add_parser("metrics", help="compare two frame directories")
@@ -341,9 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_swp)
     p_swp.add_argument("--t0-list", type=_numbers, required=True, help="comma-separated t0 values")
     p_swp.add_argument("--nu-list", type=_numbers, required=True, help="comma-separated nu values")
-    p_swp.add_argument("--seeds", type=_int_at_least(1), default=1, help="seeds per cell")
+    p_swp.add_argument("--seeds", type=_positive_int, default=1, help="seeds per cell")
     p_swp.add_argument(
-        "--threads", type=_int_at_least(1), default=1, help="parallelism over stacks of runs"
+        "--threads", type=_positive_int, default=1, help="parallelism over stacks of runs"
     )
     return parser
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .tensor import VideoTensor, _finite_number, _freeze, as_video
+from .tensor import VideoTensor, _finite_number, _freeze, _unique_keys, as_video
 
 
 class Denoiser(abc.ABC):
@@ -88,7 +88,10 @@ class GmmDenoiser(Denoiser):
         from .vio import read_tensor
 
         path = Path(path)
-        spec = json.loads(path.read_text())
+        try:
+            spec = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        except ValueError as e:  # a JSONDecodeError, or a key given twice
+            raise ValueError(f"{path}: invalid JSON: {e}") from None
         if not isinstance(spec, list) or not spec:
             raise ValueError(f"{path}: expected a nonempty JSON list of components")
         weights, means, variances = [], None, []

@@ -5,7 +5,8 @@ gap; its noise scale is eta * the largest variance consistent with the
 marginals, for eta in [0, 1].  eta=0 is the deterministic limit, and eta=1
 on consecutive steps is the DDPM ancestral step.  A step to t_prev=0 lands
 on its clean estimate, so every reverse pass, the full ancestral chain
-included, is denoise_from over a grid.
+included, is denoise_from over a grid; a pass stopped at a grid step and
+continued from there is the whole pass.
 
 Every function here takes one run (F, C, H, W) or a stack of runs
 (B, F, C, H, W) that step together; each run of a stack draws from its own
@@ -14,7 +15,6 @@ streams, so its bytes are those it has alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -104,43 +104,30 @@ def denoise_from(
     d: Denoiser,
     s: NoiseSchedule,
     cfg: SamplerConfig | Sequence[SamplerConfig],
-    starts: Sequence[int] | None = None,
+    stop: int = 0,
 ) -> tuple[VideoTensor, VideoTensor]:
-    """Run the reverse pass along a nonempty decreasing timestep grid to t=0.
+    """Run the reverse pass along a nonempty decreasing timestep grid to stop.
 
-    Steps pairwise along the grid and then from its smallest timestep to 0,
-    which lands on that step's clean estimate.  Per-step noise draws use
-    substreams keyed by timestep, so the step budget does not reshuffle
-    unrelated draws.  Exactly one denoiser evaluation per grid entry.
+    Steps pairwise along the grid and then from its smallest timestep to
+    stop, below it; at stop=0 that lands on the step's clean estimate.  The
+    pass along grid[:k] to stop=grid[k], continued along grid[k:], is the
+    whole pass.  Per-step noise draws use substreams keyed by timestep, so
+    the step budget does not reshuffle unrelated draws.  Exactly one
+    denoiser evaluation per grid entry.
 
     cfg is one SamplerConfig for a run, or one per row for a stack; the runs
-    of a stack share eta.  A stack's rows may enter at their own grid steps:
-    starts lists each row's first timestep, nonincreasing down the stack from
-    grid[0], so the rows stepping at any level are a prefix of the stack.  A
-    row carries x_t0 untouched until its start, and then steps on the grid
-    below it, as it would alone.  By default every row starts at grid[0].
-    Returns the clean output and each row's clean estimate from its first
-    denoiser evaluation, which costs nothing extra.
+    of a stack share eta.  Returns the iterate at stop and the clean estimate
+    from the first denoiser evaluation, which costs nothing extra.
     """
     if not grid:
         raise ValueError("denoise_from needs a nonempty timestep grid")
     runs = _Runs(cfg)
     runs.run_shape(x_t0.shape)
     _shared(runs, "eta")  # so that runs[0] steps for all of them
-    starts = [grid[0]] * len(runs) if starts is None else list(starts)
-    joins = [grid.index(t) if t in grid else -1 for t in starts]  # where each row enters
-    if len(joins) != len(runs) or joins[0] != 0 or joins != sorted(joins):
-        raise ValueError(
-            f"starts must be one step of {grid} per run, nonincreasing from {grid[0]}, got {starts}"
-        )
-    x = x_t0 if runs.stacked else x_t0[None]  # a run is the stack of one
-    firsts = []
-    for i, (t, t_prev) in enumerate(zip(grid, grid[1:] + [0])):
-        lo, n = bisect_left(joins, i), bisect_right(joins, i)  # rows lo..n enter at t
-        rng = [run.rng.substream(t) for run in runs[:n]]
-        stepped, x0_hat = ddim_step(x[:n], t, t_prev, d, s, runs[0], rng)
-        x = stepped if n == len(x) else _freeze(np.concatenate([stepped, x[n:]]))
-        if lo < n:
-            firsts.append(x0_hat[lo:])
-    first_x0_hat = firsts[0] if len(firsts) == 1 else _freeze(np.concatenate(firsts))
-    return runs.given(x), runs.given(first_x0_hat)
+    x, first_x0_hat = x_t0, None
+    for t, t_prev in zip(grid, grid[1:] + [stop]):
+        rng = runs.given([run.rng.substream(t) for run in runs])
+        x, x0_hat = ddim_step(x, t, t_prev, d, s, runs[0], rng)
+        if first_x0_hat is None:
+            first_x0_hat = x0_hat
+    return x, first_x0_hat

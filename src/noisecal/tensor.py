@@ -83,6 +83,16 @@ def _finite_number(v, what: str):
     return v
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: the object, unless a key is given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def as_video(data) -> VideoTensor:
     """Coerce array-like data to a validated video tensor.
 

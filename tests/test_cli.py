@@ -373,6 +373,37 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, overrides, spe
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "file,old,new,key",
+    [
+        ("cfg.json", '"N": 2', '"N": 2, "N": 0', "N"),
+        ("cfg.json", '"io": {', '"calibration": {"N": 0}, "io": {', "calibration"),
+        ("prior.json", '"weight": 1.0', '"weight": 1.0, "weight": 2.0', "weight"),
+    ],
+    ids=["key", "section", "spec-weight"],
+)
+def test_key_given_twice_is_config_error(tmp_path, capsys, monkeypatch, file, old, new, key):
+    """json.loads alone keeps the last of two equal keys, so "N": 2, "N": 0 would
+    run uncalibrated and exit 0.  A config at fault is refused before any frame
+    is read; the spec is read after the frames, and still before any run."""
+    calls = denoiser_calls(monkeypatch)
+    reads = []
+    read_video_ = cli.read_video
+    monkeypatch.setattr(cli, "read_video", lambda path: reads.append(path) or read_video_(path))
+    cfg = setup_workdir(tmp_path)
+    path = tmp_path / file
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    assert enhance(cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: invalid JSON: key {key!r} is given twice" in captured.err
+    assert calls == []
+    assert (reads == []) == (file == "cfg.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == _WORKDIR
+
+
 def assert_sweep_config_rejected(tmp_path, capsys, monkeypatch, sampler, message):
     """The config is at fault, not a sweep cell, and no run starts."""
     calls = denoiser_calls(monkeypatch)
@@ -768,8 +799,9 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
 
 
 def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypatch):
-    # one stack of every run: N calls per t0 group, largest t0 first, then one call
-    # per step of the largest t0's grid, which each group joins at its start
+    # one stack of every run, largest t0 first: each t0 group makes its N calls
+    # when the pass reaches its start, then joins the stack, which makes one call
+    # per step of the largest t0's grid
     calls = []
     real = GmmDenoiser.posterior_mean
 
@@ -784,8 +816,8 @@ def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypa
     s = build_schedule(load_config(cfg))
     assert ddim_grid(s, 5, 40) == [40, 30, 20, 10]
     # 2 nu values x 2 seeds in every group
-    assert calls == [(40, 4)] * 2 + [(30, 4)] * 2 + [(20, 4)] * 2 + [
-        (40, 4), (30, 8), (20, 12), (10, 12)
+    assert calls == [(40, 4)] * 3 + [(30, 4)] * 2 + [(30, 8)] + [(20, 4)] * 2 + [
+        (20, 12), (10, 12)
     ]
 
 

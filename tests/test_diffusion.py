@@ -257,24 +257,29 @@ def test_denoise_from_single_entry_grid_returns_output_twice(sched):
     assert first_x0_hat.tobytes() == out.tobytes()
 
 
-def test_denoise_from_rows_enter_at_their_starts(sched):
-    # each row steps on the grid below its start, as it would alone, and the
-    # stack makes one call per entry of the longest grid
+@pytest.mark.parametrize("rows", [None, 3])
+def test_denoise_from_split_at_a_grid_step_is_the_whole_pass(sched, rows):
+    # the pass down to grid[k], continued along grid[k:], is the whole pass,
+    # byte for byte, for a run and for a stack, at one call per grid entry
     rng = RngSeed(40)
     counter = CountingDenoiser(GmmDenoiser([(1.0, gaussian_noise((1, 1, 4, 4), rng), 0.2)]))
-    x = gaussian_noise((3, 1, 1, 4, 4), [rng.substream(b) for b in range(3)])
-    cfgs = [cfg_for(1.0, seed=b) for b in range(3)]
+    if rows is None:
+        x, cfg = gaussian_noise((1, 1, 4, 4), rng.substream(0)), cfg_for(1.0, seed=0)
+    else:
+        x = gaussian_noise((rows, 1, 1, 4, 4), [rng.substream(b) for b in range(rows)])
+        cfg = [cfg_for(1.0, seed=b) for b in range(rows)]
     grid = ddim_grid(sched, 30, 600)
-    starts = [grid[0], grid[2], grid[2]]
-    out, first_x0_hat = denoise_from(x, grid, counter, sched, cfgs, starts)
-    assert counter.calls == len(grid)
-    for row, first, x_row, cfg, start in zip(out, first_x0_hat, x, cfgs, starts):
-        want, want_first = denoise_from(x_row, grid[grid.index(start):], counter, sched, cfg)
-        assert row.tobytes() == want.tobytes()
-        assert first.tobytes() == want_first.tobytes()
-    for bad in ([grid[2], grid[0], grid[0]], [grid[1]] * 3, [grid[0], 599, 599], grid[:2]):
-        with pytest.raises(ValueError, match="starts"):
-            denoise_from(x, grid, counter, sched, cfgs, bad)
+    whole, whole_first = denoise_from(x, grid, counter, sched, cfg)
+    for k in (1, 2, len(grid) // 2, len(grid) - 1):
+        counter.calls = 0
+        mid, first = denoise_from(x, grid[:k], counter, sched, cfg, stop=grid[k])
+        out, _ = denoise_from(mid, grid[k:], counter, sched, cfg)
+        assert counter.calls == len(grid)
+        assert out.tobytes() == whole.tobytes()
+        assert first.tobytes() == whole_first.tobytes()
+    for stop in (grid[-1], grid[-1] + 1, -1):
+        with pytest.raises(ValueError, match="t_prev"):
+            denoise_from(x, grid, counter, sched, cfg, stop=stop)
 
 
 @pytest.mark.parametrize("scale", [1e6, -1e6])

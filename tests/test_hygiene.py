@@ -2,7 +2,8 @@
 every name in __all__ is used by code outside the module that defines it, every
 top-level function and class of the package is named somewhere beyond its
 definition, private names stay inside their modules, and every package name
-and config field the benchmark harness looks up exists."""
+and config field the benchmark harness looks up exists; of its span targets,
+only four known to be stale may not."""
 
 import ast
 import dataclasses
@@ -163,3 +164,31 @@ def test_every_package_name_the_benchmark_uses_exists():
                 elif owner == "cfg" and node.attr not in fields:
                     missing.append(f"{where}:{node.lineno}: cli.RunConfig.{node.attr}")
     assert missing == [], "perfbench uses names the package does not have:\n" + "\n".join(missing)
+
+
+# span targets known not to resolve; the benchmark change that mends them may
+# shrink this set, and nothing may join it
+STALE_SPAN_TARGETS = {
+    "noisecal.calibration.sdedit_init",
+    "noisecal.calibration.high_pass",
+    "noisecal.calibration.content_objective",
+    "noisecal.cli.write_pnm",
+}
+
+
+def test_every_span_target_resolves():
+    # perfbench skips a span target the package no longer has, so its per-layer
+    # figure would go missing without an error
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS"
+    )
+    missing = set()
+    for _, owner, attr in targets:
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        if not hasattr(getattr(obj, cls) if cls else obj, attr):
+            missing.add(f"{module}.{cls + '.' if cls else ''}{attr}")
+    assert missing <= STALE_SPAN_TARGETS, f"span targets gone: {sorted(missing - STALE_SPAN_TARGETS)}"

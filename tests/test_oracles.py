@@ -593,11 +593,20 @@ def test_sweep_row_equals_standalone_run(tmp_path, capsys):
 
 
 def test_sweep_rows_do_not_depend_on_batch_composition(tmp_path, capsys):
+    # the t0 lists "40,20" and "30,40,20" put the groups of a stack out of list order
     cfg = write_sweep_workspace(tmp_path)
-    full = sweep_rows(capsys, cfg, "20,40", "0.5,1.0", 4)
-    for nu_list, seeds in (("0.5,1.0", 1), ("1.0,0.5", 3), ("0.5", 4), ("1.0", 2), ("0.5", 1)):
-        part = sweep_rows(capsys, cfg, "20,40", nu_list, seeds)
-        assert len(part) == 2 * len(nu_list.split(",")) * seeds
+    full = sweep_rows(capsys, cfg, "20,30,40", "0.5,1.0", 4)
+    for t0_list, nu_list, seeds in (
+        ("20,40", "0.5,1.0", 1),
+        ("20,40", "1.0,0.5", 3),
+        ("20,40", "0.5", 4),
+        ("20,40", "1.0", 2),
+        ("20,40", "0.5", 1),
+        ("40,20", "0.5,1.0", 2),
+        ("30,40,20", "1.0", 3),
+    ):
+        part = sweep_rows(capsys, cfg, t0_list, nu_list, seeds)
+        assert len(part) == len(t0_list.split(",")) * len(nu_list.split(",")) * seeds
         assert all(full[key] == line for key, line in part.items())
 
 
