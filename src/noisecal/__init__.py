@@ -1,12 +1,6 @@
 """Reference-guided diffusion enhancement with fixed-point noise calibration."""
 
-from .calibration import (
-    CalibrationConfig,
-    CalibrationTrace,
-    calibrate_noise,
-    nc_sdedit,
-    replace_low_freq,
-)
+from .calibration import CalibrationConfig, calibrate_noise, nc_sdedit
 from .denoiser import Denoiser, GmmDenoiser
 from .diffusion import (
     SamplerConfig,
@@ -15,7 +9,7 @@ from .diffusion import (
     estimate_x0,
     forward_noise,
 )
-from .frequency import content_objective, high_pass, low_pass
+from .frequency import low_pass
 from .metrics import MetricReport, metric_report, mse, mse_low, ssim
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import (
@@ -40,7 +34,6 @@ from .vio import (
 
 __all__ = [
     "CalibrationConfig",
-    "CalibrationTrace",
     "Denoiser",
     "GmmDenoiser",
     "MetricReport",
@@ -55,14 +48,12 @@ __all__ = [
     "band_limited_field",
     "blurred",
     "calibrate_noise",
-    "content_objective",
     "ddim_grid",
     "ddim_step",
     "denoise_from",
     "estimate_x0",
     "forward_noise",
     "gaussian_noise",
-    "high_pass",
     "l2_norm",
     "linear_beta_schedule",
     "low_pass",
@@ -73,7 +64,6 @@ __all__ = [
     "read_pnm",
     "read_tensor",
     "read_video",
-    "replace_low_freq",
     "ssim",
     "toy_benchmark",
     "toy_schedule",

@@ -13,8 +13,9 @@ Each iteration maps the current noise eps to
 
 with x_t0 rebuilt from eps and x0_hat the one-shot clean estimate.  One
 low_pass of the gap x0_hat - x_ref gives the objective (its norm) and f_h
-(the gap minus it).  The equivalent view (replace_low_freq) overwrites the
-low band of x_t0 with the reference's; both agree to roundoff.
+(the gap minus it).  In terms of x_t0 the update overwrites the low band of
+x_t0 with the reference's; tests/test_oracles.py keeps that form
+(replace_low_freq) as the oracle the loop must agree with to roundoff.
 
 A stack of runs is filtered with one low_pass call per distinct nu, in each
 iteration and in the final objective reading; each run's objective is the
@@ -37,7 +38,6 @@ from .tensor import (
     RngSeed,
     VideoTensor,
     _freeze,
-    _require_same_shape,
     _Runs,
     _shared,
     gaussian_noise,
@@ -144,24 +144,6 @@ def calibrate_noise(
             trace.objectives.append(l2_norm(low_row))
         eps = _freeze(eps_pred + coef * (gap - low.reshape(gap.shape)))
     return eps, runs.given(traces)
-
-
-def replace_low_freq(
-    x_t0: VideoTensor,
-    x_ref: VideoTensor,
-    x0_hat: VideoTensor,
-    t0: int,
-    nu: float,
-    s: NoiseSchedule,
-) -> VideoTensor:
-    """Overwrite the low band of a noisy iterate with the reference's.
-
-    Affine form of one calibration iteration acting on x_t0 directly:
-    x_t0 + signal_scale(t0) * (f_l(x_ref) - f_l(x0_hat)).
-    """
-    _require_same_shape(x_t0, x_ref)
-    _require_same_shape(x_t0, x0_hat)
-    return _freeze(x_t0 + s.signal_scale(t0) * low_pass(x_ref - x0_hat, nu))
 
 
 def nc_sdedit(

@@ -205,10 +205,9 @@ def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
     d = build_denoiser(cfg, x_ref.shape[0])
     cal, samp = _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
     x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
-    report = metric_report(x0, x_ref)
-
     out = Path(output_dir)
-    write_video(x0, out, threads)
+    x0 = write_video(x0, out, threads)  # the frames as written, which metrics.json scores
+    report = metric_report(x0, x_ref)
     (out / "trace.csv").write_text(trace.to_csv())
     (out / "metrics.json").write_text(report.to_json() + "\n")
     print(

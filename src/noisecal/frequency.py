@@ -1,4 +1,4 @@
-"""Fourier-domain band splitting and the content objective built on it.
+"""Fourier-domain band splitting: one low-pass filter over cached box masks.
 
 A cutoff nu in [0, 1] selects the set of 2-D FFT bins whose normalized
 frequency radius is at most nu.  Filtering is spatial only, applied
@@ -6,9 +6,10 @@ independently per frame and channel.  low_pass is the one filter: the mask
 is conjugate symmetric, so it runs on the real FFT's half-plane and its
 output is real by construction, and a mask that passes every bin (nu=1)
 runs no FFT at all.  The high band is the residual x - low_pass(x), so the
-two bands sum back to x.  The filter acts on the last two axes, so one call
-filters a whole stack of runs (B, F, C, H, W), each row to the bytes it has
-alone.
+two bands sum back to x, and the content objective is the norm of the
+gap's low band, l2_norm(low_pass(x0_hat - x_ref)).  The filter acts on the
+last two axes, so one call filters a whole stack of runs (B, F, C, H, W),
+each row to the bytes it has alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import VideoTensor, _freeze, _require_same_shape, l2_norm
+from .tensor import VideoTensor, _freeze
 
 
 @lru_cache(maxsize=64)
@@ -55,13 +56,3 @@ def low_pass(x: VideoTensor, nu: float) -> VideoTensor:
     spectrum *= keep[:, : width // 2 + 1]
     return _freeze(np.fft.irfft2(spectrum, s=(height, width)))
 
-
-def high_pass(x: VideoTensor, nu: float) -> VideoTensor:
-    """Residual of low_pass: bins with normalized radius > nu."""
-    return _freeze(x - low_pass(x, nu))
-
-
-def content_objective(x_ref: VideoTensor, x0_hat: VideoTensor, nu: float) -> float:
-    """L2 distance between the low-frequency bands of reference and estimate."""
-    _require_same_shape(x_ref, x0_hat)
-    return l2_norm(low_pass(x0_hat - x_ref, nu))

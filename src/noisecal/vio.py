@@ -83,7 +83,7 @@ def read_pnm(path) -> np.ndarray:
     magic, width, height, _, pos = _read_pnm_header(blob, path)
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    payload = blob[pos : pos + need]
+    payload = blob[pos:]  # bytes past the frame, such as a second image, are an error
     if len(payload) != need:
         raise PnmFormatError(f"{path}: payload has {len(payload)} bytes, expected {need}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
@@ -91,11 +91,12 @@ def read_pnm(path) -> np.ndarray:
     return np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64) / 255.0
 
 
-def write_pnm(frame: np.ndarray, path) -> None:
+def write_pnm(frame: np.ndarray, path) -> np.ndarray:
     """Write a (C, H, W) array in [0, 1] as binary P5/P6, maxval 255.
 
     Values are clamped to [0, 1] then quantized round-half-up, so 0.5 maps
-    to byte 128; goldens depend on this convention.
+    to byte 128; goldens depend on this convention.  Returns the frame
+    read_pnm reads back from the file.
     """
     path = Path(path)
     channels, height, width = frame.shape
@@ -109,6 +110,7 @@ def write_pnm(frame: np.ndarray, path) -> None:
         magic, payload = b"P6", data.transpose(1, 2, 0).tobytes()
     header = magic + b"\n" + f"{width} {height}\n255\n".encode("ascii")
     _atomic_write_bytes(path, header + payload)
+    return data / 255.0  # read_pnm's conversion of the same bytes
 
 
 # -- frame directories --
@@ -147,11 +149,13 @@ def read_video(dir_path) -> VideoTensor:
     return _freeze(np.stack(frames))  # frozen in place: no second copy
 
 
-def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
+def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
     """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3).
 
     Other frame files in the directory are removed.  threads > 1 writes from
-    a thread pool; the bytes on disk do not depend on it.
+    a thread pool; the bytes on disk do not depend on it.  Returns the
+    tensor read_video reads back from the directory: x clamped and 8-bit
+    quantized.
     """
     channels = x.shape[1]
     if channels not in (1, 3):
@@ -162,12 +166,18 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> None:
     paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(x.shape[0])]
     for stale in {p for p in dir_path.iterdir() if _FRAME_RE.match(p.name)} - set(paths):
         stale.unlink()
+    written = np.empty(x.shape)
+
+    def write(i: int) -> None:  # into place at once: frames held by pool threads cost memory
+        written[i] = write_pnm(x[i], paths[i])
+
     if threads <= 1:
-        for frame, p in zip(x, paths):
-            write_pnm(frame, p)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(write_pnm, x, paths))
+        for i in range(len(paths)):
+            write(i)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(write, range(len(paths))))
+    return _freeze(written)
 
 
 # -- raw tensor container --

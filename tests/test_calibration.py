@@ -1,4 +1,4 @@
-"""Noise calibration loop, its affine twin, and the full pipeline."""
+"""Noise calibration loop, its affine twin (kept in test_oracles), and the full pipeline."""
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from noisecal import (
     linear_beta_schedule,
     low_pass,
     nc_sdedit,
-    replace_low_freq,
 )
+from test_oracles import replace_low_freq
 
 
 def one_pixel(v):

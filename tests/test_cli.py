@@ -200,6 +200,16 @@ def test_enhance_end_to_end(tmp_path, capsys):
     assert list(report) == ["mse", "mse_low", "ssim", "sf_a", "sf_b", "d_sf"]
 
 
+def test_enhance_metrics_json_scores_the_written_frames(tmp_path, capsys):
+    # the report is of the frames on disk, clamped and 8-bit quantized, so it
+    # is the report `metrics` prints for the output and the input
+    cfg = setup_workdir(tmp_path)
+    assert enhance(cfg) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["metrics", str(out), str(tmp_path / "input")]) == EXIT_OK
+    assert (out / "metrics.json").read_text() == capsys.readouterr().out
+
+
 def test_enhance_rerun_is_byte_identical(tmp_path):
     cfg = setup_workdir(tmp_path)
     main(["enhance", "--config", str(cfg), "--output", str(tmp_path / "o1")])
@@ -734,6 +744,16 @@ def test_metrics_two_files_for_one_frame_exit2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "frame index 00000" in captured.err
+
+
+def test_metrics_frame_with_trailing_bytes_exit2(tmp_path, capsys):
+    write_video(small_video(227), tmp_path / "a")
+    frame = tmp_path / "a" / "frame_00001.pgm"
+    frame.write_bytes(2 * frame.read_bytes())  # a second image after the first
+    assert main(["metrics", str(tmp_path / "a"), str(tmp_path / "a")]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frame_00001.pgm" in captured.err
 
 
 # ---------------------------------------------------------------- sweep

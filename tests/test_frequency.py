@@ -1,4 +1,5 @@
-"""Band splitting: masks, filters, and the content objective."""
+"""Band splitting: masks, low_pass, the high band as its residual, and the
+content objective as the norm of the gap's low band."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from noisecal import (
     RngSeed,
     as_video,
     blurred,
-    content_objective,
     gaussian_noise,
-    high_pass,
     l2_norm,
     low_pass,
 )
@@ -102,25 +101,16 @@ def test_low_pass_nyquist_cosine_removed():
     np.testing.assert_allclose(low_pass(x, 0.5), 0.0, atol=1e-10)
 
 
-def test_high_pass_nu1_is_zero():
-    x = gaussian_noise((1, 1, 8, 8), RngSeed(41))
-    np.testing.assert_allclose(high_pass(x, 1.0), 0.0, atol=1e-10)
-
-
-def test_high_pass_nu0_is_identity():
+def test_low_pass_nu0_is_zero():
     x = gaussian_noise((1, 1, 8, 8), RngSeed(42))
-    np.testing.assert_allclose(high_pass(x, 0.0), x, atol=1e-10)
-
-
-def test_high_pass_keeps_nyquist_cosine():
-    x = nyquist_columns()
-    np.testing.assert_allclose(high_pass(x, 0.5), x, atol=1e-10)
+    np.testing.assert_allclose(low_pass(x, 0.0), 0.0, atol=1e-10)
 
 
 def test_filters_work_on_odd_sizes():
     x = gaussian_noise((1, 1, 7, 9), RngSeed(43))
     np.testing.assert_allclose(low_pass(x, 1.0), x, atol=1e-10)
-    np.testing.assert_allclose(low_pass(x, 0.3) + high_pass(x, 0.3), x, atol=1e-10)
+    lo = low_pass(x, 0.3)
+    assert abs(float(np.sum(lo * (x - lo)))) <= 1e-10  # the two bands are orthogonal
 
 
 # ---------------------------------------------------------------- objective
@@ -128,26 +118,19 @@ def test_filters_work_on_odd_sizes():
 
 def test_objective_zero_on_identical_inputs():
     x = gaussian_noise((1, 1, 8, 8), RngSeed(44))
-    assert content_objective(x, x, 0.7) == 0.0
+    assert l2_norm(low_pass(x - x, 0.7)) == 0.0
 
 
 def test_objective_zero_at_nu0():
     a = gaussian_noise((1, 1, 8, 8), RngSeed(45))
     b = gaussian_noise((1, 1, 8, 8), RngSeed(46))
-    assert content_objective(a, b, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert l2_norm(low_pass(b - a, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_nu1_is_plain_l2():
     a = gaussian_noise((1, 1, 8, 8), RngSeed(47))
     b = gaussian_noise((1, 1, 8, 8), RngSeed(48))
-    assert content_objective(a, b, 1.0) == pytest.approx(l2_norm(a - b), abs=1e-9)
-
-
-def test_objective_shape_mismatch():
-    a = gaussian_noise((1, 1, 8, 8), RngSeed(49))
-    b = gaussian_noise((1, 1, 8, 9), RngSeed(50))
-    with pytest.raises(ValueError):
-        content_objective(a, b, 0.5)
+    assert l2_norm(low_pass(b - a, 1.0)) == pytest.approx(l2_norm(a - b), abs=1e-9)
 
 
 # ---------------------------------------------------------------- properties
@@ -160,7 +143,8 @@ _dim = st.sampled_from([4, 5, 8, 9])
 @given(st.integers(0, 2**32 - 1), _nu, _dim, _dim)
 def test_split_reconstructs_exactly(seed, nu, h, w):
     x = gaussian_noise((1, 1, h, w), RngSeed(seed))
-    np.testing.assert_allclose(low_pass(x, nu) + high_pass(x, nu), x, atol=1e-10)
+    lo = low_pass(x, nu)
+    np.testing.assert_allclose(lo + (x - lo), x, atol=1e-10)
 
 
 @settings(max_examples=40)
@@ -176,7 +160,8 @@ def test_low_pass_idempotent(seed, nu, h, w):
 def test_energy_split_parseval(seed, nu, h, w):
     x = gaussian_noise((1, 1, h, w), RngSeed(seed))
     total = l2_norm(x) ** 2
-    parts = l2_norm(low_pass(x, nu)) ** 2 + l2_norm(high_pass(x, nu)) ** 2
+    lo = low_pass(x, nu)
+    parts = l2_norm(lo) ** 2 + l2_norm(x - lo) ** 2
     assert parts == pytest.approx(total, rel=1e-9)
 
 

@@ -4,8 +4,10 @@ The package filters on the real FFT's half-plane, takes the high band as the
 residual of the low band, and filters the gap once per calibration step.  The
 oracles below keep the earlier forms: a full-plane complex fft2/ifft2 masked
 filter whose imaginary residue is checked, a calibration update that filters
-reference and estimate separately, and one that filters the gap twice (the
-objective through content_objective, the update through a complement mask).  The
+reference and estimate separately, one that filters the gap twice (the
+objective through its own low_pass, the update through a complement mask),
+and the update's affine form on x_t0, replace_low_freq, which overwrites the
+low band of the noisy iterate with the reference's.  The
 package's ancestral chain is denoise_from on the full grid at eta=1; the
 oracle keeps the dedicated DDPM step (posterior mean plus posterior variance)
 and the T-to-0 chain built on it.  A mixture of one-frame means applies to
@@ -52,14 +54,12 @@ from noisecal import (
     SamplerConfig,
     as_video,
     calibrate_noise,
-    content_objective,
     ddim_grid,
     ddim_step,
     denoise_from,
     estimate_x0,
     forward_noise,
     gaussian_noise,
-    high_pass,
     l2_norm,
     linear_beta_schedule,
     low_pass,
@@ -69,7 +69,6 @@ from noisecal import (
     nc_sdedit,
     read_tensor,
     read_video,
-    replace_low_freq,
     ssim,
     toy_schedule,
     write_tensor,
@@ -80,7 +79,7 @@ from noisecal.calibration import _low_pass_rows
 from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedule, load_config, main
 from noisecal.frequency import frequency_mask
 from noisecal.metrics import spatial_frequency
-from noisecal.tensor import _freeze
+from noisecal.tensor import _freeze, _require_same_shape
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -123,6 +122,17 @@ def oracle_update(x_ref, eps, t0, nu, d, s):
     return objective, eps_pred + coef * (oracle_high(x0_hat, nu) - oracle_high(x_ref, nu))
 
 
+def replace_low_freq(x_t0, x_ref, x0_hat, t0, nu, s):
+    """Overwrite the low band of a noisy iterate with the reference's.
+
+    Affine form of one calibration iteration acting on x_t0 directly:
+    x_t0 + signal_scale(t0) * (f_l(x_ref) - f_l(x0_hat)).
+    """
+    _require_same_shape(x_t0, x_ref)
+    _require_same_shape(x_t0, x0_hat)
+    return _freeze(x_t0 + s.signal_scale(t0) * low_pass(x_ref - x0_hat, nu))
+
+
 def complement_high(x, nu):
     """The complement-mask high band on the real FFT's half-plane."""
     h, w = x.shape[-2:]
@@ -137,7 +147,7 @@ def two_filter_update(x_ref, eps, t0, nu, d, s):
     eps_pred = d.predict_eps(x_t0, t0, s)
     x0_hat = estimate_x0(x_t0, t0, eps_pred, s)
     coef = s.signal_scale(t0) / s.noise_scale(t0)
-    objective = content_objective(x_ref, x0_hat, nu)
+    objective = l2_norm(low_pass(x0_hat - x_ref, nu))
     return objective, eps_pred + coef * complement_high(x0_hat - x_ref, nu)
 
 
@@ -158,9 +168,9 @@ def test_mask_matches_oracle(h, w):
 def test_filters_and_band_distances_match_oracle(h, w, nu):
     a, b = pair(h, w, 1000 * h + w)
     np.testing.assert_allclose(low_pass(a, nu), oracle_low(a, nu), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(high_pass(a, nu), oracle_high(a, nu), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a - low_pass(a, nu), oracle_high(a, nu), rtol=0, atol=1e-12)
     gap = oracle_low(a, nu) - oracle_low(b, nu)
-    assert content_objective(a, b, nu) == pytest.approx(l2_norm(gap), rel=1e-12, abs=1e-12)
+    assert l2_norm(low_pass(a - b, nu)) == pytest.approx(l2_norm(gap), rel=1e-12, abs=1e-12)
     assert mse_low(a, b, nu) == pytest.approx(float(np.mean(gap * gap)), rel=1e-12, abs=1e-12)
     shifted = replace_low_freq(a, a, b, 600, nu, SCHED)
     np.testing.assert_allclose(shifted, a + SCHED.signal_scale(600) * gap, rtol=0, atol=1e-12)
@@ -204,7 +214,7 @@ def test_low_pass_full_band_is_a_read_only_copy(h, w):
 @pytest.mark.parametrize("h,w", SHAPES)
 def test_high_pass_full_band_is_exactly_zero(h, w):
     a, _ = pair(h, w, 3000 * h + w)
-    assert not high_pass(a, 1.0).any()
+    assert not (a - low_pass(a, 1.0)).any()
 
 
 def test_cached_mask_is_read_only():
@@ -419,7 +429,7 @@ def per_run_nc_sdedit(x_ref, cal, samp, d, s):
     for t, t_prev in zip(grid, grid[1:] + [0]):
         x, x0_hat = ddim_step(x, t, t_prev, d, s, samp, samp.rng.substream(t))
         first_x0_hat = x0_hat if first_x0_hat is None else first_x0_hat
-    objectives.append(content_objective(x_ref, first_x0_hat, cal.nu))
+    objectives.append(l2_norm(low_pass(first_x0_hat - x_ref, cal.nu)))
     return x, objectives
 
 

@@ -90,6 +90,17 @@ def test_pnm_rejects_short_payload(tmp_path):
         read_pnm(p)
 
 
+def test_pnm_rejects_bytes_after_payload(tmp_path):
+    p = tmp_path / "f.pgm"
+    p.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]) + b"garbage")
+    with pytest.raises(PnmFormatError, match="payload has 11 bytes, expected 4"):
+        read_pnm(p)
+    # a second image concatenated after the first is trailing data too
+    p.write_bytes(2 * (b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])))
+    with pytest.raises(PnmFormatError, match="f.pgm"):
+        read_pnm(p)
+
+
 def test_write_pnm_rejects_two_channels(tmp_path):
     with pytest.raises(ValueError, match="channels"):
         write_pnm(np.zeros((2, 4, 4)), tmp_path / "f.pgm")
@@ -127,6 +138,17 @@ def test_read_video_rgb_is_c_contiguous_and_round_trips_its_bytes(tmp_path):
     write_video(back, tmp_path / "w")
     for frame in (tmp_path / "v").iterdir():
         assert (tmp_path / "w" / frame.name).read_bytes() == frame.read_bytes()
+
+
+@pytest.mark.parametrize("channels,threads", [(1, 1), (3, 1), (3, 2)])
+def test_write_video_returns_what_read_video_reads_back(tmp_path, channels, threads):
+    # out of range and between quantization levels: clamped and rounded as written
+    x = as_video(gaussian_noise((3, channels, 5, 7), RngSeed(123)) * 0.6 + 0.5)
+    written = write_video(x, tmp_path / "v", threads)
+    back = read_video(tmp_path / "v")
+    assert written.tobytes() == back.tobytes()
+    assert written.shape == back.shape and not written.flags.writeable
+    assert not np.array_equal(written, x)
 
 
 def test_video_missing_frame_named_in_error(tmp_path):
