@@ -10,7 +10,7 @@ from .diffusion import (
     forward_noise,
 )
 from .frequency import low_pass
-from .metrics import MetricReport, metric_report, mse, mse_low, ssim
+from .metrics import metric_report, mse, mse_low, ssim
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import (
     NumericError,
@@ -36,7 +36,6 @@ __all__ = [
     "CalibrationConfig",
     "Denoiser",
     "GmmDenoiser",
-    "MetricReport",
     "NoiseSchedule",
     "NumericError",
     "PnmFormatError",

@@ -174,21 +174,30 @@ def build_schedule(cfg: RunConfig) -> NoiseSchedule:
     return linear_beta_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
 
 
-def build_denoiser(cfg: RunConfig, n_frames: int) -> GmmDenoiser:
+def build_denoiser(cfg: RunConfig, n_frames: int, frame_shape: tuple | None = None) -> GmmDenoiser:
     """Load the configured denoiser.  For an n_frames-long input its means
     must have 1 frame (a static-video prior, which posterior_mean applies to
-    every frame) or n_frames; this is checked before any run starts."""
+    every frame) or n_frames, and frames of the input's (C, H, W) when
+    frame_shape gives it; both are checked before any run starts."""
     d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
     if d.means.shape[1] not in (1, n_frames):
         raise ConfigError(
             f"denoiser frames ({d.means.shape[1]}) do not match input frames ({n_frames})"
+        )
+    if frame_shape is not None and d.means.shape[2:] != frame_shape:
+        raise ConfigError(
+            f"{cfg.denoiser_spec}: shape mismatch: mixture frames (C, H, W) are "
+            f"{d.means.shape[2:]}, input frames are {frame_shape}"
         )
     return d
 
 
 def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
     """(CalibrationConfig, SamplerConfig) of one calibrated enhancement at (t0, nu);
-    all its draws hang off rng."""
+    all its draws hang off rng.  nu=0 with N > 0 is an error: the library
+    takes it, but its N denoiser calls would leave the noise as it was."""
+    if nu == 0 and cfg.n_iters > 0:
+        raise ConfigError(f"nu=0 calibrates no band, so N={cfg.n_iters} updates change nothing")
     cal = CalibrationConfig(
         t0=t0, n_iters=cfg.n_iters, nu=nu, rng=rng.substream(_STREAM_CALIBRATION)
     )
@@ -199,10 +208,12 @@ def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
 
 
 def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
+    if Path(output_dir).resolve() == Path(cfg.input_dir).resolve():
+        raise ConfigError(f"--output {output_dir} is the input directory; it would be overwritten")
     x_ref = read_video(cfg.input_dir)
     check_ssim_window(x_ref.shape)  # frames too small for the report fail before any run
     s = build_schedule(cfg)
-    d = build_denoiser(cfg, x_ref.shape[0])
+    d = build_denoiser(cfg, x_ref.shape[0], x_ref.shape[1:])
     cal, samp = _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
     x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
     out = Path(output_dir)
@@ -233,7 +244,7 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     x_ref = read_video(cfg.input_dir)
     check_ssim_window(x_ref.shape)
     s = build_schedule(cfg)
-    d = build_denoiser(cfg, x_ref.shape[0])
+    d = build_denoiser(cfg, x_ref.shape[0], x_ref.shape[1:])
     master = RngSeed(cfg.seed)
 
     cells = [(resolve_t0(raw_t0, cfg.t_max), float(nu)) for raw_t0 in t0_list for nu in nu_list]

@@ -15,7 +15,7 @@ the metric's bits do not depend on it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,13 +41,8 @@ class MetricReport:
     sf_b: float
     d_sf: float  # detail gain: sf_a - sf_b
 
-    CSV_HEADER = "mse,mse_low,ssim,sf_a,sf_b,d_sf"
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    def to_csv_row(self) -> str:
-        return ",".join(repr(v) for v in astuple(self))
 
 
 def mse(a: VideoTensor, b: VideoTensor) -> float:

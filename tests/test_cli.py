@@ -480,8 +480,12 @@ def test_enhance_rejects_mixture_frame_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["enhance", "sweep"])
 @pytest.mark.parametrize("dims", [(1, 3, 12, 12), (1, 1, 12, 8)], ids=["channels", "width"])
-def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command, dims):
-    # the input is 2x1x12x12; the frame count matches (one frame), the frame shape does not
+def test_mixture_frame_shape_mismatch_is_config_error(
+    tmp_path, capsys, monkeypatch, command, dims
+):
+    # the input is 2x1x12x12; the frame count matches (one frame), the frame shape does
+    # not, and the error names the spec and both (C, H, W) before any denoiser call
+    calls = denoiser_calls(monkeypatch)
     write_tensor(gaussian_noise(dims, RngSeed(213)), tmp_path / "m0.vnt")
     (tmp_path / "gmm.json").write_text(json.dumps([{"weight": 1.0, "mean": "m0.vnt"}]))
     cfg = setup_workdir(tmp_path, _GMM)
@@ -492,8 +496,51 @@ def test_mixture_frame_shape_mismatch_is_config_error(tmp_path, capsys, command,
         assert enhance(cfg) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "shape mismatch" in captured.err
+    spec = tmp_path / "gmm.json"
+    assert (
+        f"{spec}: shape mismatch: mixture frames (C, H, W) are {dims[1:]}, "
+        "input frames are (1, 12, 12)"
+    ) in captured.err
+    assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output", ["same", "dot", "relative", "symlink"])
+def test_enhance_output_onto_its_input_is_config_error(tmp_path, capsys, monkeypatch, output):
+    """Every spelling of the input directory is caught before a frame is read."""
+    cfg = setup_workdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path / "input")
+    monkeypatch.chdir(tmp_path)
+    spelled = {
+        "same": str(tmp_path / "input"),
+        "dot": f"{tmp_path}/./input",
+        "relative": "input",
+        "symlink": str(tmp_path / "link"),
+    }[output]
+    before = frame_bytes(tmp_path / "input")
+    assert main(["enhance", "--config", str(cfg), "--output", spelled]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--output {spelled} is the input directory" in captured.err
+    assert sorted(p.name for p in (tmp_path / "input").iterdir()) == sorted(before)
+    assert frame_bytes(tmp_path / "input") == before
+
+
+def test_sweep_nu0_cell_with_updates_is_config_error(tmp_path, capsys, monkeypatch):
+    # nu=0 calibrates no band: N updates would cost N denoiser calls per run and
+    # give the rows of N=0; nu=0 with N=0, the plain baseline, still runs
+    argv = ["--t0-list", "30", "--nu-list", "0,0.5"]
+    plain = setup_workdir(tmp_path / "plain", {"calibration": {"N": 0}})
+    assert main(["sweep", "--config", str(plain), *argv]) == EXIT_OK
+    capsys.readouterr()
+    calls = denoiser_calls(monkeypatch)
+    cfg = setup_workdir(tmp_path)  # N=2
+    assert main(["sweep", "--config", str(cfg), *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "sweep cell t0=30, nu=0.0: nu=0 calibrates no band, so N=2 updates change nothing"
+    assert message in captured.err
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -579,10 +626,12 @@ def test_config_io_output_is_an_unknown_key(tmp_path, capsys):
         ({"sampler": {"seed": -1}}, [], "seed must be a 64-bit unsigned integer, got -1"),
         ({"sampler": {"seed": 2**64}}, [], f"64-bit unsigned integer, got {2**64}"),
         ({}, ["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
+        ({"calibration": {"nu": 0.0, "N": 3}}, [],
+         "nu=0 calibrates no band, so N=3 updates change nothing"),
     ],
     ids=[
         "betas-reversed", "no-denoiser", "dataset-kind", "no-input",
-        "t0-below-grid", "negative-seed", "seed-2-64", "negative-seed-flag",
+        "t0-below-grid", "negative-seed", "seed-2-64", "negative-seed-flag", "nu0-with-updates",
     ],
 )
 def test_load_config_checks_come_before_any_read(

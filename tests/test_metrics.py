@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisecal import (
-    MetricReport,
     RngSeed,
     as_video,
     gaussian_noise,
@@ -209,14 +208,6 @@ def test_report_fields_and_json():
     parsed = json.loads(rep.to_json())
     assert list(parsed) == ["mse", "mse_low", "ssim", "sf_a", "sf_b", "d_sf"]
     assert parsed["mse"] == rep.mse
-
-
-def test_report_csv_row_matches_header():
-    a = gaussian_noise((1, 1, 16, 16), RngSeed(106))
-    rep = metric_report(a, a)
-    row = rep.to_csv_row()
-    assert len(row.split(",")) == len(MetricReport.CSV_HEADER.split(","))
-    assert float(row.split(",")[0]) == rep.mse
 
 
 # ---------------------------------------------------------------- properties

@@ -74,7 +74,7 @@ from noisecal import (
     write_tensor,
     write_video,
 )
-from noisecal import MetricReport, metrics
+from noisecal import metrics
 from noisecal.calibration import _low_pass_rows
 from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedule, load_config, main
 from noisecal.frequency import frequency_mask
@@ -740,7 +740,7 @@ def per_run_ssim(a, b):
 def per_run_report(a, b):
     """The report of one run from its per-metric functions, sf_b included."""
     sf_a, sf_b = spatial_frequency(a), spatial_frequency(b)
-    return MetricReport(
+    return metrics.MetricReport(
         mse=mse(a, b), mse_low=mse_low(a, b), ssim=per_run_ssim(a, b),
         sf_a=sf_a, sf_b=sf_b, d_sf=sf_a - sf_b,
     )
@@ -766,7 +766,7 @@ def test_stacked_metric_report_equals_per_run_reports(monkeypatch, shape, pairs_
     reports = metric_report(stack, ref)
     assert len(reports) == shape[0]
     for report, row in zip(reports, stack):
-        want = per_run_report(row, ref).to_csv_row()
-        assert report.to_csv_row() == want
-        assert metric_report(row, ref).to_csv_row() == want  # a run is the stack of one
+        want = per_run_report(row, ref).to_json()  # json writes each float's repr
+        assert report.to_json() == want
+        assert metric_report(row, ref).to_json() == want  # a run is the stack of one
 
