@@ -10,7 +10,7 @@ from .diffusion import (
     forward_noise,
 )
 from .frequency import low_pass
-from .metrics import metric_report, mse, mse_low, ssim
+from .metrics import metric_report, mse_low
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import (
     NumericError,
@@ -57,13 +57,11 @@ __all__ = [
     "linear_beta_schedule",
     "low_pass",
     "metric_report",
-    "mse",
     "mse_low",
     "nc_sdedit",
     "read_pnm",
     "read_tensor",
     "read_video",
-    "ssim",
     "toy_benchmark",
     "toy_schedule",
     "write_pnm",

@@ -241,25 +241,25 @@ def _float_bits(x: float) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
-    x_ref = read_video(cfg.input_dir)
-    check_ssim_window(x_ref.shape)
     s = build_schedule(cfg)
-    d = build_denoiser(cfg, x_ref.shape[0], x_ref.shape[1:])
     master = RngSeed(cfg.seed)
-
     cells = [(resolve_t0(raw_t0, cfg.t_max), float(nu)) for raw_t0 in t0_list for nu in nu_list]
     for i, (t0, nu) in enumerate(cells):
         if (t0, nu) in cells[:i]:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
-    runs = []  # every run is built, and so checked, before any runs
-    for t0, nu, k in jobs:
+    runs = []  # every run is built, and so checked, before any file is read
+    for t0, nu in cells:
         try:
             ddim_grid(s, cfg.num_steps, t0)
-            rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
-            runs.append(_run_configs(cfg, rng, t0, nu))
+            for k in range(seeds):
+                rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
+                runs.append(_run_configs(cfg, rng, t0, nu))
         except ValueError as e:
             raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
+    x_ref = read_video(cfg.input_dir)
+    check_ssim_window(x_ref.shape)
+    d = build_denoiser(cfg, x_ref.shape[0], x_ref.shape[1:])
 
     # runs of any t0 share a stack (nc_sdedit staggers their starts); cut in
     # job order into stacks of at most _STACK_BYTES of video

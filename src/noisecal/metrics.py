@@ -1,9 +1,12 @@
 """Consistency and detail metrics for enhancement outputs.
 
-All metrics operate in the tensors' own value space (frames in [0, 1]);
-no report scaling is applied.  metric_report also scores a stack of
+metric_report is the one scorer: it gives every field of a MetricReport for
+a candidate against a reference, in the tensors' own value space (frames in
+[0, 1]; no report scaling is applied).  It also scores a stack of
 candidates (B, F, C, H, W) against one reference in one call, and each of
-its B reports has the bytes of that row's report alone.
+its B reports has the bytes of that row's report alone.  Its frames must fit
+SSIM's 11x11 window; mse_low(a, b, nu) is the one pairwise band metric, and
+at nu=1 it is the plain MSE of frames of any size.
 
 SSIM's Gaussian filter runs as per-row BLAS matrix-vector products (GEMV),
 never as a matrix-matrix product (GEMM).  A banded-matrix GEMM filter is
@@ -36,6 +39,9 @@ class MetricReport:
 
     mse: float
     mse_low: float
+    # mean SSIM with the standard 11x11 Gaussian window (sigma 1.5) over valid
+    # positions, per frame and channel, averaged in frame-major order;
+    # dynamic range 1, so values are expected in [0, 1]
     ssim: float
     sf_a: float
     sf_b: float
@@ -45,15 +51,9 @@ class MetricReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def mse(a: VideoTensor, b: VideoTensor) -> float:
-    """Mean squared elementwise difference over all elements."""
-    _require_same_shape(a, b)
-    diff = a - b
-    return float(np.mean(diff * diff))
-
-
 def mse_low(a: VideoTensor, b: VideoTensor, nu: float = _MSE_LOW_NU) -> float:
-    """Mean squared difference restricted to the low-frequency band."""
+    """Mean squared difference restricted to the low-frequency band; at nu=1
+    the band is every bin, no FFT runs, and this is the plain MSE."""
     _require_same_shape(a, b)
     diff = low_pass(a - b, nu)
     return float(np.mean(diff * diff))
@@ -97,9 +97,9 @@ def check_ssim_window(shape: tuple[int, ...]) -> None:
 def _ssim_plane_means(a: np.ndarray, b: VideoTensor) -> np.ndarray:
     """Mean SSIM map of each (frame, channel) pair of a against b, in C order.
 
-    a is b's shape or a stack of such videos: its pairs are compared with b's
-    pairs in turn.  The maps x, y, x*x, y*y and x*y of a chunk of pairs,
-    which may span rows of a stack, are filtered as one stack.
+    a is a stack of videos of b's shape: the pairs of each row are compared
+    with b's pairs in turn.  The maps x, y, x*x, y*y and x*y of a chunk of
+    pairs, which may span rows, are filtered as one stack.
     """
     check_ssim_window(b.shape)
     height, width = b.shape[-2:]
@@ -132,17 +132,6 @@ def _mean_in_order(means: np.ndarray) -> float:
     for mean in means:
         total += float(mean)
     return total / len(means)
-
-
-def ssim(a: VideoTensor, b: VideoTensor) -> float:
-    """Mean structural similarity with the standard 11x11 Gaussian window.
-
-    Computed per frame and channel over valid window positions, then
-    averaged in frame-major order; expects values in [0, 1] (dynamic
-    range 1).
-    """
-    _require_same_shape(a, b)
-    return _mean_in_order(_ssim_plane_means(a, b))
 
 
 def spatial_frequency(x: VideoTensor) -> float:

@@ -28,10 +28,9 @@ from noisecal import (
     l2_norm,
     linear_beta_schedule,
     low_pass,
-    mse,
+    metric_report,
     mse_low,
     nc_sdedit,
-    ssim,
     toy_benchmark,
     toy_schedule,
     write_tensor,
@@ -185,7 +184,7 @@ def test_acceptance_05_consistency_beats_baseline():
         for n in range(4):
             out, _ = run_toy(ref, den, root, 600, n)
             msel[n].append(mse_low(out, ref))
-            ssims[n].append(ssim(np.clip(out, 0.0, 1.0), ref))
+            ssims[n].append(metric_report(np.clip(out, 0.0, 1.0), ref).ssim)
     base = float(np.mean(msel[0]))
     base_ssim = float(np.mean(ssims[0]))
     for n in (1, 2, 3):
@@ -339,7 +338,7 @@ def test_acceptance_11_faithfulness_monotone_in_t0():
             root = RngSeed(7000 + i)
             den, ref = toy_benchmark(root)
             out, _ = run_toy(ref, den, root, t0, 0)
-            vals.append(mse(out, ref))
+            vals.append(mse_low(out, ref, 1.0))
         means.append(float(np.mean(vals)))
     assert means[0] <= means[1] <= means[2], f"means {means}"
 
@@ -352,24 +351,26 @@ def test_acceptance_12_metric_goldens():
         return as_video(a.reshape((1, 1) + a.shape))
 
     # mse arithmetic
-    assert mse(frame([[0.0, 0.0]]), frame([[1.0, 1.0]])) == 1.0
-    assert mse(frame([[0.0, 2.0]]), frame([[1.0, 0.0]])) == 2.5
+    assert mse_low(frame([[0.0, 0.0]]), frame([[1.0, 1.0]]), 1.0) == 1.0
+    assert mse_low(frame([[0.0, 2.0]]), frame([[1.0, 0.0]]), 1.0) == 2.5
 
     # low-band mse: full band == plain; Nyquist-only difference vanishes
     a = gaussian_noise((1, 1, 8, 8), RngSeed(400))
     b = gaussian_noise((1, 1, 8, 8), RngSeed(401))
-    assert abs(mse_low(a, b, nu=1.0) - mse(a, b)) <= 1e-10 * mse(a, b)
+    plain = float(np.mean((a - b) ** 2))
+    assert abs(mse_low(a, b, nu=1.0) - plain) <= 1e-10 * plain
     nyq = np.cos(np.pi * np.arange(8))[None, None, None, :] * np.ones((1, 1, 8, 1))
     assert mse_low(a, as_video(a + nyq), nu=0.5) <= 1e-12
 
     # ssim: identity, constant-frame luminance case to 1e-4
     x = gaussian_noise((1, 1, 16, 16), RngSeed(402))
-    assert abs(ssim(x, x) - 1.0) <= 1e-9
+    assert abs(metric_report(x, x).ssim - 1.0) <= 1e-9
     const_a = as_video(np.full((1, 1, 12, 12), 0.5))
     const_b = as_video(np.full((1, 1, 12, 12), 0.25))
     expected = (2 * 0.5 * 0.25 + 1e-4) / (0.5**2 + 0.25**2 + 1e-4)
-    assert abs(ssim(const_a, const_b) - expected) <= 1e-9
-    assert abs(ssim(const_a, const_b) - 0.80006) <= 1e-4
+    const_ssim = metric_report(const_a, const_b).ssim
+    assert abs(const_ssim - expected) <= 1e-9
+    assert abs(const_ssim - 0.80006) <= 1e-4
 
     # spatial frequency: constant zero; 2x2 step to 1e-7; d_sf antisymmetry
     assert spatial_frequency(as_video(np.full((1, 1, 4, 4), 0.3))) == 0.0

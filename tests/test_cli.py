@@ -269,6 +269,15 @@ def test_sweep_frames_below_ssim_window_run_nothing(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
+def test_metrics_frames_below_ssim_window_is_config_error(tmp_path, capsys):
+    for name, seed in (("a", 214), ("b", 215)):
+        write_video(small_video(seed)[:, :, :8, :8], tmp_path / name)
+    assert main(["metrics", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frames are 8x8; the 11x11 window does not fit" in captured.err
+
+
 def test_enhance_missing_input_is_io_error(tmp_path, capsys):
     cfg = setup_workdir(tmp_path, {"io": {"input": "nowhere"}})
     assert enhance(cfg) == EXIT_IO
@@ -976,6 +985,30 @@ def test_sweep_bad_cell_is_rejected_before_any_cell_runs(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sweep cell" in captured.err
+
+
+@pytest.mark.parametrize(
+    "t0_list,nu_list,message",
+    [
+        ("30,5", "1.0", "sweep cell t0=5, nu=1.0: t0=5 is outside [10, 50]"),
+        ("0.6,30", "0.5", "sweep cell t0=30, nu=0.5 is listed twice"),
+        ("30", "0.5,1.5", "sweep cell t0=30, nu=1.5: nu must be in [0, 1], got 1.5"),
+    ],
+    ids=["t0-below-grid", "repeated-cell", "nu-above-1"],
+)
+def test_sweep_cells_are_checked_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, t0_list, nu_list, message
+):
+    """A bad cell exits 1 even where the input directory is missing too."""
+    reads = []
+    monkeypatch.setattr(cli, "read_video", lambda path: reads.append(path))
+    cfg = setup_workdir(tmp_path, {"io": {"input": "nowhere"}})
+    argv = ["sweep", "--config", str(cfg), "--t0-list", t0_list, "--nu-list", nu_list]
+    assert main(argv + ["--seeds", "2"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert reads == []
 
 
 def test_sweep_metric_error_cancels_the_runs_not_started(tmp_path, capsys, monkeypatch):

@@ -17,10 +17,9 @@ from noisecal import (
     as_video,
     gaussian_noise,
     metric_report,
-    mse,
     mse_low,
-    ssim,
 )
+from noisecal import metrics
 from noisecal.metrics import spatial_frequency
 
 
@@ -37,20 +36,20 @@ def frame(arr):
 
 def test_mse_zero_on_identical():
     x = gaussian_noise((2, 1, 4, 4), RngSeed(90))
-    assert mse(x, x) == 0.0
+    assert mse_low(x, x, 1.0) == 0.0
 
 
 def test_mse_unit_example():
-    assert mse(frame([[0.0, 0.0]]), frame([[1.0, 1.0]])) == pytest.approx(1.0, abs=1e-12)
+    assert mse_low(frame([[0.0, 0.0]]), frame([[1.0, 1.0]]), 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mse_hand_example():
-    assert mse(frame([[0.0, 2.0]]), frame([[1.0, 0.0]])) == pytest.approx(2.5, abs=1e-12)
+    assert mse_low(frame([[0.0, 2.0]]), frame([[1.0, 0.0]]), 1.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
-        mse(frame([[0.0, 1.0]]), frame([[0.0, 1.0, 2.0]]))
+        mse_low(frame([[0.0, 1.0]]), frame([[0.0, 1.0, 2.0]]), 1.0)
 
 
 def test_mse_low_zero_on_identical():
@@ -61,7 +60,15 @@ def test_mse_low_zero_on_identical():
 def test_mse_low_full_band_equals_mse():
     a = gaussian_noise((1, 1, 8, 8), RngSeed(92))
     b = gaussian_noise((1, 1, 8, 8), RngSeed(93))
-    assert mse_low(a, b, nu=1.0) == pytest.approx(mse(a, b), rel=1e-10)
+    assert mse_low(a, b, nu=1.0) == pytest.approx(float(np.mean((a - b) ** 2)), rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 2), (2, 1, 7, 9), (2, 3, 6, 5)])
+def test_mse_low_full_band_is_plain_mse_exactly(shape):
+    """nu=1 passes every bin, so no FFT runs: the plain MSE, bit for bit."""
+    a = gaussian_noise(shape, RngSeed(110, 0))
+    b = gaussian_noise(shape, RngSeed(110, 1))
+    assert mse_low(a, b, 1.0) == np.mean((a - b) ** 2)
 
 
 def test_mse_low_ignores_nyquist_difference():
@@ -69,7 +76,7 @@ def test_mse_low_ignores_nyquist_difference():
     base = gaussian_noise((1, 1, 8, 8), RngSeed(94))
     texture = np.cos(np.pi * np.arange(8))[None, None, None, :] * np.ones((1, 1, 8, 1))
     assert mse_low(base, as_video(base + texture), nu=0.5) == pytest.approx(0.0, abs=1e-12)
-    assert mse(base, as_video(base + texture)) > 0.1
+    assert mse_low(base, as_video(base + texture), 1.0) > 0.1
 
 
 # ---------------------------------------------------------------- ssim
@@ -77,7 +84,7 @@ def test_mse_low_ignores_nyquist_difference():
 
 def test_ssim_identity():
     x = gaussian_noise((1, 1, 16, 16), RngSeed(95))
-    assert ssim(x, x) == pytest.approx(1.0, abs=1e-9)
+    assert metric_report(x, x).ssim == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ssim_constant_frames_hand_value():
@@ -87,37 +94,37 @@ def test_ssim_constant_frames_hand_value():
     b = as_video(np.full((1, 1, 12, 12), 0.25))
     expected = (2 * 0.5 * 0.25 + 1e-4) / (0.5**2 + 0.25**2 + 1e-4)
     assert expected == pytest.approx(0.80006, abs=1e-4)
-    assert ssim(a, b) == pytest.approx(expected, abs=1e-9)
+    assert metric_report(a, b).ssim == pytest.approx(expected, abs=1e-9)
 
 
 def test_ssim_below_one_for_inverted_signal():
     rng = RngSeed(96)
     a = as_video((gaussian_noise((1, 1, 16, 16), rng) * 0.2 + 0.5).clip(0, 1))
     b = as_video(1.0 - a)
-    assert ssim(a, b) < 1.0
+    assert metric_report(a, b).ssim < 1.0
 
 
 def test_ssim_symmetry():
     a = gaussian_noise((1, 1, 16, 16), RngSeed(97)) * 0.1 + 0.5
     b = gaussian_noise((1, 1, 16, 16), RngSeed(98)) * 0.1 + 0.5
-    assert ssim(as_video(a), as_video(b)) == pytest.approx(
-        ssim(as_video(b), as_video(a)), abs=1e-10
+    assert metric_report(as_video(a), as_video(b)).ssim == pytest.approx(
+        metric_report(as_video(b), as_video(a)).ssim, abs=1e-10
     )
 
 
 def test_ssim_window_must_fit():
     a = gaussian_noise((1, 1, 10, 16), RngSeed(99))
     with pytest.raises(ValueError, match="window"):
-        ssim(a, a)
+        metric_report(a, a)
 
 
 _SSIM_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from noisecal import RngSeed, gaussian_noise, ssim
+from noisecal import RngSeed, gaussian_noise, metric_report
 for shape in ((2, 1, 40, 900), (1, 3, 900, 40)):
     a, b = (gaussian_noise(shape, RngSeed(108, k)) * 0.2 + 0.5 for k in (0, 1))
-    print(repr(ssim(a, b)))
+    print(repr(metric_report(a, b).ssim))
 """
 
 
@@ -138,14 +145,15 @@ def test_ssim_bits_do_not_depend_on_blas_threads():
 
 
 def test_ssim_peak_memory_does_not_grow_with_frames():
-    """Chunks of maps bound the working set: 16 frames peak like 2."""
+    """Chunks of maps bound the working set of the SSIM pass: 16 frames peak
+    like 2.  (metric_report's full-size difference and band grow with frames.)"""
     peaks = []
     for frames in (2, 16):
         a, b = (gaussian_noise((frames, 3, 64, 64), RngSeed(109, k)) for k in (0, 1))
-        ssim(a, b)  # first call outside the trace
+        metrics._ssim_plane_means(a[None], b)  # first call outside the trace
         tracemalloc.start()
         try:
-            ssim(a, b)
+            metrics._ssim_plane_means(a[None], b)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -202,7 +210,7 @@ def test_report_fields_and_json():
     a = as_video(gaussian_noise((1, 1, 16, 16), RngSeed(104)) * 0.1 + 0.5)
     b = as_video(gaussian_noise((1, 1, 16, 16), RngSeed(105)) * 0.1 + 0.5)
     rep = metric_report(a, b)
-    assert rep.mse == pytest.approx(mse(a, b))
+    assert rep.mse == pytest.approx(mse_low(a, b, 1.0))
     assert rep.mse_low == pytest.approx(mse_low(a, b, 0.5))
     assert rep.d_sf == rep.sf_a - rep.sf_b
     parsed = json.loads(rep.to_json())
@@ -219,9 +227,9 @@ def test_mse_metric_axioms(seed):
     rng = RngSeed(seed)
     a = gaussian_noise((1, 1, 6, 6), rng.substream(0))
     b = gaussian_noise((1, 1, 6, 6), rng.substream(1))
-    assert mse(a, b) >= 0.0
-    assert mse(a, b) == pytest.approx(mse(b, a), abs=1e-12)
-    assert mse(a, a) <= 1e-12
+    assert mse_low(a, b, 1.0) >= 0.0
+    assert mse_low(a, b, 1.0) == pytest.approx(mse_low(b, a, 1.0), abs=1e-12)
+    assert mse_low(a, a, 1.0) <= 1e-12
 
 
 @settings(max_examples=40)
@@ -230,4 +238,4 @@ def test_mse_low_never_exceeds_mse(seed, nu):
     rng = RngSeed(seed)
     a = gaussian_noise((1, 1, 8, 8), rng.substream(0))
     b = gaussian_noise((1, 1, 8, 8), rng.substream(1))
-    assert mse_low(a, b, nu) <= mse(a, b) * (1 + 1e-9) + 1e-15
+    assert mse_low(a, b, nu) <= mse_low(a, b, 1.0) * (1 + 1e-9) + 1e-15

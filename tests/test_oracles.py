@@ -64,12 +64,10 @@ from noisecal import (
     linear_beta_schedule,
     low_pass,
     metric_report,
-    mse,
     mse_low,
     nc_sdedit,
     read_tensor,
     read_video,
-    ssim,
     toy_schedule,
     write_tensor,
     write_video,
@@ -677,8 +675,8 @@ def test_ssim_and_spatial_frequency_match_per_pair_oracles(monkeypatch, shape, p
     if pairs_per_chunk is not None:
         monkeypatch.setattr(metrics, "_STACK_BYTES", pairs_per_chunk * 5 * shape[2] * shape[3] * 8)
     a, b = metric_pair(6500 + shape[0], shape)
-    assert ssim(a, b) == pytest.approx(per_pair_ssim(a, b), rel=0, abs=1e-12)
-    assert ssim(b, a) == pytest.approx(per_pair_ssim(b, a), rel=0, abs=1e-12)
+    assert metric_report(a, b).ssim == pytest.approx(per_pair_ssim(a, b), rel=0, abs=1e-12)
+    assert metric_report(b, a).ssim == pytest.approx(per_pair_ssim(b, a), rel=0, abs=1e-12)
     for x in (a, b):
         assert spatial_frequency(x) == pytest.approx(diff_spatial_frequency(x), rel=0, abs=1e-12)
 
@@ -741,7 +739,7 @@ def per_run_report(a, b):
     """The report of one run from its per-metric functions, sf_b included."""
     sf_a, sf_b = spatial_frequency(a), spatial_frequency(b)
     return metrics.MetricReport(
-        mse=mse(a, b), mse_low=mse_low(a, b), ssim=per_run_ssim(a, b),
+        mse=mse_low(a, b, 1.0), mse_low=mse_low(a, b), ssim=per_run_ssim(a, b),
         sf_a=sf_a, sf_b=sf_b, d_sf=sf_a - sf_b,
     )
 
