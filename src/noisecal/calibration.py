@@ -17,9 +17,11 @@ low_pass of the gap x0_hat - x_ref gives the objective (its norm) and f_h
 x_t0 with the reference's; tests/test_oracles.py keeps that form
 (replace_low_freq) as the oracle the loop must agree with to roundoff.
 
-A stack of runs is filtered with one low_pass call per distinct nu, in each
-iteration and in the final objective reading; each run's objective is the
-norm of its own row.
+A stack of runs is calibrated together, each row at its own t0 (the
+denoiser takes a timestep per row), so a stack of any mix of starts costs N
+calls; it is filtered with one low_pass call per distinct nu, in each
+iteration and in the final objective reading, and each run's objective is
+the norm of its own row.
 """
 
 from __future__ import annotations
@@ -120,17 +122,18 @@ def calibrate_noise(
     evaluation); with n_iters=0 the noise and trace pass through untouched.
 
     For a stack, eps0 is (B, *x_ref.shape) and cfg a sequence of B
-    CalibrationConfigs that share t0 and n_iters; each row is filtered at its
-    own nu, with one low_pass call per distinct nu and iteration, and a list
-    of B traces comes back.
+    CalibrationConfigs that share n_iters; each row is noised and denoised at
+    its own t0, with one denoiser call per iteration for the whole stack, and
+    filtered at its own nu, with one low_pass call per distinct nu and
+    iteration, and a list of B traces comes back.
     """
     runs = _Runs(cfg)
     if runs.run_shape(eps0.shape) != x_ref.shape:
         raise ValueError(f"shape mismatch: {x_ref.shape} vs {eps0.shape}")
     stack = (len(runs),) + x_ref.shape  # a run is the stack of one
-    t0, n_iters = _shared(runs, "t0"), _shared(runs, "n_iters")
+    t0, n_iters = runs.given([run.t0 for run in runs]), _shared(runs, "n_iters")
     s._check_t(t0)
-    coef = s.signal_scale(t0) / s.noise_scale(t0)
+    coef = s.signal_scale(t0) / s.noise_scale(t0)  # a column of B for a stack
     traces = [CalibrationTrace(calibration_calls=n_iters) for _ in runs]
     nus = [run.nu for run in runs]
     ref = np.broadcast_to(x_ref, eps0.shape)
@@ -166,11 +169,12 @@ def nc_sdedit(
     num_steps; x0 is then the stack, with a list of B traces, both in the
     order given.  A single run is the stack of one.  Only here may the runs
     of a stack start at different levels: each grid is a suffix of the
-    longest (ddim_grid filters one list), and the starts are taken in
-    decreasing order.  The runs of a start are calibrated together, at one
-    call per iteration, join the rows on the way, and the stack runs the
-    reverse pass down to the next start, one call per step.  A pass split at
-    a grid step is the whole pass, so every row steps as it would alone.
+    longest (ddim_grid filters one list).  Every row is drawn, calibrated at
+    its own start (n_iters calls for the whole stack) and noised to it
+    together; the rows then join the reverse pass in decreasing order of
+    start, and the stack runs the pass down to the next start, one call per
+    step.  A pass split at a grid step is the whole pass, so every row steps
+    as it would alone.
     """
     cals, samps = _Runs(cfg), _Runs(sampler)
     if (cals.stacked, len(cals)) != (samps.stacked, len(samps)):
@@ -179,24 +183,29 @@ def nc_sdedit(
             f"got {len(cals)} calibration and {len(samps)} sampler configs"
         )
     num_steps = _shared(samps, "num_steps")
-    _shared(cals, "n_iters")  # calibrate_noise checks it only within one start
     grids = [ddim_grid(s, num_steps, cal.t0) for cal in cals]
     order = sorted(range(len(cals)), key=lambda b: -grids[b][0])  # stable
     stack = [replace(cals[b], t0=grids[b][0]) for b in order]
-    starts = sorted({cal.t0 for cal in stack}, reverse=True)
-    x, firsts, traces = None, [], []
-    for t0, stop in zip(starts, starts[1:] + [0]):
-        group = [cal for cal in stack if cal.t0 == t0]
-        eps0 = gaussian_noise((len(group),) + x_ref.shape, [cal.rng for cal in group])
-        eps, group_traces = calibrate_noise(x_ref, eps0, group, d, s)
-        traces += group_traces
-        x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), t0, eps, s)
-        x = x_t0 if x is None else _freeze(np.concatenate([x, x_t0]))
-        segment = [t for t in grids[order[0]] if stop < t <= t0]
-        x, x0_hat = denoise_from(x, segment, d, s, [samps[b] for b in order[: len(x)]], stop)
-        firsts.append(x0_hat[-len(group) :])  # the joining rows' first estimates
+    t0s = [cal.t0 for cal in stack]  # nonincreasing, so each start's rows follow the last's
+    eps0 = gaussian_noise((len(stack),) + x_ref.shape, [cal.rng for cal in stack])
+    eps, traces = calibrate_noise(x_ref, eps0, stack, d, s)
+    x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), t0s, eps, s)
+    del eps0, eps  # the rows are noised
     # the first sampling evaluation doubles as the final objective reading
-    low = _low_pass_rows(np.concatenate(firsts) - x_ref, [cal.nu for cal in stack])
+    gaps = np.empty(x_t0.shape)
+    starts = sorted(set(t0s), reverse=True)
+    x, lo = None, 0
+    for t0, stop in zip(starts, starts[1:] + [0]):
+        hi = lo + t0s.count(t0)  # this start's rows join those in flight
+        x = x_t0[:hi] if x is None else _freeze(np.concatenate([x, x_t0[lo:hi]]))
+        if hi == len(t0s):
+            del x_t0  # every row is in flight
+        segment = [t for t in grids[order[0]] if stop < t <= t0]
+        x, x0_hat = denoise_from(x, segment, d, s, [samps[b] for b in order[:hi]], stop)
+        np.subtract(x0_hat[lo:], x_ref, out=gaps[lo:hi])  # the joining rows' first estimates
+        del x0_hat
+        lo = hi
+    low = _low_pass_rows(gaps, [cal.nu for cal in stack])
     for b, trace, low_row in zip(order, traces, low):
         trace.objectives.append(l2_norm(low_row))
         trace.sampling_calls = len(grids[b])

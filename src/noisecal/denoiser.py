@@ -6,6 +6,10 @@ E[x0 | x_t] is the same information, through
 
     x_t = signal_scale(t) * E[x0 | x_t] + noise_scale(t) * eps.
 
+A stack of B runs (B, F, C, H, W) takes one t for every row, or a list or
+tuple of B timesteps, one per row, as a network conditioned on a per-sample
+noise level does; either way each row's bytes are those it has alone.
+
 GmmDenoiser is the exact Bayes-optimal denoiser for a Gaussian-mixture data
 distribution; with all component variances zero it is the optimal denoiser
 for a finite dataset (the empirical denoiser).
@@ -27,11 +31,12 @@ class Denoiser(abc.ABC):
     """Pure, shape-preserving noise predictor."""
 
     @abc.abstractmethod
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
+    def predict_eps(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:
         """Predicted noise at level t; same shape as x_t.  Requires t >= 1.
 
         x_t is one video (F, C, H, W) or a stack of B videos (B, F, C, H, W),
-        each row predicted as if it came alone."""
+        each row predicted as if it came alone; a stack's t is one int or a
+        sequence of B, one per row (schedule._check_t is the rule)."""
 
 
 class GmmDenoiser(Denoiser):
@@ -120,12 +125,15 @@ class GmmDenoiser(Denoiser):
         d._set(weights, means, variances)
         return d
 
-    def posterior_mean(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
+    def posterior_mean(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:
         """E[x0 | x_t] in closed form; predict_eps is derived from it.
 
         x_t is one video (F, C, H, W) or a stack of B videos (B, F, C, H, W)
-        that are denoised independently; one video is the stack of one, and
-        each row's bytes do not depend on the rest of the stack.
+        that are denoised independently, at one t or at a timestep per row;
+        one video is the stack of one, and each row's bytes do not depend on
+        the rest of the stack.  A row's level enters as its own row of a
+        (B, 1) column of alpha_bar, which broadcasts where the one-level
+        form uses a scalar, so every element has the same operations.
 
         Means of one frame are a static-video prior: they broadcast over
         every frame of x_t, and the mixture is over whole videos, so the
@@ -137,7 +145,7 @@ class GmmDenoiser(Denoiser):
         root*mbar, the scaled centre of the means, so that an offset common
         to all means does not cancel digits away.
         """
-        schedule._check_t(t)
+        abar = schedule._alpha_bar_at(t, shape=x_t.shape).reshape(-1, 1)  # (B or 1, 1)
         xs = x_t[None] if x_t.ndim == 4 else x_t
         if (
             xs.ndim != 5
@@ -146,7 +154,6 @@ class GmmDenoiser(Denoiser):
         ):
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.means.shape[1:]}")
         n, (b, f) = len(self.means), xs.shape[:2]
-        abar = float(schedule.alpha_bar[t])
         root = np.sqrt(abar)
         x = xs.reshape(b, f, -1)  # (B, F, D)
         # one-frame means broadcast as views: the tiled and one-frame mixtures
@@ -154,7 +161,7 @@ class GmmDenoiser(Denoiser):
         m = np.broadcast_to(self.means.reshape(n, len(self._mbar), -1), (n,) + x.shape[1:])
         m = m.transpose(1, 0, 2)  # (F, n, D)
         mbar = np.broadcast_to(self._mbar, x.shape[1:])
-        c = x - root * self._mbar  # (B, F, D)
+        c = x - root[..., None] * self._mbar  # (B, F, D)
         # stacked matrix-vector products, B*F of them; a GEMM over the rows
         # would sum in another order and make a row's bytes depend on B
         dots = np.matmul(m, c[..., None])[..., 0]  # (B, F, n): m_kf . c_bf
@@ -167,17 +174,18 @@ class GmmDenoiser(Denoiser):
         sq = cc - 2.0 * root * dots.sum(axis=1) + abar * msq.sum(axis=0)  # (B, n)
         del c  # the output below takes two more full-size buffers
         # per-component marginal variance of x_t
-        s = abar * self.variances + (1.0 - abar)  # (n,)
+        s = abar * self.variances + (1.0 - abar)  # (B or 1, n)
         log_r = np.log(self.weights) - sq / (2.0 * s) - 0.5 * x[0].size * np.log(s)
         log_r -= log_r.max(axis=1, keepdims=True)  # log-sum-exp shift keeps exp in range
         r = np.exp(log_r)
         r /= r.sum(axis=1, keepdims=True)
-        gain = root * self.variances / s  # (n,) shrinkage toward each mean
+        gain = root * self.variances / s  # (B or 1, n) shrinkage toward each mean
         # sum_k r_k (m_k + g_k (x - root m_k)) = sum_k r_k (1 - g_k root) m_k + (r . g) x
         out = np.matmul((r * (1.0 - gain * root))[:, None, None, :], m)[:, :, 0]  # (B, F, D)
-        out += np.array([float(row @ gain) for row in r])[:, None, None] * x
+        gains = np.broadcast_to(gain, r.shape)  # each row of r with its own level's gain
+        out += np.array([float(row @ g) for row, g in zip(r, gains)])[:, None, None] * x
         return _freeze(out.reshape(x_t.shape))
 
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
+    def predict_eps(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:
         x0 = self.posterior_mean(x_t, t, schedule)
         return _freeze((x_t - schedule.signal_scale(t) * x0) / schedule.noise_scale(t))

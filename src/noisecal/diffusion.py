@@ -10,7 +10,9 @@ continued from there is the whole pass.
 
 Every function here takes one run (F, C, H, W) or a stack of runs
 (B, F, C, H, W) that step together; each run of a stack draws from its own
-streams, so its bytes are those it has alone.
+streams, so its bytes are those it has alone.  forward_noise and
+estimate_x0 also take a timestep per row of a stack, as the denoiser does;
+ddim_step and denoise_from step the whole stack at one level.
 """
 
 from __future__ import annotations
@@ -47,17 +49,19 @@ class SamplerConfig:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
 
-def forward_noise(x0: VideoTensor, t: int, eps: VideoTensor, s: NoiseSchedule) -> VideoTensor:
-    """Noise a clean tensor to level t: signal_scale(t)*x0 + noise_scale(t)*eps."""
+def forward_noise(x0: VideoTensor, t, eps: VideoTensor, s: NoiseSchedule) -> VideoTensor:
+    """Noise a clean tensor to level t: signal_scale(t)*x0 + noise_scale(t)*eps.
+    A stack's t is one int or a timestep per row."""
     _require_same_shape(x0, eps)
-    s._check_t(t, low=0)
+    s._check_t(t, low=0, shape=x0.shape)
     return _freeze(s.signal_scale(t) * x0 + s.noise_scale(t) * eps)
 
 
-def estimate_x0(x_t: VideoTensor, t: int, eps_pred: VideoTensor, s: NoiseSchedule) -> VideoTensor:
-    """One-shot clean estimate: invert forward_noise given the predicted noise."""
+def estimate_x0(x_t: VideoTensor, t, eps_pred: VideoTensor, s: NoiseSchedule) -> VideoTensor:
+    """One-shot clean estimate: invert forward_noise given the predicted noise.
+    A stack's t is one int or a timestep per row."""
     _require_same_shape(x_t, eps_pred)
-    s._check_t(t)  # t=0 carries no noise to remove
+    s._check_t(t, shape=x_t.shape)  # t=0 carries no noise to remove
     return _freeze((x_t - s.noise_scale(t) * eps_pred) / s.signal_scale(t))
 
 

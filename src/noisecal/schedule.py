@@ -39,21 +39,44 @@ class NoiseSchedule:
     def num_steps(self) -> int:
         return self.alpha_bar.shape[0] - 1
 
-    def _check_t(self, t: int, low: int = 1) -> None:
-        if not isinstance(t, (int, np.integer)):
-            raise ValueError(f"timestep must be an integer, got {t!r}")
-        if not low <= t <= self.num_steps:
-            raise ValueError(f"timestep {t} outside [{low}, {self.num_steps}]")
+    def _check_t(self, t, low: int = 1, shape: tuple[int, ...] | None = None) -> None:
+        """The one home of the timestep rule: t is one int in [low, T], or a
+        list or tuple of them, one per row of a stack (B, F, C, H, W).  shape,
+        when given, is the tensor t is for, whose B rows need B timesteps."""
+        named = [("timestep", t)]
+        if isinstance(t, (list, tuple)):
+            if shape is not None and len(shape) != 5:
+                raise ValueError(f"a timestep per row needs a (B, F, C, H, W) stack, got {shape}")
+            rows = len(t) if shape is None else shape[0]
+            if len(t) < rows:
+                raise ValueError(f"no timestep for row {len(t)} of a {rows}-row stack")
+            if len(t) > rows:
+                raise ValueError(f"timestep {t[rows]!r} given for row {rows} of a {rows}-row stack")
+            named = [(f"row {b} timestep", t_b) for b, t_b in enumerate(t)]
+        for what, t_b in named:
+            if not isinstance(t_b, (int, np.integer)):
+                raise ValueError(f"{what} must be an integer, got {t_b!r}")
+            if not low <= t_b <= self.num_steps:
+                raise ValueError(f"{what} {t_b} outside [{low}, {self.num_steps}]")
 
-    def signal_scale(self, t: int) -> float:
-        """sqrt(alpha_bar[t]), coefficient of the clean signal at level t."""
-        self._check_t(t, low=0)
-        return float(np.sqrt(self.alpha_bar[t]))
+    def _alpha_bar_at(self, t, low: int = 1, shape: tuple[int, ...] | None = None):
+        """alpha_bar at t, checked by _check_t: one float64, or for a timestep
+        per row a (B, 1, 1, 1, 1) column that broadcasts over the stack, so
+        each element goes through the same operations as on one run."""
+        self._check_t(t, low, shape)
+        if isinstance(t, (list, tuple)):
+            return self.alpha_bar[list(t)].reshape(-1, 1, 1, 1, 1)
+        return self.alpha_bar[t]
 
-    def noise_scale(self, t: int) -> float:
-        """sqrt(1 - alpha_bar[t]), coefficient of the unit noise at level t."""
-        self._check_t(t, low=0)
-        return float(np.sqrt(1.0 - self.alpha_bar[t]))
+    def signal_scale(self, t):
+        """sqrt(alpha_bar[t]), coefficient of the clean signal at level t:
+        a float, or a (B, 1, 1, 1, 1) array for a timestep per row."""
+        return np.sqrt(self._alpha_bar_at(t, low=0))
+
+    def noise_scale(self, t):
+        """sqrt(1 - alpha_bar[t]), coefficient of the unit noise at level t:
+        a float, or a (B, 1, 1, 1, 1) array for a timestep per row."""
+        return np.sqrt(1.0 - self._alpha_bar_at(t, low=0))
 
 
 def linear_beta_schedule(

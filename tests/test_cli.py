@@ -877,9 +877,9 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
 
 
 def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypatch):
-    # one stack of every run, largest t0 first: each t0 group makes its N calls
-    # when the pass reaches its start, then joins the stack, which makes one call
-    # per step of the largest t0's grid
+    # one stack of every run, largest t0 first: the N calibration calls take
+    # every row at its own t0, then each t0 group joins the pass at its start,
+    # which makes one call per step of the largest t0's grid
     calls = []
     real = GmmDenoiser.posterior_mean
 
@@ -894,8 +894,8 @@ def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypa
     s = build_schedule(load_config(cfg))
     assert ddim_grid(s, 5, 40) == [40, 30, 20, 10]
     # 2 nu values x 2 seeds in every group
-    assert calls == [(40, 4)] * 3 + [(30, 4)] * 2 + [(30, 8)] + [(20, 4)] * 2 + [
-        (20, 12), (10, 12)
+    assert calls == [([40] * 4 + [30] * 4 + [20] * 4, 12)] * 2 + [
+        (40, 4), (30, 8), (20, 12), (10, 12)
     ]
 
 
@@ -922,7 +922,7 @@ def test_sweep_cuts_a_t0_group_into_stacks_of_bounded_bytes(tmp_path, capsys, mo
     s = build_schedule(load_config(cfg))
     assert (ddim_grid(s, 5, 20), ddim_grid(s, 5, 30)) == ([20, 10], [30, 20, 10])
     first = [3, 3] + [3, 3]  # N=2 calls, then the grid of 20
-    second = [2, 2] + [1, 1] + [2, 3, 3]  # the groups of 30 and 20, then the grid of 30
+    second = [3, 3] + [2, 3, 3]  # N=2 calls on every row, then the grid of 30
     third = [2, 2] + [2, 2, 2]
     assert sorted(calls) == sorted(first + second + third)
 

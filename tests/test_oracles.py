@@ -405,8 +405,10 @@ def test_sums_of_squares_match_blas_forms(one_frame, shape, offset):
 
 
 def per_row_posterior_mean(d, stack, t, schedule):
-    """The posterior of a (B, F, C, H, W) stack as B separate calls."""
-    return np.stack([d.posterior_mean(row, t, schedule) for row in stack])
+    """The posterior of a (B, F, C, H, W) stack as B separate calls, at one t
+    or at a list of timesteps, one per row."""
+    ts = t if isinstance(t, list) else [t] * len(stack)
+    return np.stack([d.posterior_mean(row, t_b, schedule) for row, t_b in zip(stack, ts)])
 
 
 def per_run_nc_sdedit(x_ref, cal, samp, d, s):
@@ -466,6 +468,57 @@ def test_stacked_posterior_mean_equals_per_row_calls_on_large_frames(one_frame):
     assert got.tobytes() == per_row_posterior_mean(d, stack, 600, SCHED).tobytes()
 
 
+# a timestep per row: both ends of the schedule, a repeat, and rows out of order
+MIXED_T = [600, 1, 1000, 250, 600]
+
+
+@pytest.mark.parametrize("batch", [2, 5])
+@pytest.mark.parametrize("one_frame", [True, False], ids=["one-frame", "per-frame"])
+@pytest.mark.parametrize("zero_variance", [True, False], ids=["zero-var", "nonzero-var"])
+def test_mixed_t_posterior_mean_equals_per_row_calls(batch, one_frame, zero_variance):
+    d, stack = stacked_case(6000 + batch, batch, one_frame, zero_variance)
+    ts = MIXED_T[:batch]
+    got = d.posterior_mean(stack, ts, SCHED)
+    assert got.tobytes() == per_row_posterior_mean(d, stack, ts, SCHED).tobytes()
+    assert d.posterior_mean(stack, tuple(ts), SCHED).tobytes() == got.tobytes()
+    eps = np.stack([d.predict_eps(row, t, SCHED) for row, t in zip(stack, ts)])
+    assert d.predict_eps(stack, ts, SCHED).tobytes() == eps.tobytes()
+
+
+def test_mixed_t_forward_noise_and_estimate_x0_equal_per_row_calls():
+    shape = (5, 2, 1, 5, 6)
+    x0 = gaussian_noise(shape, [RngSeed(6300, b) for b in range(5)])
+    eps = gaussian_noise(shape, [RngSeed(6301, b) for b in range(5)])
+    ts = [600, 0, 1000, 250, 600]  # t=0 is the clean level
+    got = forward_noise(x0, ts, eps, SCHED)
+    want = np.stack([forward_noise(a, t, e, SCHED) for a, t, e in zip(x0, ts, eps)])
+    assert got.tobytes() == want.tobytes()
+    ts = MIXED_T  # estimate_x0 needs t >= 1
+    got = estimate_x0(x0, ts, eps, SCHED)
+    want = np.stack([estimate_x0(a, t, e, SCHED) for a, t, e in zip(x0, ts, eps)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_mixed_t0_calibration_equals_each_row_alone():
+    """Rows of four starts, with repeats and out of order, calibrate in N calls
+    for the stack, and each row's noise and objectives are those it has alone."""
+    rng = RngSeed(6400)
+    d = GmmDenoiser([(0.5, gaussian_noise((2, 1, 6, 6), rng.substream(k)), 0.3) for k in (0, 1)])
+    x_ref = gaussian_noise((2, 1, 6, 6), rng.substream(2))
+    t0s, nus = [500, 167, 833, 500, 1000], [0.5, 1.0, 0.25, 0.0, 0.5]
+    cals = [CalibrationConfig(t0=t0, n_iters=3, nu=nu, rng=rng.substream(10, b))
+            for b, (t0, nu) in enumerate(zip(t0s, nus))]
+    eps0 = gaussian_noise((len(cals),) + x_ref.shape, [cal.rng for cal in cals])
+    counter = CountingDenoiser(d)
+    eps, traces = calibrate_noise(x_ref, eps0, cals, counter, SCHED)
+    assert counter.calls == 3
+    for row, row_eps0, trace, cal in zip(eps, eps0, traces, cals):
+        alone, alone_trace = calibrate_noise(x_ref, row_eps0, cal, d, SCHED)
+        assert row.tobytes() == alone.tobytes()
+        assert trace.objectives == alone_trace.objectives
+        assert len(trace.objectives) == 3
+
+
 _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -479,12 +532,17 @@ for batch in (1, 2, 5):
         got = d.posterior_mean(stack, 600, s).tobytes()
         assert got == per_row_posterior_mean(d, stack, 600, s).tobytes(), (batch, one_frame)
         print(hashlib.sha256(got).hexdigest())
+d, stack = stacked_case(6150, 5, False, False, (2, 1, 32, 32), 16)
+ts = [600, 1, 1000, 250, 600]
+got = d.posterior_mean(stack, ts, s).tobytes()
+assert got == per_row_posterior_mean(d, stack, ts, s).tobytes(), ts
+print(hashlib.sha256(got).hexdigest())
 """
 
 
 def test_stacked_posterior_mean_bytes_do_not_depend_on_blas_threads():
     """16 components of 32x32 frames are enough for OpenBLAS to split each
-    matrix-vector product over threads."""
+    matrix-vector product over threads; the last stack has a timestep per row."""
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -494,14 +552,14 @@ def test_stacked_posterior_mean_bytes_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 6
+    assert len(digests[0]) == 7
     assert digests[0] == digests[1]
 
 
 def test_stacked_nc_sdedit_rows_equal_per_run_oracle(sched):
-    """Runs of mixed, unsorted t0 advance as one staggered stack: each start
-    is calibrated once, and the reverse pass makes one call per step of the
-    longest grid."""
+    """Runs of mixed, unsorted t0 advance as one staggered stack: every row is
+    calibrated at its own start in the same 3 calls, and the reverse pass
+    makes one call per step of the longest grid."""
     rng = RngSeed(6200)
     d = GmmDenoiser([(0.5, gaussian_noise((2, 1, 6, 6), rng.substream(k)), 0.3) for k in (0, 1)])
     x_ref = gaussian_noise((2, 1, 6, 6), rng.substream(2))
@@ -513,7 +571,7 @@ def test_stacked_nc_sdedit_rows_equal_per_run_oracle(sched):
     x0, traces = nc_sdedit(x_ref, cals, samps, counter, sched)
     starts = {ddim_grid(sched, 6, t0)[0] for t0 in t0s}
     assert sorted(starts) == [167, 333, 500]  # 600 and 650 share a start
-    assert counter.calls == 3 * len(starts) + len(ddim_grid(sched, 6, 650))
+    assert counter.calls == 3 + len(ddim_grid(sched, 6, 650))
     assert x0.shape == (len(nus),) + x_ref.shape
     for row, trace, cal, samp in zip(x0, traces, cals, samps):
         want, objectives = per_run_nc_sdedit(x_ref, cal, samp, d, sched)

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from noisecal import NoiseSchedule, ddim_grid, linear_beta_schedule
+from doubles import ConstantDenoiser
+from noisecal import (
+    GmmDenoiser,
+    NoiseSchedule,
+    RngSeed,
+    ddim_grid,
+    estimate_x0,
+    forward_noise,
+    gaussian_noise,
+    linear_beta_schedule,
+)
 
 
 def test_alpha_bar_starts_at_one():
@@ -110,3 +120,65 @@ def test_alpha_bar_monotone_for_valid_parameters(num_steps, beta_start, extra):
     s = linear_beta_schedule(num_steps, beta_start, beta_start + extra)
     assert np.all(np.diff(s.alpha_bar) < 0)
     assert 0.0 < s.alpha_bar[-1] < 1.0
+
+
+# ---------------------------------------------------------------- a timestep per row
+
+
+def per_row_callers(s, x=None):
+    """Each caller of the timestep rule on x, by default a 4-row stack, with
+    its lowest level."""
+    if x is None:
+        x = gaussian_noise((4, 1, 1, 2, 2), [RngSeed(b) for b in range(4)])
+    run = x if x.ndim == 4 else x[0]
+    d = GmmDenoiser([(1.0, run, 0.5)])
+    return {
+        "posterior_mean": (1, lambda t: d.posterior_mean(x, t, s)),
+        "predict_eps": (1, lambda t: d.predict_eps(x, t, s)),
+        "constant": (1, lambda t: ConstantDenoiser(run).predict_eps(x, t, s)),
+        "forward_noise": (0, lambda t: forward_noise(x, t, x, s)),
+        "estimate_x0": (1, lambda t: estimate_x0(x, t, x, s)),
+    }
+
+
+SHAPED = ["posterior_mean", "predict_eps", "forward_noise", "estimate_x0"]
+
+
+@pytest.mark.parametrize("caller", SHAPED + ["constant"])
+def test_per_row_t_is_taken_by_every_caller(tiny_sched, caller):
+    low, call = per_row_callers(tiny_sched)[caller]
+    assert call([10, low + 1, 5, 10]).shape == (4, 1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("caller", SHAPED)
+@pytest.mark.parametrize(
+    "ts,message",
+    [([5, 5, 5], "no timestep for row 3 of a 4-row stack"),
+     ([5, 5, 5, 5, 7], "timestep 7 given for row 4 of a 4-row stack")],
+    ids=["short", "long"],
+)
+def test_per_row_t_of_wrong_length_names_the_row(tiny_sched, caller, ts, message):
+    with pytest.raises(ValueError, match=message):
+        per_row_callers(tiny_sched)[caller][1](ts)
+
+
+@pytest.mark.parametrize("caller", SHAPED + ["constant"])
+@pytest.mark.parametrize("bad", [2.0, "5", None])
+def test_per_row_t_entry_not_an_int_names_the_row(tiny_sched, caller, bad):
+    with pytest.raises(ValueError, match=rf"row 2 timestep must be an integer, got {bad!r}"):
+        per_row_callers(tiny_sched)[caller][1]([5, 5, bad, 5])
+
+
+@pytest.mark.parametrize("caller", SHAPED + ["constant"])
+def test_per_row_t_entry_outside_its_range_names_the_row(tiny_sched, caller):
+    low, call = per_row_callers(tiny_sched)[caller]
+    for bad in (low - 1, 11):
+        with pytest.raises(ValueError, match=rf"row 1 timestep {bad} outside \[{low}, 10\]"):
+            call([5, bad, 5, 5])
+
+
+@pytest.mark.parametrize("caller", SHAPED)
+def test_per_row_t_needs_a_stack(tiny_sched, caller):
+    call = per_row_callers(tiny_sched, gaussian_noise((1, 1, 2, 2), RngSeed(9)))[caller][1]
+    with pytest.raises(ValueError, match=r"a timestep per row needs a \(B, F, C, H, W\) stack"):
+        call([5])
