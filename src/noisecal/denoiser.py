@@ -50,16 +50,18 @@ class GmmDenoiser(Denoiser):
         components = list(components)
         if not components:
             raise ValueError("GmmDenoiser needs at least one component")
-        means = [as_video(m) for _, m, _ in components]
-        shape = means[0].shape
-        for i, m in enumerate(means):
-            if m.shape != shape:
-                raise ValueError(f"component {i} mean shape {m.shape} != {shape}")
+        means = []
+        for i, (w, m, v) in enumerate(components):  # the numbers first, as from_json_spec
+            _finite_number(w, f"component {i} weight")
+            _finite_number(v, f"component {i} variance")
+            means.append(as_video(m))
+            if means[i].shape != means[0].shape:
+                raise ValueError(f"component {i} mean shape {means[i].shape} != {means[0].shape}")
         weights, _, variances = zip(*components)
         self._set(weights, np.stack(means), variances)
 
     def _set(self, weights, means: np.ndarray, variances) -> None:
-        """Take finite float64 means of shape (n, F, C, H, W) as they are."""
+        """Take finite float64 means (n, F, C, H, W) and checked numbers as they are."""
         weights = np.array([float(w) for w in weights], dtype=np.float64)
         if np.any(weights <= 0) or not np.isfinite(sum(weights.tolist())):  # no overflow warning
             raise ValueError("component weights must be positive, with a finite sum")

@@ -65,6 +65,13 @@ def estimate_x0(x_t: VideoTensor, t, eps_pred: VideoTensor, s: NoiseSchedule) ->
     return _freeze((x_t - s.noise_scale(t) * eps_pred) / s.signal_scale(t))
 
 
+def _one_level(*levels) -> None:
+    """The reverse pass steps a whole stack at one level: no timestep per row."""
+    for t in levels:
+        if isinstance(t, (list, tuple)):
+            raise ValueError(f"the reverse pass steps the whole stack at one level per step: {t!r}")
+
+
 def ddim_step(
     x_t: VideoTensor,
     t: int,
@@ -81,6 +88,7 @@ def ddim_step(
     x0_hat and no noise is drawn.  rng is one RngSeed for a run, or one per
     row for a stack; every row steps with cfg.eta.
     """
+    _one_level(t, t_prev)
     s._check_t(t)
     if not 0 <= t_prev < t:
         raise ValueError(f"need 0 <= t_prev < t, got t_prev={t_prev}, t={t}")
@@ -125,6 +133,7 @@ def denoise_from(
     """
     if not grid:
         raise ValueError("denoise_from needs a nonempty timestep grid")
+    _one_level(*grid, stop)
     runs = _Runs(cfg)
     runs.run_shape(x_t0.shape)
     _shared(runs, "eta")  # so that runs[0] steps for all of them

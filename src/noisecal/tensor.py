@@ -69,15 +69,16 @@ class RngSeed:
 
 
 def _freeze(arr: np.ndarray) -> VideoTensor:
-    """Finalize an internally-built array: check finiteness, make read-only."""
+    """Finalize an array built or copied here: check finiteness, make read-only."""
     if not np.isfinite(arr).all():
-        raise NumericError("operation produced NaN or Inf")
+        raise NumericError("tensor holds NaN or Inf")
     arr.flags.writeable = False
     return arr
 
 
 def _finite_number(v, what: str):
-    """v itself, if it is an int or float (not a bool) within float range."""
+    """v as an int or float (not a bool; numpy scalars too) within float range."""
+    v = v.item() if isinstance(v, (np.integer, np.floating)) else v
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ValueError(f"{what} must be a finite number, got {v!r}")
     return v
@@ -94,24 +95,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def as_video(data) -> VideoTensor:
-    """Coerce array-like data to a validated video tensor.
-
-    Accepts anything numpy can turn into a rank-4 array; copies unless the
-    input is already a read-only float64 rank-4 array.
-    """
-    if (
-        isinstance(data, np.ndarray)
-        and data.dtype == np.float64
-        and data.ndim == 4
-        and not data.flags.writeable
-    ):
-        _validate_shape(data.shape)
-        if not np.isfinite(data).all():
-            raise NumericError("tensor contains NaN or Inf")
-        return data
+    """Coerce array-like data to a validated video tensor: always a new
+    read-only float64 copy of a rank-4 array whose elements are all finite."""
     arr = np.array(data, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ValueError(f"video tensor must be rank 4 (F,C,H,W), got rank {arr.ndim}")
     _validate_shape(arr.shape)
     return _freeze(arr)
 

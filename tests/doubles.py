@@ -34,7 +34,7 @@ class ConstantDenoiser(Denoiser):
     def __init__(self, fixed_eps: VideoTensor) -> None:
         self.fixed_eps = as_video(fixed_eps)
 
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
+    def predict_eps(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:
         schedule._check_t(t)  # t=0 has no noise to predict
         if x_t.ndim not in (4, 5) or x_t.shape[-4:] != self.fixed_eps.shape:
             raise ValueError(f"shape mismatch: {x_t.shape} vs {self.fixed_eps.shape}")
@@ -51,7 +51,7 @@ class CountingDenoiser(Denoiser):
         self._lock = threading.Lock()
         self.calls = 0
 
-    def predict_eps(self, x_t: VideoTensor, t: int, schedule: NoiseSchedule) -> VideoTensor:
+    def predict_eps(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:
         with self._lock:
             self.calls += 1
         return self.inner.predict_eps(x_t, t, schedule)

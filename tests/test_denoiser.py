@@ -99,6 +99,30 @@ def test_component_validation():
         GmmDenoiser([(0.5, one_pixel(0.0), 1.0), (0.5, as_video(np.zeros((1, 1, 2, 2))), 1.0)])
 
 
+@pytest.mark.parametrize("field", ["weight", "variance"])
+@pytest.mark.parametrize("bad", [True, "0.5", None, float("nan"), float("inf"), -float("inf")])
+def test_components_in_memory_meet_the_spec_loaders_number_rule(tmp_path, field, bad):
+    # both constructors reject the same numbers, naming the component, before any
+    # denoiser call; the loader checks component 1 before reading its mean file
+    numbers = {"weight": 0.5, "variance": 0.1, field: bad}
+    with pytest.raises(ValueError, match=f"component 1 {field} must be a finite number"):
+        GmmDenoiser([(1.0, one_pixel(0.0), 0.0), (numbers["weight"], one_pixel(1.0), numbers["variance"])])
+    write_tensor(one_pixel(0.0), tmp_path / "m0.vnt")
+    spec = [{"weight": 1.0, "mean": "m0.vnt"}, {"mean": "missing.vnt", **numbers}]
+    (tmp_path / "mix.json").write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=f"mix.json: component 1 {field} must be a finite number"):
+        GmmDenoiser.from_json_spec(tmp_path / "mix.json")
+
+
+def test_numpy_scalar_weights_and_variances_give_the_float_bytes():
+    means = [one_pixel(0.0), one_pixel(1.0)]
+    plain = GmmDenoiser([(2, means[0], 1.0), (6.0, means[1], 0)])
+    for kind in (np.float64, np.float32, np.int64):
+        d = GmmDenoiser([(kind(2), means[0], kind(1)), (kind(6), means[1], kind(0))])
+        for name in ("weights", "variances", "means"):
+            assert getattr(d, name).tobytes() == getattr(plain, name).tobytes(), (kind, name)
+
+
 def test_weights_whose_sum_overflows_rejected():
     # 1e308 + 1e308 is inf: normalizing would give zero weights and a NaN posterior
     with pytest.raises(ValueError, match="finite sum"):

@@ -153,6 +153,18 @@ def test_ddim_step_rejects_bad_ordering(tiny_sched):
         ddim_step(x, 5, -1, d, tiny_sched, cfg_for(0.0), RngSeed(0))
 
 
+def test_ddim_step_rejects_a_timestep_per_row(tiny_sched):
+    # the reverse pass steps a whole stack at one level; a per-row t or t_prev
+    # is a ValueError that says so, before any denoiser call
+    x = gaussian_noise((2, 1, 1, 4, 4), [RngSeed(21), RngSeed(22)])
+    counter = CountingDenoiser(ConstantDenoiser(np.zeros((1, 1, 4, 4))))
+    rngs = [RngSeed(0), RngSeed(1)]
+    for t, t_prev in (([5, 6], 0), ((5, 6), 0), (6, [0, 1])):
+        with pytest.raises(ValueError, match="one level per step"):
+            ddim_step(x, t, t_prev, counter, tiny_sched, cfg_for(0.0), rngs)
+    assert counter.calls == 0
+
+
 def test_ddim_step_to_zero_returns_clean_estimate(tiny_sched):
     # alpha_bar[0] = 1: no residual noise and no fresh draw at the last step
     x = gaussian_noise((1, 1, 4, 4), RngSeed(21))
@@ -197,6 +209,16 @@ def test_denoise_from_empty_grid_is_identity(sched):
     d = ConstantDenoiser(np.zeros_like(x))
     with pytest.raises(ValueError, match="nonempty"):
         denoise_from(x, [], d, sched, cfg_for(1.0))
+
+
+def test_denoise_from_rejects_a_timestep_per_row(sched):
+    x = gaussian_noise((2, 1, 1, 4, 4), [RngSeed(27), RngSeed(28)])
+    counter = CountingDenoiser(ConstantDenoiser(np.zeros((1, 1, 4, 4))))
+    cfgs = [cfg_for(1.0, seed=0), cfg_for(1.0, seed=1)]
+    for grid, stop in (([[5], [6]], 0), ([600, (500, 400)], 0), ([600, 500], [1, 2])):
+        with pytest.raises(ValueError, match="one level per step"):
+            denoise_from(x, grid, counter, sched, cfgs, stop=stop)
+    assert counter.calls == 0
 
 
 def test_denoise_from_single_component_lands_on_mean(sched):

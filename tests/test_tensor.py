@@ -34,9 +34,30 @@ def test_as_video_rejects_nan_and_inf():
     with pytest.raises(NumericError):
         as_video(bad)
     bad[0, 0, 0, 0] = np.nan
-    bad.flags.writeable = False  # a read-only float64 array is not copied, but still checked
+    bad.flags.writeable = False  # a read-only float64 array is copied and checked alike
     with pytest.raises(NumericError):
         as_video(bad)
+
+
+def test_as_video_copies_a_read_only_video():
+    x = np.arange(6.0).reshape(1, 1, 2, 3)
+    x.flags.writeable = False
+    y = as_video(x)
+    assert y is not x and not np.shares_memory(x, y)
+    assert y.dtype == np.float64 and not y.flags.writeable
+    assert y.tobytes() == x.tobytes()
+
+
+def test_as_video_gives_one_message_for_nan_whatever_the_writeable_flag():
+    messages = []
+    for writeable in (True, False):
+        bad = np.zeros((1, 1, 2, 2))
+        bad[0, 0, 1, 1] = np.nan
+        bad.flags.writeable = writeable
+        with pytest.raises(NumericError) as info:
+            as_video(bad)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_l2_norm():
