@@ -138,14 +138,23 @@ def calibrate_noise(
     nus = [run.nu for run in runs]
     ref = np.broadcast_to(x_ref, eps0.shape)
     eps = eps0
+    del eps0  # each buffer goes after its last read
     for _ in range(n_iters):
         x_t0 = forward_noise(ref, t0, eps, s)
+        del eps
         eps_pred = d.predict_eps(x_t0, t0, s)
-        gap = estimate_x0(x_t0, t0, eps_pred, s) - ref
+        x0_hat = estimate_x0(x_t0, t0, eps_pred, s)
+        del x_t0
+        gap = x0_hat - ref
+        del x0_hat
         low = _low_pass_rows(gap.reshape(stack), nus)  # each run's band at its own nu
         for trace, low_row in zip(traces, low):
             trace.objectives.append(l2_norm(low_row))
-        eps = _freeze(eps_pred + coef * (gap - low.reshape(gap.shape)))
+        gap -= low.reshape(gap.shape)  # eps_pred + coef * (gap - low), in the gap's buffer
+        gap *= coef
+        gap += eps_pred
+        eps = _freeze(gap)
+        del gap, low, eps_pred
     return eps, runs.given(traces)
 
 
@@ -187,24 +196,30 @@ def nc_sdedit(
     order = sorted(range(len(cals)), key=lambda b: -grids[b][0])  # stable
     stack = [replace(cals[b], t0=grids[b][0]) for b in order]
     t0s = [cal.t0 for cal in stack]  # nonincreasing, so each start's rows follow the last's
-    eps0 = gaussian_noise((len(stack),) + x_ref.shape, [cal.rng for cal in stack])
-    eps, traces = calibrate_noise(x_ref, eps0, stack, d, s)
+    eps, traces = calibrate_noise(
+        x_ref, gaussian_noise((len(stack),) + x_ref.shape, [cal.rng for cal in stack]), stack, d, s
+    )
     x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), t0s, eps, s)
-    del eps0, eps  # the rows are noised
+    del eps  # the rows are noised
     # the first sampling evaluation doubles as the final objective reading
-    gaps = np.empty(x_t0.shape)
     starts = sorted(set(t0s), reverse=True)
-    x, lo = None, 0
+    flight, lo = [], 0  # the one reference to the stack in flight: a pass takes it out
     for t0, stop in zip(starts, starts[1:] + [0]):
         hi = lo + t0s.count(t0)  # this start's rows join those in flight
-        x = x_t0[:hi] if x is None else _freeze(np.concatenate([x, x_t0[lo:hi]]))
+        flight.append(x_t0[lo:hi])
         if hi == len(t0s):
             del x_t0  # every row is in flight
+        if lo:
+            flight = [_freeze(np.concatenate(flight))]
         segment = [t for t in grids[order[0]] if stop < t <= t0]
-        x, x0_hat = denoise_from(x, segment, d, s, [samps[b] for b in order[:hi]], stop)
+        x, x0_hat = denoise_from(flight.pop(), segment, d, s, [samps[b] for b in order[:hi]], stop)
+        if lo == 0:  # made once the first pass is back, not during it
+            gaps = np.empty((len(t0s),) + x_ref.shape)
         np.subtract(x0_hat[lo:], x_ref, out=gaps[lo:hi])  # the joining rows' first estimates
-        del x0_hat
+        flight.append(x)
+        del x, x0_hat
         lo = hi
+    x = flight.pop()
     low = _low_pass_rows(gaps, [cal.nu for cal in stack])
     for b, trace, low_row in zip(order, traces, low):
         trace.objectives.append(l2_norm(low_row))

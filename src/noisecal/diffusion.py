@@ -102,11 +102,12 @@ def ddim_step(
         * np.sqrt(1.0 - abar_t / abar_prev)
     )
     residual_var = 1.0 - abar_prev - sigma**2  # >= 0 for eta <= 1, up to roundoff
-    out = np.sqrt(abar_prev) * x0_hat
+    out = np.sqrt(abar_prev) * x0_hat  # a new buffer, so each term adds in place
     if residual_var > 0:
-        out = out + np.sqrt(residual_var) * eps
+        out += np.sqrt(residual_var) * eps
+    del eps
     if sigma > 0:
-        out = out + sigma * gaussian_noise(x_t.shape, rng)
+        out += sigma * gaussian_noise(x_t.shape, rng)
     return _freeze(out), x0_hat
 
 
@@ -138,9 +139,11 @@ def denoise_from(
     runs.run_shape(x_t0.shape)
     _shared(runs, "eta")  # so that runs[0] steps for all of them
     x, first_x0_hat = x_t0, None
+    del x_t0  # so that the first step's input goes with the step
     for t, t_prev in zip(grid, grid[1:] + [stop]):
         rng = runs.given([run.rng.substream(t) for run in runs])
         x, x0_hat = ddim_step(x, t, t_prev, d, s, runs[0], rng)
         if first_x0_hat is None:
             first_x0_hat = x0_hat
+        del x0_hat  # a later step's estimate is not read
     return x, first_x0_hat

@@ -83,12 +83,14 @@ def read_pnm(path) -> np.ndarray:
     magic, width, height, _, pos = _read_pnm_header(blob, path)
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    payload = blob[pos:]  # bytes past the frame, such as a second image, are an error
-    if len(payload) != need:
-        raise PnmFormatError(f"{path}: payload has {len(payload)} bytes, expected {need}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    size = len(blob) - pos  # bytes past the frame, such as a second image, are an error
+    if size != need:
+        raise PnmFormatError(f"{path}: payload has {size} bytes, expected {need}")
+    pixels = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
     # channels first in C order, built by the one uint8 -> float64 conversion
-    return np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64) / 255.0
+    frame = np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64)
+    frame /= 255.0
+    return frame
 
 
 def write_pnm(frame: np.ndarray, path) -> np.ndarray:
@@ -137,16 +139,15 @@ def read_video(dir_path) -> VideoTensor:
     """Read a frame directory to a (F, C, H, W) tensor with values in [0, 1]."""
     dir_path = Path(dir_path)
     paths = _scan_frames(dir_path)
-    frames = []
-    shape = None
-    for p in paths:
+    video = None
+    for i, p in enumerate(paths):
         frame = read_pnm(p)
-        if shape is None:
-            shape = frame.shape
-        elif frame.shape != shape:
-            raise PnmFormatError(f"{p}: frame shape {frame.shape} != first frame {shape}")
-        frames.append(frame)
-    return _freeze(np.stack(frames))  # frozen in place: no second copy
+        if video is None:
+            video = np.empty((len(paths),) + frame.shape)  # each frame goes into place
+        elif frame.shape != video.shape[1:]:
+            raise PnmFormatError(f"{p}: frame shape {frame.shape} != first frame {video.shape[1:]}")
+        video[i] = frame
+    return _freeze(video)  # frozen in place: no second copy
 
 
 def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
@@ -213,12 +214,12 @@ def read_tensor(path, out: np.ndarray | None = None) -> VideoTensor:
         raise TensorFormatError(f"{path}: zero dimension in {dims}")
     offset = 8 + 4 * ndim
     expected = math.prod(dims) * 4  # Python ints: no wraparound
-    payload = blob[offset:]
-    if len(payload) != expected:
+    size = len(blob) - offset  # read in place: a slice of the blob would copy it
+    if size != expected:
         raise TensorFormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected} for dims {dims}"
+            f"{path}: payload has {size} bytes, expected {expected} for dims {dims}"
         )
-    values = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    values = np.frombuffer(blob, dtype="<f4", offset=offset).reshape(dims)
     if not np.isfinite(values).all():
         raise TensorFormatError(f"{path}: payload holds NaN or Inf")
     if out is None:

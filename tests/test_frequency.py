@@ -1,6 +1,8 @@
 """Band splitting: masks, low_pass, the high band as its residual, and the
 content objective as the norm of the gap's low band."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,33 @@ def test_low_pass_nyquist_cosine_removed():
 def test_low_pass_nu0_is_zero():
     x = gaussian_noise((1, 1, 8, 8), RngSeed(42))
     np.testing.assert_allclose(low_pass(x, 0.0), 0.0, atol=1e-10)
+
+
+def test_low_pass_nu0_runs_no_fft(monkeypatch):
+    # no kept column: the zeros come without a transform, each one +0.0
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran at nu=0")
+
+    for name in ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    out = low_pass(gaussian_noise((2, 1, 8, 8), RngSeed(41)), 0.0)
+    assert not out.any() and not np.signbit(out).any()
+    assert not out.flags.writeable
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.5, 0.77])
+def test_low_pass_peak_memory_is_below_two_and_a_half_inputs(nu):
+    """The row-axis transforms run on the kept half-plane columns only: an
+    8x3x64x64 video peaks at 2.16x its bytes (3.07x through rfft2/irfft2)."""
+    x = gaussian_noise((8, 3, 64, 64), RngSeed(49))
+    low_pass(x, nu)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        low_pass(x, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.nbytes
 
 
 def test_filters_work_on_odd_sizes():

@@ -26,6 +26,9 @@ they replace (np.linalg.norm, np.vdot and a matmul of two vectors).
 SSIM filters the five maps of a chunk of (frame, channel) pairs as one stack,
 and spatial frequency sums squared differences with einsum; the oracles keep
 the per-pair, per-map separable filter and the squared np.diff sums.
+low_pass runs the row-axis transforms on the half-plane columns its mask
+keeps and zeroes the rest; the oracle keeps the rfft2/irfft2 form, which
+transforms every column, and the two must agree byte for byte.
 Each per-row job of a stack is one call per stack: the noise of every row
 comes from one generator re-keyed per row, the band split is one low_pass
 per distinct nu, and metric_report scores the whole stack against the one
@@ -131,12 +134,25 @@ def replace_low_freq(x_t0, x_ref, x0_hat, t0, nu, s):
     return _freeze(x_t0 + s.signal_scale(t0) * low_pass(x_ref - x0_hat, nu))
 
 
-def complement_high(x, nu):
-    """The complement-mask high band on the real FFT's half-plane."""
+def half_plane_filter(x, pass_map):
+    """x filtered as numpy's rfft2 and irfft2 compose it: every column of the
+    half-plane goes through the row-axis transforms, and the pass map zeroes
+    the discarded ones after."""
     h, w = x.shape[-2:]
     spectrum = np.fft.rfft2(x)
-    spectrum *= ~frequency_mask(h, w, nu)[:, : w // 2 + 1]
+    spectrum *= pass_map[:, : w // 2 + 1]
     return np.fft.irfft2(spectrum, s=(h, w))
+
+
+def mask_edges(n):
+    """Cutoffs on and just below each box radius of an n-bin axis."""
+    radii = [k / ((n + 1) // 2) for k in range(1, (n + 1) // 2 + 1)]
+    return [nu for r in radii for nu in (float(np.nextafter(r, 0.0)), r) if nu < 1.0]
+
+
+def complement_high(x, nu):
+    """The complement-mask high band on the real FFT's half-plane."""
+    return half_plane_filter(x, ~frequency_mask(*x.shape[-2:], nu))
 
 
 def two_filter_update(x_ref, eps, t0, nu, d, s):
@@ -198,6 +214,23 @@ def test_calibration_step_matches_two_filter_oracle(h, w, nu):
     objective, eps_oracle = two_filter_update(x_ref, eps0, 600, nu, d, SCHED)
     assert trace.objectives[0] == objective  # the same low_pass of the same gap
     np.testing.assert_allclose(eps, eps_oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h,w", SHAPES + [(17, 23), (33, 47), (1, 5), (6, 1)])
+@pytest.mark.parametrize("stacked", [False, True], ids=["run", "stack"])
+def test_low_pass_is_the_half_plane_form_byte_for_byte(h, w, stacked):
+    """Transforming only the kept columns changes no byte for 0 < nu < 1, on
+    and beside every mask edge, up to the cutoff that passes every bin (an odd
+    axis has no Nyquist bin, and a full mask is a copy); at nu=0 the zeros are
+    equal in value (the half-plane form can give -0.0)."""
+    shape = (3, 2, 2, h, w) if stacked else (2, 2, h, w)
+    x = gaussian_noise(shape, [RngSeed(h, w + b) for b in range(3)] if stacked else RngSeed(h, w))
+    for nu in sorted({0.0, 0.25, 0.5, 0.77, 1e-9, *mask_edges(h), *mask_edges(w)}):
+        keep = frequency_mask(h, w, nu)
+        if nu == 0.0:
+            np.testing.assert_array_equal(low_pass(x, nu), half_plane_filter(x, keep))
+        elif not keep.all():
+            assert low_pass(x, nu).tobytes() == half_plane_filter(x, keep).tobytes(), nu
 
 
 @pytest.mark.parametrize("h,w", SHAPES)

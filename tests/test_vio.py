@@ -296,6 +296,25 @@ def test_read_peak_memory_is_below_two_and_a_half_results(tmp_path, write, read)
     assert peak < 2.5 * out.nbytes
 
 
+@pytest.mark.parametrize(
+    "write,read,bound",
+    [(write_video, read_video, 1.5), (write_tensor, read_tensor, 1.75)],
+    ids=["video", "tensor"],
+)
+def test_read_holds_the_result_and_one_file_at_a_time(tmp_path, write, read, bound):
+    """Frames go into one buffer as they are read (a stack of frames read 2.13x),
+    and the payload is read in place in the file's bytes (a slice of them read 2x)."""
+    write(quantized_video((8, 3, 64, 64), 122), tmp_path / "x")
+    read(tmp_path / "x")  # first call outside the trace
+    tracemalloc.start()
+    try:
+        out = read(tmp_path / "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * out.nbytes
+
+
 def test_no_tmp_files_left_behind(tmp_path):
     write_video(quantized_video((2, 1, 4, 4), 119), tmp_path / "v")
     write_tensor(gaussian_noise((1, 1, 2, 2), RngSeed(120)), tmp_path / "t.vnt")
