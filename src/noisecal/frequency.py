@@ -10,12 +10,6 @@ two bands sum back to x, and the content objective is the norm of the
 gap's low band, l2_norm(low_pass(x0_hat - x_ref)).  The filter acts on the
 last two axes, so one call filters a whole stack of runs (B, F, C, H, W),
 each row to the bytes it has alone.
-
-A box mask keeps a prefix of the half-plane's columns, so only those go
-through the row-axis transforms; the other columns are zeroed, not
-transformed.  low_pass holds the half-plane spectrum, the kept columns'
-transform until it is written back, and its output: it peaks at about 2.2x
-its input's bytes.  With no kept column (nu=0) it runs no FFT.
 """
 
 from __future__ import annotations
@@ -53,17 +47,15 @@ def low_pass(x: VideoTensor, nu: float) -> VideoTensor:
     """Keep only FFT bins with normalized radius <= nu (none at nu=0); a full mask copies x.
 
     x is a video or any stack of them; every leading axis is filtered in one call.
-    The bytes are those of irfft2(rfft2(x) * mask), which is how numpy composes
-    the same 1-D transforms; at nu=0 the zeros come without an FFT, all +0.0
-    where that form can give -0.0.
+    A box mask keeps a prefix of the half-plane's columns, so only those go
+    through the row-axis transforms and the rest are zeroed; this is how numpy
+    composes irfft2(rfft2(x) * mask), and the bytes are that form's for nu > 0.
     """
     height, width = x.shape[-2:]
     keep = frequency_mask(height, width, nu)
     if keep.all():
         return _freeze(x.copy())
     cols = int(np.count_nonzero(keep[0, : width // 2 + 1]))  # a box keeps a prefix
-    if cols == 0:
-        return _freeze(np.zeros(x.shape))
     spectrum = np.fft.rfft(x)
     band = np.fft.fft(spectrum[..., :cols], axis=-2)
     band *= keep[:, :cols]
