@@ -19,9 +19,10 @@ x_t0 with the reference's; tests/test_oracles.py keeps that form
 
 A stack of runs is calibrated together, each row at its own t0 (the
 denoiser takes a timestep per row), so a stack of any mix of starts costs N
-calls; it is filtered with one low_pass call per distinct nu, in each
-iteration and in the final objective reading, and each run's objective is
-the norm of its own row.
+calls; it is filtered with one low_pass call per distinct nu in each
+iteration, and each run's objective is the norm of its own row.  The final
+objective reading costs no call: nc_sdedit takes it from the estimate of each
+start's first sampling step, with one low_pass call per start and nu.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .denoiser import Denoiser
-from .diffusion import SamplerConfig, denoise_from, estimate_x0, forward_noise
+from .diffusion import SamplerConfig, ddim_step, denoise_from, estimate_x0, forward_noise
 from .frequency import low_pass
 from .schedule import NoiseSchedule, ddim_grid
 from .tensor import (
@@ -108,6 +109,12 @@ def _low_pass_rows(x: np.ndarray, nus: Sequence[float]) -> np.ndarray:
     return low
 
 
+def _read_objectives(traces: Sequence[CalibrationTrace], low: np.ndarray) -> None:
+    """Append to each run's trace the norm of its row of the gap's low band."""
+    for trace, low_row in zip(traces, low):
+        trace.objectives.append(l2_norm(low_row))
+
+
 def calibrate_noise(
     x_ref: VideoTensor,
     eps0: VideoTensor,
@@ -148,13 +155,13 @@ def calibrate_noise(
         gap = x0_hat - ref
         del x0_hat
         low = _low_pass_rows(gap.reshape(stack), nus)  # each run's band at its own nu
-        for trace, low_row in zip(traces, low):
-            trace.objectives.append(l2_norm(low_row))
         gap -= low.reshape(gap.shape)  # eps_pred + coef * (gap - low), in the gap's buffer
         gap *= coef
         gap += eps_pred
         eps = _freeze(gap)
-        del gap, low, eps_pred
+        del gap, eps_pred
+        _read_objectives(traces, low)
+        del low
     return eps, runs.given(traces)
 
 
@@ -183,7 +190,9 @@ def nc_sdedit(
     together; the rows then join the reverse pass in decreasing order of
     start, and the stack runs the pass down to the next start, one call per
     step.  A pass split at a grid step is the whole pass, so every row steps
-    as it would alone.
+    as it would alone.  Each start's first step is taken here, and its
+    estimate gives the joining rows' last objective at once; the rest of the
+    pass down to the next start goes to denoise_from.
     """
     cals, samps = _Runs(cfg), _Runs(sampler)
     if (cals.stacked, len(cals)) != (samps.stacked, len(samps)):
@@ -192,6 +201,7 @@ def nc_sdedit(
             f"got {len(cals)} calibration and {len(samps)} sampler configs"
         )
     num_steps = _shared(samps, "num_steps")
+    _shared(samps, "eta")  # so that runs[0] takes each start's first step for all of them
     grids = [ddim_grid(s, num_steps, cal.t0) for cal in cals]
     order = sorted(range(len(cals)), key=lambda b: -grids[b][0])  # stable
     stack = [replace(cals[b], t0=grids[b][0]) for b in order]
@@ -201,9 +211,9 @@ def nc_sdedit(
     )
     x_t0 = forward_noise(np.broadcast_to(x_ref, eps.shape), t0s, eps, s)
     del eps  # the rows are noised
-    # the first sampling evaluation doubles as the final objective reading
+    nus = [cal.nu for cal in stack]
     starts = sorted(set(t0s), reverse=True)
-    flight, lo = [], 0  # the one reference to the stack in flight: a pass takes it out
+    flight, lo = [], 0  # the one reference to the stack in flight: a step or a pass takes it out
     for t0, stop in zip(starts, starts[1:] + [0]):
         hi = lo + t0s.count(t0)  # this start's rows join those in flight
         flight.append(x_t0[lo:hi])
@@ -211,18 +221,24 @@ def nc_sdedit(
             del x_t0  # every row is in flight
         if lo:
             flight = [_freeze(np.concatenate(flight))]
-        segment = [t for t in grids[order[0]] if stop < t <= t0]
-        x, x0_hat = denoise_from(flight.pop(), segment, d, s, [samps[b] for b in order[:hi]], stop)
-        if lo == 0:  # made once the first pass is back, not during it
-            gaps = np.empty((len(t0s),) + x_ref.shape)
-        np.subtract(x0_hat[lo:], x_ref, out=gaps[lo:hi])  # the joining rows' first estimates
+        rest = [t for t in grids[order[0]] if stop < t < t0]  # the pass after the step from t0
+        runs = [samps[b] for b in order[:hi]]
+        rng = [run.rng.substream(t0) for run in runs]  # the draws denoise_from keys by t0
+        x, x0_hat = ddim_step(flight.pop(), t0, rest[0] if rest else stop, d, s, runs[0], rng)
         flight.append(x)
-        del x, x0_hat
+        del x
+        # the first sampling evaluation doubles as the joining rows' final objective reading
+        gap = x0_hat[lo:] - x_ref
+        del x0_hat
+        low = _low_pass_rows(gap, nus[lo:hi])
+        del gap
+        _read_objectives(traces[lo:hi], low)
+        del low
+        if rest:  # a pass split at a grid step is the whole pass
+            flight.append(denoise_from(flight.pop(), rest, d, s, runs, stop))
         lo = hi
     x = flight.pop()
-    low = _low_pass_rows(gaps, [cal.nu for cal in stack])
-    for b, trace, low_row in zip(order, traces, low):
-        trace.objectives.append(l2_norm(low_row))
+    for b, trace in zip(order, traces):
         trace.sampling_calls = len(grids[b])
     if order != sorted(order):  # back to the order given
         back = np.argsort(order)

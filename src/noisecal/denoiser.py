@@ -185,9 +185,15 @@ class GmmDenoiser(Denoiser):
         # sum_k r_k (m_k + g_k (x - root m_k)) = sum_k r_k (1 - g_k root) m_k + (r . g) x
         out = np.matmul((r * (1.0 - gain * root))[:, None, None, :], m)[:, :, 0]  # (B, F, D)
         gains = np.broadcast_to(gain, r.shape)  # each row of r with its own level's gain
-        out += np.array([float(row @ g) for row, g in zip(r, gains)])[:, None, None] * x
+        rg = np.array([float(row @ g) for row, g in zip(r, gains)])[:, None]  # (B, 1)
+        for k in range(f):  # a frame at a time, so the product takes no full-size temporary
+            out[:, k] += rg * x[:, k]
         return _freeze(out.reshape(x_t.shape))
 
     def predict_eps(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:
-        x0 = self.posterior_mean(x_t, t, schedule)
-        return _freeze((x_t - schedule.signal_scale(t) * x0) / schedule.noise_scale(t))
+        x0 = self.posterior_mean(x_t, t, schedule)  # first: a bad t is named against [1, T]
+        eps = schedule.signal_scale(t) * x0  # (x_t - signal_scale * x0) / noise_scale in one buffer
+        del x0
+        np.subtract(x_t, eps, out=eps)
+        eps /= schedule.noise_scale(t)
+        return _freeze(eps)

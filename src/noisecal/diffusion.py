@@ -3,10 +3,12 @@
 The reverse direction has one step, ddim_step, over an arbitrary timestep
 gap; its noise scale is eta * the largest variance consistent with the
 marginals, for eta in [0, 1].  eta=0 is the deterministic limit, and eta=1
-on consecutive steps is the DDPM ancestral step.  A step to t_prev=0 lands
-on its clean estimate, so every reverse pass, the full ancestral chain
-included, is denoise_from over a grid; a pass stopped at a grid step and
-continued from there is the whole pass.
+on consecutive steps is the DDPM ancestral step.  A step to t_prev=0 returns
+its clean estimate itself as the iterate, so every reverse pass, the full
+ancestral chain included, is denoise_from over a grid; a pass stopped at a
+grid step and continued from there is the whole pass.  Each stage builds its
+result in a buffer it owns, and a step drops its input once its estimate is
+made, so a pass holds one iterate between steps.
 
 Every function here takes one run (F, C, H, W) or a stack of runs
 (B, F, C, H, W) that step together; each run of a stack draws from its own
@@ -28,10 +30,10 @@ from .tensor import (
     RngSeed,
     VideoTensor,
     _freeze,
+    _normal,
     _require_same_shape,
     _Runs,
     _shared,
-    gaussian_noise,
 )
 
 
@@ -54,7 +56,9 @@ def forward_noise(x0: VideoTensor, t, eps: VideoTensor, s: NoiseSchedule) -> Vid
     A stack's t is one int or a timestep per row."""
     _require_same_shape(x0, eps)
     s._check_t(t, low=0, shape=x0.shape)
-    return _freeze(s.signal_scale(t) * x0 + s.noise_scale(t) * eps)
+    out = s.noise_scale(t) * eps  # addition commutes: the bytes of the signal term plus the noise's
+    out += s.signal_scale(t) * x0
+    return _freeze(out)
 
 
 def estimate_x0(x_t: VideoTensor, t, eps_pred: VideoTensor, s: NoiseSchedule) -> VideoTensor:
@@ -62,7 +66,10 @@ def estimate_x0(x_t: VideoTensor, t, eps_pred: VideoTensor, s: NoiseSchedule) ->
     A stack's t is one int or a timestep per row."""
     _require_same_shape(x_t, eps_pred)
     s._check_t(t, shape=x_t.shape)  # t=0 carries no noise to remove
-    return _freeze((x_t - s.noise_scale(t) * eps_pred) / s.signal_scale(t))
+    x0 = s.noise_scale(t) * eps_pred  # (x_t - noise_scale * eps) / signal_scale in one buffer
+    np.subtract(x_t, x0, out=x0)
+    x0 /= s.signal_scale(t)
+    return _freeze(x0)
 
 
 def _one_level(*levels) -> None:
@@ -85,8 +92,10 @@ def ddim_step(
 
     Returns the iterate at t_prev and the clean estimate x0_hat at t that the
     step is built on.  At t_prev=0 both noise terms vanish: the iterate is
-    x0_hat and no noise is drawn.  rng is one RngSeed for a run, or one per
-    row for a stack; every row steps with cfg.eta.
+    x0_hat itself and no noise is drawn.  rng is one RngSeed for a run, or one
+    per row for a stack; every row steps with cfg.eta.  x_t goes once the
+    estimate is made, so a caller that hands over its only reference holds no
+    input through the update.
     """
     _one_level(t, t_prev)
     s._check_t(t)
@@ -96,18 +105,27 @@ def ddim_step(
     abar_prev = float(s.alpha_bar[t_prev])
     eps = d.predict_eps(x_t, t, s)
     x0_hat = estimate_x0(x_t, t, eps, s)
+    shape = x_t.shape
+    del x_t
+    if t_prev == 0:  # alpha_bar[0] is exactly 1, and 1.0 * x0_hat is x0_hat
+        return x0_hat, x0_hat
     sigma = (
         cfg.eta
         * np.sqrt((1.0 - abar_prev) / (1.0 - abar_t))
         * np.sqrt(1.0 - abar_t / abar_prev)
     )
     residual_var = 1.0 - abar_prev - sigma**2  # >= 0 for eta <= 1, up to roundoff
-    out = np.sqrt(abar_prev) * x0_hat  # a new buffer, so each term adds in place
-    if residual_var > 0:
-        out += np.sqrt(residual_var) * eps
-    del eps
+    if residual_var > 0:  # addition commutes: these are the bytes of x0's term plus eps's
+        out = np.sqrt(residual_var) * eps
+        del eps
+        out += np.sqrt(abar_prev) * x0_hat
+    else:
+        del eps
+        out = np.sqrt(abar_prev) * x0_hat
     if sigma > 0:
-        out += sigma * gaussian_noise(x_t.shape, rng)
+        noise = _normal(shape, rng)
+        noise *= sigma
+        out += noise
     return _freeze(out), x0_hat
 
 
@@ -118,7 +136,7 @@ def denoise_from(
     s: NoiseSchedule,
     cfg: SamplerConfig | Sequence[SamplerConfig],
     stop: int = 0,
-) -> tuple[VideoTensor, VideoTensor]:
+) -> VideoTensor:
     """Run the reverse pass along a nonempty decreasing timestep grid to stop.
 
     Steps pairwise along the grid and then from its smallest timestep to
@@ -129,8 +147,9 @@ def denoise_from(
     denoiser evaluation per grid entry.
 
     cfg is one SamplerConfig for a run, or one per row for a stack; the runs
-    of a stack share eta.  Returns the iterate at stop and the clean estimate
-    from the first denoiser evaluation, which costs nothing extra.
+    of a stack share eta.  Returns the iterate at stop.  Each step takes the
+    only reference this function holds to its input, so a caller that hands
+    over its own holds one iterate between steps.
     """
     if not grid:
         raise ValueError("denoise_from needs a nonempty timestep grid")
@@ -138,12 +157,9 @@ def denoise_from(
     runs = _Runs(cfg)
     runs.run_shape(x_t0.shape)
     _shared(runs, "eta")  # so that runs[0] steps for all of them
-    x, first_x0_hat = x_t0, None
-    del x_t0  # so that the first step's input goes with the step
+    flight = [x_t0]  # the one reference to the iterate: a step takes it out
+    del x_t0
     for t, t_prev in zip(grid, grid[1:] + [stop]):
         rng = runs.given([run.rng.substream(t) for run in runs])
-        x, x0_hat = ddim_step(x, t, t_prev, d, s, runs[0], rng)
-        if first_x0_hat is None:
-            first_x0_hat = x0_hat
-        del x0_hat  # a later step's estimate is not read
-    return x, first_x0_hat
+        flight.append(ddim_step(flight.pop(), t, t_prev, d, s, runs[0], rng)[0])
+    return flight.pop()

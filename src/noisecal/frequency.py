@@ -9,7 +9,9 @@ runs no FFT at all.  The high band is the residual x - low_pass(x), so the
 two bands sum back to x, and the content objective is the norm of the
 gap's low band, l2_norm(low_pass(x0_hat - x_ref)).  The filter acts on the
 last two axes, so one call filters a whole stack of runs (B, F, C, H, W),
-each row to the bytes it has alone.
+each row to the bytes it has alone.  Beyond a small input it works a
+quarter of the planes at a time into its one output buffer, so its
+transforms hold a fraction of the input besides the output.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import VideoTensor, _freeze
+
+_ONE_CHUNK_BYTES = 1 << 17  # low_pass filters an input of at most this size in one piece
 
 
 @lru_cache(maxsize=64)
@@ -50,16 +54,26 @@ def low_pass(x: VideoTensor, nu: float) -> VideoTensor:
     A box mask keeps a prefix of the half-plane's columns, so only those go
     through the row-axis transforms and the rest are zeroed; this is how numpy
     composes irfft2(rfft2(x) * mask), and the bytes are that form's for nu > 0.
+    The planes go through in four chunks, or in one for an input of at most
+    _ONE_CHUNK_BYTES, straight into the one output buffer; a plane's
+    transforms do not depend on the others, so the chunks move no byte.
     """
     height, width = x.shape[-2:]
     keep = frequency_mask(height, width, nu)
     if keep.all():
         return _freeze(x.copy())
     cols = int(np.count_nonzero(keep[0, : width // 2 + 1]))  # a box keeps a prefix
-    spectrum = np.fft.rfft(x)
-    band = np.fft.fft(spectrum[..., :cols], axis=-2)
-    band *= keep[:, :cols]
-    np.fft.ifft(band, axis=-2, out=spectrum[..., :cols])
-    del band
-    spectrum[..., cols:] = 0.0
-    return _freeze(np.fft.irfft(spectrum, n=width))
+    planes = x.reshape(-1, height, width)
+    out = np.empty(planes.shape)
+    chunks = 1 if x.nbytes <= _ONE_CHUNK_BYTES else 4
+    step = max(1, -(-len(planes) // chunks))
+    for lo in range(0, len(planes), step):
+        spectrum = np.fft.rfft(planes[lo : lo + step])
+        band = np.fft.fft(spectrum[..., :cols], axis=-2)
+        band *= keep[:, :cols]
+        np.fft.ifft(band, axis=-2, out=spectrum[..., :cols])
+        del band
+        spectrum[..., cols:] = 0.0
+        np.fft.irfft(spectrum, n=width, out=out[lo : lo + step])
+        del spectrum
+    return _freeze(out.reshape(x.shape))

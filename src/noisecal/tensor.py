@@ -160,6 +160,12 @@ def gaussian_noise(shape: tuple[int, ...], rng: RngSeed | Sequence[RngSeed]) -> 
     re-keyed to that row's seed, at counter 0 with an empty buffer, which is
     the state a fresh seed.generator() starts in.
     """
+    return _freeze(_normal(shape, rng))
+
+
+def _normal(shape: tuple[int, ...], rng: RngSeed | Sequence[RngSeed]) -> np.ndarray:
+    """gaussian_noise's draw in a new writable buffer, for a caller that
+    scales it in place."""
     rngs = _Runs(rng)
     run_shape = rngs.run_shape(shape)
     out = np.empty(shape, dtype=np.float64)
@@ -169,7 +175,7 @@ def gaussian_noise(shape: tuple[int, ...], rng: RngSeed | Sequence[RngSeed]) -> 
         fresh["state"]["key"] = r._key()
         gen.bit_generator.state = fresh
         gen.standard_normal(dtype=np.float64, out=row)
-    return _freeze(out)
+    return out
 
 
 def l2_norm(x: VideoTensor) -> float:

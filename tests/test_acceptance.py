@@ -256,7 +256,7 @@ def test_acceptance_08_chain_statistics():
     x_start = gaussian_noise((2000, 1, 1, 1), RngSeed(42, 9))
     full = SamplerConfig(eta=1.0, num_steps=SCHED.num_steps, rng=RngSeed(42, 10))
     grid = ddim_grid(SCHED, SCHED.num_steps, SCHED.num_steps)
-    out, _ = denoise_from(x_start, grid, d, SCHED, full)
+    out = denoise_from(x_start, grid, d, SCHED, full)
     sample_mean = float(out.mean())
     sample_var = float(out.var(ddof=1))
     assert abs(sample_mean - 0.3) < 0.0134, f"mean {sample_mean}"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from doubles import write_frame_prior
+from memory import traced_peak
 from noisecal import (
     GmmDenoiser,
     NumericError,
@@ -49,8 +50,8 @@ _BASE = {
 }
 
 
-def small_video(seed, frames=2, size=12):
-    raw = gaussian_noise((frames, 1, size, size), RngSeed(seed)) * 0.2 + 0.5
+def small_video(seed, frames=2, size=12, channels=1):
+    raw = gaussian_noise((frames, channels, size, size), RngSeed(seed)) * 0.2 + 0.5
     return as_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0)
 
 
@@ -208,6 +209,29 @@ def test_enhance_metrics_json_scores_the_written_frames(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["metrics", str(out), str(tmp_path / "input")]) == EXIT_OK
     assert (out / "metrics.json").read_text() == capsys.readouterr().out
+
+
+def test_enhance_then_metrics_peak_memory_is_a_few_inputs(tmp_path, capsys):
+    """`enhance` and then `metrics` on an 8-frame RGB clip: the reads,
+    nc_sdedit, write_video and both reports peak at 4.69x the input's bytes
+    beyond the mixture's (6.17x when a step kept its input and the band split
+    ran in one piece)."""
+    x = small_video(230, frames=8, size=64, channels=3)
+    write_video(x, tmp_path / "input")
+    write_frame_prior(small_video(231, frames=2, size=64, channels=3), tmp_path)
+    doc = json.loads(json.dumps(_BASE))
+    doc["calibration"].update(N=1, nu=0.5)
+    doc["sampler"]["num_steps"] = 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+
+    def op():
+        assert enhance(cfg, "--threads", "1") == EXIT_OK
+        assert main(["metrics", str(tmp_path / "out"), str(tmp_path / "input")]) == EXIT_OK
+
+    peak, _ = traced_peak(op)
+    mixture = 2 * x[0].nbytes  # two one-frame means
+    assert peak - mixture < 5.0 * x.nbytes
 
 
 def test_enhance_rerun_is_byte_identical(tmp_path):

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubles import ConstantDenoiser, CountingDenoiser
+from memory import traced_peak
 from noisecal import (
     GmmDenoiser,
     NoiseSchedule,
@@ -66,6 +66,19 @@ def test_predict_eps_rejects_t0(quarter_sched):
     d = GmmDenoiser([(1.0, one_pixel(0.0), 1.0)])
     with pytest.raises(ValueError):
         d.predict_eps(one_pixel(1.0), 0, quarter_sched)
+
+
+def test_posterior_mean_rejects_a_shape_the_mixture_does_not_have(quarter_sched):
+    # the means are (3, 1, 2, 2): another (C, H, W), or a frame count that is
+    # neither 1 nor 3, is named as a mismatch, for a run and for a stack
+    d = GmmDenoiser([(1.0, gaussian_noise((3, 1, 2, 2), RngSeed(3)), 0.5)])
+    for x_t in (
+        gaussian_noise((3, 1, 2, 3), RngSeed(4)),
+        gaussian_noise((2, 1, 2, 2), RngSeed(5)),
+        gaussian_noise((2, 2, 1, 2, 2), [RngSeed(6), RngSeed(7)]),
+    ):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            d.posterior_mean(x_t, 1, quarter_sched)
 
 
 def test_constant_denoiser(quarter_sched):
@@ -179,13 +192,7 @@ def test_posterior_mean_peak_memory_is_a_few_inputs(sched, mean_frames):
         [(1.0, gaussian_noise((mean_frames, 1, 64, 64), rng.substream(k)), 0.3) for k in range(32)]
     )
     x_t = gaussian_noise((8, 1, 64, 64), rng.substream(99))
-    d.posterior_mean(x_t, 500, sched)  # first call outside the trace
-    tracemalloc.start()
-    try:
-        d.posterior_mean(x_t, 500, sched)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(d.posterior_mean, x_t, 500, sched)
     assert peak < 4 * x_t.nbytes
 
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memory import traced_peak
 from noisecal import (
     RngSeed,
     as_video,
@@ -150,13 +150,7 @@ def test_ssim_peak_memory_does_not_grow_with_frames():
     peaks = []
     for frames in (2, 16):
         a, b = (gaussian_noise((frames, 3, 64, 64), RngSeed(109, k)) for k in (0, 1))
-        metrics._ssim_plane_means(a[None], b)  # first call outside the trace
-        tracemalloc.start()
-        try:
-            metrics._ssim_plane_means(a[None], b)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(metrics._ssim_plane_means, a[None], b)[0])
     assert peaks[1] <= 1.1 * peaks[0]
 
 

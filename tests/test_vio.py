@@ -1,11 +1,11 @@
 """Frame-directory, PNM, and raw tensor codecs."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from memory import traced_peak
 from noisecal import (
     PnmFormatError,
     RngSeed,
@@ -285,13 +285,7 @@ def test_tensor_rejects_non_finite_payload(tmp_path):
 def test_read_peak_memory_is_below_two_and_a_half_results(tmp_path, write, read):
     """A read builds its float64 array once and freezes it in place; one more copy reads 3x."""
     write(quantized_video((8, 3, 64, 64), 121), tmp_path / "x")
-    read(tmp_path / "x")  # first call outside the trace
-    tracemalloc.start()
-    try:
-        out = read(tmp_path / "x")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, out = traced_peak(read, tmp_path / "x")
     assert not out.flags.writeable
     assert peak < 2.5 * out.nbytes
 
@@ -305,13 +299,7 @@ def test_read_holds_the_result_and_one_file_at_a_time(tmp_path, write, read, bou
     """Frames go into one buffer as they are read (a stack of frames read 2.13x),
     and the payload is read in place in the file's bytes (a slice of them read 2x)."""
     write(quantized_video((8, 3, 64, 64), 122), tmp_path / "x")
-    read(tmp_path / "x")  # first call outside the trace
-    tracemalloc.start()
-    try:
-        out = read(tmp_path / "x")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, out = traced_peak(read, tmp_path / "x")
     assert peak < bound * out.nbytes
 
 
