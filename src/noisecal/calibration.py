@@ -189,10 +189,10 @@ def nc_sdedit(
     its own start (n_iters calls for the whole stack) and noised to it
     together; the rows then join the reverse pass in decreasing order of
     start, and the stack runs the pass down to the next start, one call per
-    step.  A pass split at a grid step is the whole pass, so every row steps
-    as it would alone.  Each start's first step is taken here, and its
-    estimate gives the joining rows' last objective at once; the rest of the
-    pass down to the next start goes to denoise_from.
+    step.  Each row draws its step noise from its own stream, so it steps as
+    it would alone.  Each start's first step is taken here, and its estimate
+    gives the joining rows' last objective at once; the rest of the pass down
+    to the next start goes to denoise_from.
     """
     cals, samps = _Runs(cfg), _Runs(sampler)
     if (cals.stacked, len(cals)) != (samps.stacked, len(samps)):
@@ -201,7 +201,7 @@ def nc_sdedit(
             f"got {len(cals)} calibration and {len(samps)} sampler configs"
         )
     num_steps = _shared(samps, "num_steps")
-    _shared(samps, "eta")  # so that runs[0] takes each start's first step for all of them
+    _shared(samps, "eta")  # a stack of mixed eta fails before calibration spends its calls
     grids = [ddim_grid(s, num_steps, cal.t0) for cal in cals]
     order = sorted(range(len(cals)), key=lambda b: -grids[b][0])  # stable
     stack = [replace(cals[b], t0=grids[b][0]) for b in order]
@@ -223,8 +223,7 @@ def nc_sdedit(
             flight = [_freeze(np.concatenate(flight))]
         rest = [t for t in grids[order[0]] if stop < t < t0]  # the pass after the step from t0
         runs = [samps[b] for b in order[:hi]]
-        rng = [run.rng.substream(t0) for run in runs]  # the draws denoise_from keys by t0
-        x, x0_hat = ddim_step(flight.pop(), t0, rest[0] if rest else stop, d, s, runs[0], rng)
+        x, x0_hat = ddim_step(flight.pop(), t0, rest[0] if rest else stop, d, s, runs)
         flight.append(x)
         del x
         # the first sampling evaluation doubles as the joining rows' final objective reading

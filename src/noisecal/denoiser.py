@@ -163,16 +163,19 @@ class GmmDenoiser(Denoiser):
         m = np.broadcast_to(self.means.reshape(n, len(self._mbar), -1), (n,) + x.shape[1:])
         m = m.transpose(1, 0, 2)  # (F, n, D)
         mbar = np.broadcast_to(self._mbar, x.shape[1:])
-        c = x - root[..., None] * self._mbar  # (B, F, D)
+        c = np.multiply(root[..., None], self._mbar, out=np.empty(x.shape))  # (B, F, D)
+        np.subtract(x, c, out=c)  # x - root * mbar in one buffer
         # stacked matrix-vector products, B*F of them; a GEMM over the rows
         # would sum in another order and make a row's bytes depend on B
         dots = np.matmul(m, c[..., None])[..., 0]  # (B, F, n): m_kf . c_bf
         # the two dot products of a whole frame or video are numpy sums: BLAS
         # splits a long dot over threads, and the thread count would change its bits
-        dots -= np.multiply(c, mbar).sum(axis=2)[..., None]  # (m_kf - mbar_f) . c_bf
+        cm = np.empty((b, c.shape[2]))  # one frame of c * mbar
+        for k in range(f):  # (m_kf - mbar_f) . c_bf, a frame at a time
+            dots[:, k] -= np.multiply(c[:, k], mbar[k], out=cm).sum(axis=1)[:, None]
         # frame sums over materialised (F, n) arrays add in the same order for both
         msq = np.ascontiguousarray(np.broadcast_to(self._msq.T, (f, n)))
-        cc = np.square(c).reshape(b, -1).sum(axis=1)[:, None]  # (B, 1): ||c_b||^2
+        cc = np.square(c, out=c).reshape(b, -1).sum(axis=1)[:, None]  # (B, 1): ||c_b||^2, in place
         sq = cc - 2.0 * root * dots.sum(axis=1) + abar * msq.sum(axis=0)  # (B, n)
         del c  # the output below takes two more full-size buffers
         # per-component marginal variance of x_t

@@ -85,15 +85,16 @@ def ddim_step(
     t_prev: int,
     d: Denoiser,
     s: NoiseSchedule,
-    cfg: SamplerConfig,
-    rng: RngSeed | Sequence[RngSeed],
+    cfg: SamplerConfig | Sequence[SamplerConfig],
 ) -> tuple[VideoTensor, VideoTensor]:
     """Generalized reverse step t -> t_prev across an arbitrary gap.
 
     Returns the iterate at t_prev and the clean estimate x0_hat at t that the
     step is built on.  At t_prev=0 both noise terms vanish: the iterate is
-    x0_hat itself and no noise is drawn.  rng is one RngSeed for a run, or one
-    per row for a stack; every row steps with cfg.eta.  x_t goes once the
+    x0_hat itself and no noise is drawn.  cfg is one SamplerConfig for a run,
+    or one per row for a stack; the runs of a stack share eta.  Per-step noise
+    draws use substreams keyed by timestep, rng.substream(t) for each run, so
+    the step budget does not reshuffle unrelated draws.  x_t goes once the
     estimate is made, so a caller that hands over its only reference holds no
     input through the update.
     """
@@ -101,6 +102,9 @@ def ddim_step(
     s._check_t(t)
     if not 0 <= t_prev < t:
         raise ValueError(f"need 0 <= t_prev < t, got t_prev={t_prev}, t={t}")
+    runs = _Runs(cfg)
+    runs.run_shape(x_t.shape)
+    eta = _shared(runs, "eta")
     abar_t = float(s.alpha_bar[t])
     abar_prev = float(s.alpha_bar[t_prev])
     eps = d.predict_eps(x_t, t, s)
@@ -110,7 +114,7 @@ def ddim_step(
     if t_prev == 0:  # alpha_bar[0] is exactly 1, and 1.0 * x0_hat is x0_hat
         return x0_hat, x0_hat
     sigma = (
-        cfg.eta
+        eta
         * np.sqrt((1.0 - abar_prev) / (1.0 - abar_t))
         * np.sqrt(1.0 - abar_t / abar_prev)
     )
@@ -123,7 +127,7 @@ def ddim_step(
         del eps
         out = np.sqrt(abar_prev) * x0_hat
     if sigma > 0:
-        noise = _normal(shape, rng)
+        noise = _normal(shape, runs.given([run.rng.substream(t) for run in runs]))
         noise *= sigma
         out += noise
     return _freeze(out), x0_hat
@@ -142,24 +146,19 @@ def denoise_from(
     Steps pairwise along the grid and then from its smallest timestep to
     stop, below it; at stop=0 that lands on the step's clean estimate.  The
     pass along grid[:k] to stop=grid[k], continued along grid[k:], is the
-    whole pass.  Per-step noise draws use substreams keyed by timestep, so
-    the step budget does not reshuffle unrelated draws.  Exactly one
-    denoiser evaluation per grid entry.
+    whole pass, since each step keys its draws by its own timestep.  Exactly
+    one denoiser evaluation per grid entry.
 
-    cfg is one SamplerConfig for a run, or one per row for a stack; the runs
-    of a stack share eta.  Returns the iterate at stop.  Each step takes the
-    only reference this function holds to its input, so a caller that hands
-    over its own holds one iterate between steps.
+    cfg is ddim_step's: one SamplerConfig for a run, or one per row for a
+    stack.  Returns the iterate at stop.  Each step takes the only reference
+    this function holds to its input, so a caller that hands over its own
+    holds one iterate between steps.
     """
     if not grid:
         raise ValueError("denoise_from needs a nonempty timestep grid")
     _one_level(*grid, stop)
-    runs = _Runs(cfg)
-    runs.run_shape(x_t0.shape)
-    _shared(runs, "eta")  # so that runs[0] steps for all of them
     flight = [x_t0]  # the one reference to the iterate: a step takes it out
     del x_t0
     for t, t_prev in zip(grid, grid[1:] + [stop]):
-        rng = runs.given([run.rng.substream(t) for run in runs])
-        flight.append(ddim_step(flight.pop(), t, t_prev, d, s, runs[0], rng)[0])
+        flight.append(ddim_step(flight.pop(), t, t_prev, d, s, cfg)[0])
     return flight.pop()

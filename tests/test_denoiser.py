@@ -185,15 +185,15 @@ def test_eps_x0_identity(seed, t):
 
 @pytest.mark.parametrize("mean_frames", [1, 8])
 def test_posterior_mean_peak_memory_is_a_few_inputs(sched, mean_frames):
-    """No per-component full-size temporary: one call on 8x1x64x64 with 32
-    components peaks below 4x the input's bytes (the broadcast form: ~2n x)."""
+    """No per-component or centred-copy temporary: one call on 8x1x64x64 with
+    32 components peaks below 1.5x the input's bytes (the broadcast form: ~2n x)."""
     rng = RngSeed(21)
     d = GmmDenoiser(
         [(1.0, gaussian_noise((mean_frames, 1, 64, 64), rng.substream(k)), 0.3) for k in range(32)]
     )
     x_t = gaussian_noise((8, 1, 64, 64), rng.substream(99))
     peak, _ = traced_peak(d.posterior_mean, x_t, 500, sched)
-    assert peak < 4 * x_t.nbytes
+    assert peak < 1.5 * x_t.nbytes
 
 
 def test_counting_denoiser(quarter_sched):

@@ -103,9 +103,7 @@ def test_ddim_step_eta0_matches_formula(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(15))
     eps = gaussian_noise((1, 1, 4, 4), RngSeed(16))
     t, t_prev = 8, 3
-    out, x0_out = ddim_step(
-        x, t, t_prev, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0), RngSeed(0)
-    )
+    out, x0_out = ddim_step(x, t, t_prev, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0))
     abar_t = tiny_sched.alpha_bar[t]
     abar_p = tiny_sched.alpha_bar[t_prev]
     x0_hat = (x - np.sqrt(1 - abar_t) * eps) / np.sqrt(abar_t)
@@ -121,9 +119,7 @@ def test_ddim_step_exact_eps_recovers_prev_level(tiny_sched):
     x0 = gaussian_noise((2, 1, 4, 4), rng.substream(0))
     eps = gaussian_noise((2, 1, 4, 4), rng.substream(1))
     x_t = forward_noise(x0, 9, eps, tiny_sched)
-    out, x0_hat = ddim_step(
-        x_t, 9, 4, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0), RngSeed(0)
-    )
+    out, x0_hat = ddim_step(x_t, 9, 4, ConstantDenoiser(eps), tiny_sched, cfg_for(0.0))
     np.testing.assert_allclose(out, forward_noise(x0, 4, eps, tiny_sched), atol=1e-10)
     np.testing.assert_allclose(x0_hat, x0, atol=1e-10)
 
@@ -131,8 +127,8 @@ def test_ddim_step_exact_eps_recovers_prev_level(tiny_sched):
 def test_ddim_step_eta1_reproducible(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(18))
     d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(19)))
-    a, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0), RngSeed(5))
-    b, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0), RngSeed(5))
+    a, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, seed=5))
+    b, _ = ddim_step(x, 8, 3, d, tiny_sched, cfg_for(1.0, seed=5))
     np.testing.assert_array_equal(a, b)
 
 
@@ -148,9 +144,9 @@ def test_ddim_step_rejects_bad_ordering(tiny_sched):
     x = gaussian_noise((1, 1, 4, 4), RngSeed(21))
     d = ConstantDenoiser(np.zeros_like(x))
     with pytest.raises(ValueError):
-        ddim_step(x, 5, 5, d, tiny_sched, cfg_for(0.0), RngSeed(0))
+        ddim_step(x, 5, 5, d, tiny_sched, cfg_for(0.0))
     with pytest.raises(ValueError):
-        ddim_step(x, 5, -1, d, tiny_sched, cfg_for(0.0), RngSeed(0))
+        ddim_step(x, 5, -1, d, tiny_sched, cfg_for(0.0))
 
 
 def test_ddim_step_rejects_a_timestep_per_row(tiny_sched):
@@ -158,10 +154,35 @@ def test_ddim_step_rejects_a_timestep_per_row(tiny_sched):
     # is a ValueError that says so, before any denoiser call
     x = gaussian_noise((2, 1, 1, 4, 4), [RngSeed(21), RngSeed(22)])
     counter = CountingDenoiser(ConstantDenoiser(np.zeros((1, 1, 4, 4))))
-    rngs = [RngSeed(0), RngSeed(1)]
+    cfgs = [cfg_for(0.0, seed=0), cfg_for(0.0, seed=1)]
     for t, t_prev in (([5, 6], 0), ((5, 6), 0), (6, [0, 1])):
         with pytest.raises(ValueError, match="one level per step"):
-            ddim_step(x, t, t_prev, counter, tiny_sched, cfg_for(0.0), rngs)
+            ddim_step(x, t, t_prev, counter, tiny_sched, cfgs)
+    assert counter.calls == 0
+
+
+def test_ddim_step_stack_rows_equal_each_run_stepped_alone(tiny_sched):
+    # each row draws step t's noise from its own config's rng.substream(t)
+    x = gaussian_noise((3, 2, 1, 4, 4), [RngSeed(30 + b) for b in range(3)])
+    d = GmmDenoiser([(1.0, gaussian_noise((2, 1, 4, 4), RngSeed(33)), 0.3)])
+    cfgs = [cfg_for(1.0, seed=b) for b in (7, 8, 7 << 40)]
+    out, x0_hat = ddim_step(x, 8, 3, d, tiny_sched, cfgs)
+    for b, cfg in enumerate(cfgs):
+        alone, alone_x0 = ddim_step(x[b], 8, 3, d, tiny_sched, cfg)
+        assert out[b].tobytes() == alone.tobytes()
+        assert x0_hat[b].tobytes() == alone_x0.tobytes()
+    assert out[0].tobytes() != out[1].tobytes()
+
+
+def test_ddim_step_checks_the_stack_against_its_configs(tiny_sched):
+    # mixed eta or a config count other than B fails before any denoiser call
+    x = gaussian_noise((2, 1, 1, 4, 4), [RngSeed(21), RngSeed(22)])
+    counter = CountingDenoiser(ConstantDenoiser(np.zeros((1, 1, 4, 4))))
+    with pytest.raises(ValueError, match="share eta"):
+        ddim_step(x, 8, 3, counter, tiny_sched, [cfg_for(0.0), cfg_for(1.0)])
+    for cfgs in ([cfg_for(1.0)], [cfg_for(1.0)] * 3):
+        with pytest.raises(ValueError, match="per-run values"):
+            ddim_step(x, 8, 3, counter, tiny_sched, cfgs)
     assert counter.calls == 0
 
 
@@ -172,7 +193,7 @@ def test_ddim_step_to_zero_returns_clean_estimate(tiny_sched):
     d = ConstantDenoiser(gaussian_noise((1, 1, 4, 4), RngSeed(40)))
     x0_hat = estimate_x0(x, 5, d.predict_eps(x, 5, tiny_sched), tiny_sched)
     for seed in (0, 99):
-        out, x0_out = ddim_step(x, 5, 0, d, tiny_sched, cfg_for(1.0), RngSeed(seed))
+        out, x0_out = ddim_step(x, 5, 0, d, tiny_sched, cfg_for(1.0, seed=seed))
         assert out.tobytes() == x0_hat.tobytes()
         assert out is x0_out
 
@@ -286,7 +307,7 @@ def test_steps_finite_at_large_magnitude(sched, scale):
     d = ConstantDenoiser(np.zeros_like(x))
     assert np.isfinite(forward_noise(x, 900, np.zeros_like(x), sched)).all()
     assert np.isfinite(estimate_x0(x, 900, np.zeros_like(x), sched)).all()
-    for out in ddim_step(x, 900, 500, d, sched, cfg_for(1.0), RngSeed(0)):
+    for out in ddim_step(x, 900, 500, d, sched, cfg_for(1.0)):
         assert np.isfinite(out).all()
 
 

@@ -469,7 +469,7 @@ def per_run_nc_sdedit(x_ref, cal, samp, d, s):
         eps = _freeze(eps_pred + coef * (gap - low))
     x, first_x0_hat = forward_noise(x_ref, t0, eps, s), None
     for t, t_prev in zip(grid, grid[1:] + [0]):
-        x, x0_hat = ddim_step(x, t, t_prev, d, s, samp, samp.rng.substream(t))
+        x, x0_hat = ddim_step(x, t, t_prev, d, s, samp)
         first_x0_hat = x0_hat if first_x0_hat is None else first_x0_hat
     objectives.append(l2_norm(low_pass(first_x0_hat - x_ref, cal.nu)))
     return x, objectives
