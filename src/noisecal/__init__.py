@@ -24,10 +24,8 @@ from .toy import band_limited_field, blurred, toy_benchmark, toy_schedule
 from .vio import (
     PnmFormatError,
     TensorFormatError,
-    read_pnm,
     read_tensor,
     read_video,
-    write_pnm,
     write_tensor,
     write_video,
 )
@@ -59,12 +57,10 @@ __all__ = [
     "metric_report",
     "mse_low",
     "nc_sdedit",
-    "read_pnm",
     "read_tensor",
     "read_video",
     "toy_benchmark",
     "toy_schedule",
-    "write_pnm",
     "write_tensor",
     "write_video",
 ]

@@ -9,7 +9,6 @@ error, 2 I/O error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +22,7 @@ from .denoiser import GmmDenoiser
 from .diffusion import SamplerConfig
 from .metrics import check_ssim_window, metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
-from .tensor import NumericError, RngSeed, _finite_number, _unique_keys
+from .tensor import NumericError, RngSeed, _finite_number, _object, _read_json
 from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
 EXIT_OK = 0
@@ -94,19 +93,6 @@ def resolve_t0(raw, t_max: int) -> int:
     return t0
 
 
-def _section(doc: dict, name: str, allowed: set[str], required: bool = False) -> dict:
-    """doc[name]; a required section must hold every allowed key."""
-    block = doc.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    if required and set(block) != allowed:
-        raise ConfigError(f"config section {name!r} needs {sorted(allowed)}")
-    return block
-
-
 def _num(block: dict, key: str, default, kind=float):
     if key not in block:
         return default
@@ -123,20 +109,15 @@ def load_config(path) -> RunConfig:
     checked by building the schedule, the sampling grid and the run configs."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
-    except ValueError as e:  # a JSONDecodeError, or a key given twice
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(doc) - {"schedule", "sampler", "calibration", "denoiser", "io"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-
-    sched = _section(doc, "schedule", {"T", "beta_start", "beta_end"})
-    sampler = _section(doc, "sampler", {"num_steps", "eta", "seed"})
-    cal = _section(doc, "calibration", {"t0", "N", "nu"})
-    den = _section(doc, "denoiser", {"kind", "spec"}, required=True)
-    io_block = _section(doc, "io", {"input"}, required=True)
+        sections = {"schedule", "sampler", "calibration", "denoiser", "io"}
+        doc = _object(_read_json(path), str(path), sections)
+        sched = _object(doc.get("schedule", {}), "'schedule'", {"T", "beta_start", "beta_end"})
+        sampler = _object(doc.get("sampler", {}), "'sampler'", {"num_steps", "eta", "seed"})
+        cal = _object(doc.get("calibration", {}), "'calibration'", {"t0", "N", "nu"})
+        den = _object(doc.get("denoiser", {}), "'denoiser'", {"kind", "spec"}, {"kind", "spec"})
+        io_block = _object(doc.get("io", {}), "'io'", {"input"}, {"input"})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
     t_max = _num(sched, "T", 1000, int)
     if not 1 <= t_max <= _T_LIMIT:

@@ -18,13 +18,12 @@ for a finite dataset (the empirical denoiser).
 from __future__ import annotations
 
 import abc
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .tensor import VideoTensor, _finite_number, _freeze, _unique_keys, as_video
+from .tensor import VideoTensor, _finite_number, _freeze, _object, _read_json, as_video
 
 
 class Denoiser(abc.ABC):
@@ -95,23 +94,13 @@ class GmmDenoiser(Denoiser):
         from .vio import read_tensor
 
         path = Path(path)
-        try:
-            spec = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
-        except ValueError as e:  # a JSONDecodeError, or a key given twice
-            raise ValueError(f"{path}: invalid JSON: {e}") from None
+        spec = _read_json(path)
         if not isinstance(spec, list) or not spec:
             raise ValueError(f"{path}: expected a nonempty JSON list of components")
         weights, means, variances = [], None, []
         for i, entry in enumerate(spec):
             where = f"{path}: component {i}"
-            if not isinstance(entry, dict):
-                raise ValueError(f"{where} must be an object, got {entry!r}")
-            unknown = set(entry) - {"weight", "mean", "variance"}
-            if unknown:
-                raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
-            missing = {"weight", "mean"} - set(entry)
-            if missing:
-                raise ValueError(f"{where} lacks keys {sorted(missing)}")
+            _object(entry, where, {"weight", "mean", "variance"}, {"weight", "mean"})
             if not isinstance(entry["mean"], str):
                 raise ValueError(f"{where} mean must be a file path, got {entry['mean']!r}")
             weights.append(_finite_number(entry["weight"], f"{where} weight"))

@@ -79,16 +79,12 @@ class NoiseSchedule:
         return np.sqrt(1.0 - self._alpha_bar_at(t, low=0))
 
 
-def linear_beta_schedule(
-    num_steps: int = 1000,
-    beta_start: float = 1e-4,
-    beta_end: float = 0.02,
-) -> NoiseSchedule:
+def linear_beta_schedule(num_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule whose per-step noise rates interpolate linearly.
 
     beta[t] runs from beta_start at t=1 to beta_end at t=T;
     alpha_bar[t] = prod_{s<=t} (1 - beta[s]), which must stay strictly
-    decreasing in float64 through t=T (with the default betas, T <= 73252).
+    decreasing in float64 through t=T (with betas from 1e-4 to 0.02, T <= 73252).
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")

@@ -6,13 +6,18 @@ returns tensors in this form and guarantees all elements are finite.  The
 pipeline also takes a stack of runs on one leading axis, (B, F, C, H, W),
 with one config or stream per row; each row's bytes are those of its run.
 A stack's noise comes from one generator per fill, re-keyed for each row.
+The strict JSON reader that the run config and the mixture spec share lives
+here too: a key given twice, bad syntax, undecodable bytes and nesting too
+deep to parse are each a ValueError that names the file.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -92,6 +97,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"key {key!r} is given twice")
         obj[key] = value
     return obj
+
+
+def _read_json(path):
+    """The JSON value in the file at path, parsed strictly."""
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as e:  # bad bytes and bad syntax are ValueErrors
+        raise ValueError(f"{path}: invalid JSON: {e}") from None
+
+
+def _object(value, where: str, allowed, required=frozenset()) -> dict:
+    """value, if it is a JSON object whose keys are among `allowed` and hold all of `required`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = value.keys() - allowed
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    if not required <= value.keys():
+        raise ValueError(f"{where} needs {sorted(required)}")
+    return value
 
 
 def as_video(data) -> VideoTensor:

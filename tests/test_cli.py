@@ -148,7 +148,7 @@ def test_load_config_resolves_paths_relative_to_file(tmp_path):
 def test_load_config_rejects_unknown_section(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"scheduler": {"T": 10}}))
-    with pytest.raises(ConfigError, match="unknown sections"):
+    with pytest.raises(ConfigError, match=r"unknown keys in .*cfg\.json: \['scheduler'\]"):
         load_config(p)
 
 
@@ -442,6 +442,26 @@ def test_key_given_twice_is_config_error(tmp_path, capsys, monkeypatch, file, ol
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}: invalid JSON: key {key!r} is given twice" in captured.err
+    assert calls == []
+    assert (reads == []) == (file == "cfg.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == _WORKDIR
+
+
+@pytest.mark.parametrize("file", ["cfg.json", "prior.json"], ids=["config", "spec"])
+def test_json_nested_too_deep_to_parse_is_config_error(tmp_path, capsys, monkeypatch, file):
+    """json's parser gives up on deep nesting with a RecursionError, which is no
+    ValueError; it is still the file's fault, and exits 1 before any run."""
+    calls = denoiser_calls(monkeypatch)
+    reads = []
+    read_video_ = cli.read_video
+    monkeypatch.setattr(cli, "read_video", lambda path: reads.append(path) or read_video_(path))
+    cfg = setup_workdir(tmp_path)
+    path = tmp_path / file
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert enhance(cfg) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {path}: invalid JSON: " in captured.err
     assert calls == []
     assert (reads == []) == (file == "cfg.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == _WORKDIR

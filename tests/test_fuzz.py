@@ -48,7 +48,7 @@ DAMAGE = ["none", "none", "value", "key", "config", "spec", "frame", "tensor", "
 
 def damaged(draw, blob: bytes) -> bytes:
     """Truncate, overwrite or insert bytes, or replace the file outright."""
-    how = draw(st.sampled_from(["truncate", "flip", "splice", "digits", "random"]))
+    how = draw(st.sampled_from(["truncate", "flip", "splice", "digits", "nest", "random"]))
     if how == "truncate":
         return blob[: draw(st.integers(0, len(blob)))]
     if how == "flip":
@@ -60,6 +60,9 @@ def damaged(draw, blob: bytes) -> bytes:
     if how == "digits":  # a header number with up to 5000 digits
         i = draw(st.integers(2, min(len(blob), 12)))
         return blob[:i] + b"9" * draw(st.integers(1, 5000)) + blob[i:]
+    if how == "nest":  # in a JSON file, nesting too deep to parse; at 0 always so
+        i = draw(st.one_of(st.just(0), st.integers(0, len(blob))))
+        return blob[:i] + b"[" * draw(st.integers(2_000, 20_000)) + blob[i:]
     return draw(st.binary(max_size=40))
 
 

@@ -1,9 +1,9 @@
 """Source hygiene: every imported name is used or re-exported through __all__,
 every name in __all__ is used by code outside the module that defines it, every
 top-level function and class of the package is named somewhere beyond its
-definition, private names stay inside their modules, and every package name
-and config field the benchmark harness looks up exists; of its span targets,
-only four known to be stale may not."""
+definition, private names stay inside their modules, JSON is parsed in one
+place, and every package name and config field the benchmark harness looks up
+exists; of its span targets, only four known to be stale may not."""
 
 import ast
 import dataclasses
@@ -124,6 +124,28 @@ def test_private_names_are_imported_only_from_tensor():
         if alias.name.startswith("_")
     ]
     assert found == [], "private names imported from another module:\n" + "\n".join(found)
+
+
+
+def test_json_is_parsed_in_one_place():
+    # the run config and the mixture spec share one strict reader, which refuses
+    # a key given twice and nesting too deep to parse; a second parse would not
+    found = []
+    for path in sorted((ROOT / "src" / "noisecal").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{path.name}:{node.lineno}: from json import")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                home = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                found.append(f"{path.name}: json.{node.attr} in {home}")
+    assert found == ["tensor.py: json.loads in ['_read_json']"], "\n".join(found)
 
 
 def perfbench_trees() -> list[tuple[str, ast.Module]]:

@@ -12,13 +12,12 @@ from noisecal import (
     TensorFormatError,
     as_video,
     gaussian_noise,
-    read_pnm,
     read_tensor,
     read_video,
-    write_pnm,
     write_tensor,
     write_video,
 )
+from noisecal.vio import read_pnm, write_pnm
 
 
 # ---------------------------------------------------------------- pnm
