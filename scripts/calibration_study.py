@@ -4,12 +4,15 @@
 mse_low, mse, ssim and d_sf are the report of the unclipped output against
 the input; high_mse_truth is the output's high-band MSE at --nu against the
 sharp field the input was blurred from; objective is the low-band objective
-after the last of the N updates.  Seed i is the toy instance RngSeed(7000+i),
-whose calibration and sampling draw from RngSeed(100+i).substream(1) and (2).
+after the last of the N updates; noise_var is the mean square of the noise
+after the N updates, calibrate_noise's result for the draw nc_sdedit makes at
+its grid start.  Seed i is the toy instance RngSeed(7000+i), whose
+calibration and sampling draw from RngSeed(100+i).substream(1) and (2).
 """
 
 import argparse
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from noisecal import (
     SamplerConfig,
     band_limited_field,
     blurred,
+    calibrate_noise,
+    ddim_grid,
+    gaussian_noise,
     low_pass,
     metric_report,
     nc_sdedit,
@@ -27,12 +33,12 @@ from noisecal import (
 )
 
 ETAS = (0.0, 1.0)  # DDIM's deterministic sampler and the ancestral one
-COLUMNS = ("mse_low", "mse", "ssim", "d_sf", "high_mse_truth", "objective")
+COLUMNS = ("mse_low", "mse", "ssim", "d_sf", "high_mse_truth", "objective", "noise_var")
 
 
 def cell(eta, v, t0, n, nu, seeds):
     """Median over seeds 0..seeds-1 of each of COLUMNS, by name."""
-    rows = []
+    rows, sched = [], toy_schedule()
     for i in range(seeds):
         root = RngSeed(7000 + i)
         den, ref = toy_benchmark(root, sigma2=v)
@@ -42,11 +48,14 @@ def cell(eta, v, t0, n, nu, seeds):
         draws = RngSeed(100 + i)
         cal = CalibrationConfig(t0=t0, n_iters=n, nu=nu, rng=draws.substream(1))
         samp = SamplerConfig(eta=eta, num_steps=30, rng=draws.substream(2))
-        out, trace = nc_sdedit(ref, cal, samp, den, toy_schedule())
+        out, trace = nc_sdedit(ref, cal, samp, den, sched)
+        start = replace(cal, t0=ddim_grid(sched, samp.num_steps, t0)[0])  # where nc_sdedit calibrates
+        eps, _ = calibrate_noise(ref, gaussian_noise(ref.shape, cal.rng), start, den, sched)
         gap = out - truth
         high = gap - low_pass(gap, nu)
         r = metric_report(out, ref)
-        rows.append([r.mse_low, r.mse, r.ssim, r.d_sf, np.mean(high * high), trace.objectives[-1]])
+        rows.append([r.mse_low, r.mse, r.ssim, r.d_sf, np.mean(high * high), trace.objectives[-1],
+                     np.mean(eps * eps)])
     return dict(zip(COLUMNS, np.median(rows, axis=0)))
 
 

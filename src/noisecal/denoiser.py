@@ -135,6 +135,15 @@ class GmmDenoiser(Denoiser):
         The squared residuals ||x - root*m_k||^2 are expanded around
         root*mbar, the scaled centre of the means, so that an offset common
         to all means does not cancel digits away.
+
+        At late levels far components' responsibilities underflow; an output
+        weight r_k (1 - g_k root) below the smallest normal double is set to 0
+        before the output product, where a subnormal operand would stall each
+        multiply on a CPU microcode assist.  Every column stays in place, so
+        BLAS groups the sum as before, and a flushed addend (below
+        2^-1022 |m_k|) is under half an ulp of any partial sum above about
+        2^-969 |m_k|: an element can move only where it is itself that small
+        or sits on an exact rounding tie.
         """
         abar = schedule._alpha_bar_at(t, shape=x_t.shape).reshape(-1, 1)  # (B or 1, 1)
         xs = x_t[None] if x_t.ndim == 4 else x_t
@@ -175,7 +184,9 @@ class GmmDenoiser(Denoiser):
         r /= r.sum(axis=1, keepdims=True)
         gain = root * self.variances / s  # (B or 1, n) shrinkage toward each mean
         # sum_k r_k (m_k + g_k (x - root m_k)) = sum_k r_k (1 - g_k root) m_k + (r . g) x
-        out = np.matmul((r * (1.0 - gain * root))[:, None, None, :], m)[:, :, 0]  # (B, F, D)
+        w = r * (1.0 - gain * root)  # (B, n); r stays whole for rg below
+        w[w < np.finfo(np.float64).tiny] = 0.0  # no subnormal operand (see above)
+        out = np.matmul(w[:, None, None, :], m)[:, :, 0]  # (B, F, D)
         gains = np.broadcast_to(gain, r.shape)  # each row of r with its own level's gain
         rg = np.array([float(row @ g) for row, g in zip(r, gains)])[:, None]  # (B, 1)
         for k in range(f):  # a frame at a time, so the product takes no full-size temporary

@@ -17,6 +17,7 @@ from noisecal import (
     linear_beta_schedule,
     write_tensor,
 )
+from test_oracles import LATE_CASES, late_level_case
 
 
 def one_pixel(v: float):
@@ -163,6 +164,26 @@ def test_responsibility_stability_for_far_means(sched):
 
 
 _SCHED = linear_beta_schedule(1000, 1e-4, 0.02)
+
+
+@pytest.mark.parametrize("rows,t", LATE_CASES)
+def test_output_product_takes_no_subnormal_weight(monkeypatch, rows, t):
+    # far components' output weights underflow at late levels; a subnormal
+    # operand would cost the output product a microcode assist per multiply
+    seen = []
+    real = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if np.ndim(a) == 4:  # the (B, 1, 1, n) weights against the (F, n, D) means
+            seen.append(np.array(a))
+        return real(a, b, *args, **kwargs)
+
+    d, x_t = late_level_case(rows, t)
+    monkeypatch.setattr(np, "matmul", spy)
+    d.posterior_mean(x_t, t, _SCHED)
+    assert len(seen) == 1
+    assert seen[0].shape == (len(x_t) if rows else 1, 1, 1, len(d.means))  # every column kept
+    assert not np.any((seen[0] > 0) & (seen[0] < np.finfo(np.float64).tiny))
 
 
 @settings(max_examples=50)

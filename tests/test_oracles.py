@@ -15,6 +15,9 @@ every frame of a video; the oracle repeats each mean along the frame axis.
 The package's GMM posterior is per-frame matrix-vector products against the
 centred means; the oracle keeps the broadcast form, which builds the residual
 from every scaled mean, and runs it in long double as the exact reference.
+At late levels the posterior's output product takes an output weight below
+the smallest normal double as 0; the oracle keeps the product on the
+unflushed weights, and the two must agree byte for byte.
 Runs advance as one (B, F, C, H, W) stack, each joining the reverse pass at
 its own start; the oracles keep the pipeline one run at a time and the
 posterior as a loop over the stack's rows, and every stacked row must equal
@@ -443,6 +446,87 @@ def test_sums_of_squares_match_blas_forms(one_frame, shape, offset):
     np.testing.assert_allclose(d.posterior_mean(x_t, 600, SCHED), want, rtol=1e-12, atol=1e-12)
 
 
+# ---------------------------------------------------------------- late levels
+
+TINY = np.finfo(np.float64).tiny
+
+
+def unflushed_posterior_mean(d, x_t, t, schedule):
+    """posterior_mean as it was while subnormal output weights went into the
+    output product: (E[x0 | x_t], the (B, n) weights of that product)."""
+    abar = schedule._alpha_bar_at(t, shape=x_t.shape).reshape(-1, 1)
+    xs = x_t[None] if x_t.ndim == 4 else x_t
+    n, (b, f) = len(d.means), xs.shape[:2]
+    root = np.sqrt(abar)
+    x = xs.reshape(b, f, -1)
+    m = np.broadcast_to(d.means.reshape(n, len(d._mbar), -1), (n,) + x.shape[1:])
+    m = m.transpose(1, 0, 2)
+    mbar = np.broadcast_to(d._mbar, x.shape[1:])
+    c = np.multiply(root[..., None], d._mbar, out=np.empty(x.shape))
+    np.subtract(x, c, out=c)
+    dots = np.matmul(m, c[..., None])[..., 0]
+    cm = np.empty((b, c.shape[2]))
+    for k in range(f):
+        dots[:, k] -= np.multiply(c[:, k], mbar[k], out=cm).sum(axis=1)[:, None]
+    msq = np.ascontiguousarray(np.broadcast_to(d._msq.T, (f, n)))
+    cc = np.square(c, out=c).reshape(b, -1).sum(axis=1)[:, None]
+    sq = cc - 2.0 * root * dots.sum(axis=1) + abar * msq.sum(axis=0)
+    s = abar * d.variances + (1.0 - abar)
+    log_r = np.log(d.weights) - sq / (2.0 * s) - 0.5 * x[0].size * np.log(s)
+    log_r -= log_r.max(axis=1, keepdims=True)
+    r = np.exp(log_r)
+    r /= r.sum(axis=1, keepdims=True)
+    gain = root * d.variances / s
+    weights = r * (1.0 - gain * root)
+    out = np.matmul(weights[:, None, None, :], m)[:, :, 0]
+    gains = np.broadcast_to(gain, r.shape)
+    rg = np.array([float(row @ g) for row, g in zip(r, gains)])[:, None]
+    for k in range(f):
+        out[:, k] += rg * x[:, k]
+    return out.reshape(x_t.shape), weights
+
+
+def late_level_case(rows, t, shape=(2, 1, 8, 8), n=48):
+    """A mixture whose far components' output weights underflow to subnormals
+    at late levels, and x_t: one run (rows=None) or a stack of rows at t.
+
+    The means are graded along one field u, m_k = base + a_k u, with a_k^2 |u|^2
+    rising evenly from 0 to about 800, and x0 is drawn from component 0; so
+    at t in [20, 100] of SCHED the log-responsibility gaps, about
+    abar a_k^2 |u|^2 / (2 s), step through -745 to -708, the exponents whose
+    exp is subnormal, whatever the frame size."""
+    rng = RngSeed(6600)
+    u = gaussian_noise(shape, rng.substream(0))
+    base = 0.5 * gaussian_noise(shape, rng.substream(1))
+    reach = np.sqrt(800.0 / u.size)
+    d = GmmDenoiser([(1.0, base + reach * np.sqrt(k / (n - 1)) * u, 0.3) for k in range(n)])
+    runs = [rng.substream(2, b) for b in range(rows or 1)]
+    x0 = base + np.sqrt(0.3) * gaussian_noise((len(runs),) + shape, runs)
+    eps = gaussian_noise(x0.shape, [run.substream(1) for run in runs])
+    x_t = forward_noise(x0, t, eps, SCHED)
+    return d, (x_t if rows else x_t[0])
+
+
+LATE_T = [20, 50, 100]
+# one run and a 3-row stack at each late level, and a stack with a level per row
+LATE_CASES = (
+    [pytest.param(None, t, id=f"run-t{t}") for t in LATE_T]
+    + [pytest.param(3, t, id=f"stack-t{t}") for t in LATE_T]
+    + [pytest.param(3, LATE_T, id="stack-t-per-row")]
+)
+
+
+@pytest.mark.parametrize("rows,t", LATE_CASES)
+def test_flushed_output_weights_keep_the_unflushed_bytes(rows, t):
+    """Output weights below the smallest normal double go to 0 before the
+    output product; each one's addend is below half an ulp of the sums it
+    joins, so the bytes are the unflushed product's."""
+    d, x_t = late_level_case(rows, t)
+    want, weights = unflushed_posterior_mean(d, x_t, t, SCHED)
+    assert np.any((weights > 0) & (weights < TINY))  # the case reaches the flush
+    assert d.posterior_mean(x_t, t, SCHED).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- stacked runs
 
 
@@ -566,7 +650,9 @@ import hashlib, sys
 import numpy as np
 sys.path[:0] = sys.argv[1:]
 from noisecal import GmmDenoiser, RngSeed, gaussian_noise, linear_beta_schedule
-from test_oracles import per_row_posterior_mean, stacked_case
+from test_oracles import (
+    LATE_T, TINY, late_level_case, per_row_posterior_mean, stacked_case, unflushed_posterior_mean,
+)
 s = linear_beta_schedule(1000, 1e-4, 0.02)
 for batch in (1, 2, 5):
     for one_frame in (True, False):
@@ -579,12 +665,19 @@ ts = [600, 1, 1000, 250, 600]
 got = d.posterior_mean(stack, ts, s).tobytes()
 assert got == per_row_posterior_mean(d, stack, ts, s).tobytes(), ts
 print(hashlib.sha256(got).hexdigest())
+d, stack = late_level_case(3, LATE_T, (2, 1, 32, 32))
+got = d.posterior_mean(stack, LATE_T, s).tobytes()
+assert got == per_row_posterior_mean(d, stack, LATE_T, s).tobytes(), LATE_T
+weights = unflushed_posterior_mean(d, stack, LATE_T, s)[1]
+assert ((weights > 0) & (weights < TINY)).any(), "no output weight underflows"
+print(hashlib.sha256(got).hexdigest())
 """
 
 
 def test_stacked_posterior_mean_bytes_do_not_depend_on_blas_threads():
     """16 components of 32x32 frames are enough for OpenBLAS to split each
-    matrix-vector product over threads; the last stack has a timestep per row."""
+    matrix-vector product over threads; the seventh stack has a timestep per
+    row, and the eighth, at late levels, has output weights that are flushed."""
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -594,7 +687,7 @@ def test_stacked_posterior_mean_bytes_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 7
+    assert len(digests[0]) == 8
     assert digests[0] == digests[1]
 
 

@@ -5,8 +5,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from noisecal import RngSeed, gaussian_noise
 from noisecal.cli import load_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -21,11 +23,11 @@ def load_script(path: Path):
 
 def check_study(out: str, tmp_path: Path) -> None:
     lines = out.strip().split("\n")
-    assert lines[0] == "eta,variance,t0,N,mse_low,mse,ssim,d_sf,high_mse_truth,objective"
+    assert lines[0] == "eta,variance,t0,N,mse_low,mse,ssim,d_sf,high_mse_truth,objective,noise_var"
     assert len(lines) == 1 + 8  # 2 etas x 2 variances x 1 t0 x 2 N
     for line in lines[1:]:
         values = line.split(",")
-        assert len(values) == 10
+        assert len(values) == 11
         assert all(math.isfinite(float(v)) for v in values)
 
 
@@ -68,3 +70,11 @@ def test_calibrated_deeper_start_beats_plain_sdedit_on_both_axes(eta, v):
     calibrated = study.cell(eta, v, t0=800, n=3, nu=0.5, seeds=10)
     assert calibrated["mse_low"] < plain["mse_low"]
     assert calibrated["d_sf"] > plain["d_sf"]
+
+
+def test_study_noise_var_without_updates_is_the_draws_mean_square():
+    """noise_var is read from the noise nc_sdedit draws: with N=0 it is the
+    mean square of seed 0's draw from RngSeed(100).substream(1)."""
+    study = load_script(SCRIPTS / "calibration_study.py")
+    draw = gaussian_noise((1, 1, 16, 16), RngSeed(100).substream(1))
+    assert study.cell(0.0, 0.03, t0=600, n=0, nu=0.5, seeds=1)["noise_var"] == np.mean(draw * draw)
