@@ -6,7 +6,8 @@ the input; high_mse_truth is the output's high-band MSE at --nu against the
 sharp field the input was blurred from; objective is the low-band objective
 after the last of the N updates; noise_var is the mean square of the noise
 after the N updates, calibrate_noise's result for the draw nc_sdedit makes at
-its grid start.  Seed i is the toy instance RngSeed(7000+i), whose
+its grid start; calls is nc_sdedit's denoiser calls (trace.total_calls), N
+plus the length of its sampling grid.  Seed i is the toy instance RngSeed(7000+i), whose
 calibration and sampling draw from RngSeed(100+i).substream(1) and (2).
 """
 
@@ -33,7 +34,7 @@ from noisecal import (
 )
 
 ETAS = (0.0, 1.0)  # DDIM's deterministic sampler and the ancestral one
-COLUMNS = ("mse_low", "mse", "ssim", "d_sf", "high_mse_truth", "objective", "noise_var")
+COLUMNS = ("mse_low", "mse", "ssim", "d_sf", "high_mse_truth", "objective", "noise_var", "calls")
 
 
 def cell(eta, v, t0, n, nu, seeds):
@@ -55,7 +56,7 @@ def cell(eta, v, t0, n, nu, seeds):
         high = gap - low_pass(gap, nu)
         r = metric_report(out, ref)
         rows.append([r.mse_low, r.mse, r.ssim, r.d_sf, np.mean(high * high), trace.objectives[-1],
-                     np.mean(eps * eps)])
+                     np.mean(eps * eps), trace.total_calls])
     return dict(zip(COLUMNS, np.median(rows, axis=0)))
 
 

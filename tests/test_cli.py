@@ -1012,6 +1012,52 @@ def test_sweep_repeated_cell_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "t0_list,seeds,runs",
+    [("30", str(10**12), 10**12), (",".join(["30"] * 10**5), "1", 10**5)],
+    ids=["seeds-1e12", "t0-list-1e5"],
+)
+def test_sweep_over_the_run_limit_exits_before_any_cell_is_resolved(
+    tmp_path, capsys, monkeypatch, t0_list, seeds, runs
+):
+    """t0 values x nu values x seeds is checked against the bound first: no
+    t0 is resolved, no run config is built, and stdout stays empty."""
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", t0_list, "--nu-list", "1.0"]
+    message = f"a sweep runs at most 10000 runs (t0 values x nu values x seeds), got {runs}"
+    loaded = load_config(cfg)
+    with monkeypatch.context() as patched:
+
+        def built(*args):
+            raise AssertionError("a sweep cell was resolved or a run was built")
+
+        patched.setattr(cli, "resolve_t0", built)
+        patched.setattr(cli, "_run_configs", built)
+        with pytest.raises(ConfigError) as error:
+            cli.cmd_sweep(loaded, [30] * len(t0_list.split(",")), [1.0], int(seeds), 1)
+        assert str(error.value) == message
+    reads = []
+    monkeypatch.setattr(cli, "read_video", lambda path: reads.append(path))
+    assert main(argv + ["--seeds", seeds]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert reads == []
+
+
+def test_sweep_at_the_run_limit_runs(tmp_path, capsys, monkeypatch):
+    """The bound is inclusive: a sweep of exactly the limit's runs runs."""
+    monkeypatch.setattr(cli, "_SWEEP_RUN_LIMIT", 4)
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30", "--nu-list", "1.0"]
+    assert main(argv + ["--seeds", "2"]) == EXIT_OK
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 4 + 2  # header, runs, means
+    assert main(argv + ["--seeds", "3"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 4 runs (t0 values x nu values x seeds), got 6" in captured.err
+
+
+@pytest.mark.parametrize(
     "t0_list,nu_list,threads",
     [("30,40", "0.5,1.5", "1"), ("30,40", "0.5,1.5", "2"), ("30,5", "1.0", "1")],
     ids=["nu-above-1", "nu-above-1-threads-2", "t0-below-grid"],

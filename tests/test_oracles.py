@@ -28,7 +28,13 @@ posterior's whole-frame dots are numpy sums; the oracles keep the BLAS forms
 they replace (np.linalg.norm, np.vdot and a matmul of two vectors).
 SSIM filters the five maps of a chunk of (frame, channel) pairs as one stack,
 and spatial frequency sums squared differences with einsum; the oracles keep
-the per-pair, per-map separable filter and the squared np.diff sums.
+the per-pair, per-map separable filter and the squared np.diff sums.  The
+scorer reuses two buffers for every SSIM chunk and runs the formula in place,
+takes spatial frequency's differences a chunk of frames at a time, and
+squares a report's difference and band in the difference's buffer; the
+oracles keep the forms before, which allocate every chunk's maps and every
+term anew in 256 KiB chunks, difference the whole video twice, and square
+into new arrays, and the two must agree byte for byte.
 low_pass runs the row-axis transforms on the half-plane columns its mask
 keeps and zeroes the rest; the oracle keeps the rfft2/irfft2 form, which
 transforms every column, and the two must agree byte for byte.
@@ -904,28 +910,109 @@ def test_per_nu_filter_equals_low_pass_per_row():
             assert got.tobytes() == low_pass(row, nu).tobytes()
 
 
-def per_run_ssim(a, b):
-    """SSIM of one run, its pairs in chunks of at most metrics._STACK_BYTES of maps."""
-    frames, channels, height, width = a.shape
+def fresh_filter_rows(s):
+    """The filter pass that returns a new array: a GEMV per output row, then
+    a C-order copy with the last two axes swapped."""
+    out = sliding_window_view(s, 11, axis=-2) @ metrics._KERNEL
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
+
+
+def fresh_ssim_plane_means(a, b, stack_bytes=256 * 1024):
+    """Pair means with a new stack, new filter outputs and a new array for
+    every term of the formula, chunk by chunk."""
+    height, width = b.shape[-2:]
     xs, ys = a.reshape(-1, height, width), b.reshape(-1, height, width)
-    chunk = max(1, metrics._STACK_BYTES // (5 * xs[0].nbytes))
-    total = 0.0
+    chunk = max(1, stack_bytes // (5 * xs[0].nbytes))
+    means = np.empty(len(xs))
     for start in range(0, len(xs), chunk):
-        x, y = xs[start : start + chunk], ys[start : start + chunk]
-        stack = np.empty((5,) + x.shape)
-        stack[0], stack[1] = x, y
+        stop = min(start + chunk, len(xs))
+        stack = np.empty((5, stop - start, height, width))
+        x, y = stack[0], stack[1]
+        x[...] = xs[start:stop]
+        np.take(ys, range(start, stop), axis=0, out=y, mode="wrap")
         np.multiply(x, x, out=stack[2])
         np.multiply(y, y, out=stack[3])
         np.multiply(x, y, out=stack[4])
-        mu_x, mu_y, xx, yy, xy = metrics._filter_rows(metrics._filter_rows(stack))
+        mu_x, mu_y, xx, yy, xy = fresh_filter_rows(fresh_filter_rows(stack))
         var_x = xx - mu_x * mu_x
         var_y = yy - mu_y * mu_y
         cov = xy - mu_x * mu_y
         num = (2.0 * mu_x * mu_y + metrics._SSIM_C1) * (2.0 * cov + metrics._SSIM_C2)
         den = (mu_x * mu_x + mu_y * mu_y + metrics._SSIM_C1) * (var_x + var_y + metrics._SSIM_C2)
-        for mean in np.mean(num / den, axis=(1, 2)):
-            total += float(mean)
-    return total / (frames * channels)
+        means[start:stop] = np.mean(num / den, axis=(1, 2))
+    return means
+
+
+def two_diff_spatial_frequency(x):
+    """Spatial frequency from one np.diff of the whole video per direction."""
+    n = float(x.shape[2] * x.shape[3])
+    row_diff, col_diff = np.diff(x, axis=3), np.diff(x, axis=2)
+    rf_sq = np.einsum("fchw,fchw->fc", row_diff, row_diff) / n
+    cf_sq = np.einsum("fchw,fchw->fc", col_diff, col_diff) / n
+    return float(np.mean(np.sqrt(rf_sq + cf_sq)))
+
+
+def fresh_report(a, b):
+    """metric_report with diff*diff and low*low as new arrays and the two
+    fresh forms above; a report or a list of them, as metric_report gives."""
+    rows = a if a.ndim == 5 else a[None]
+    diff = rows - b
+    mses = np.mean(diff * diff, axis=(1, 2, 3, 4))
+    low = low_pass(diff, 0.5)
+    mse_lows = np.mean(low * low, axis=(1, 2, 3, 4))
+    ssims = fresh_ssim_plane_means(rows, b).reshape(len(rows), -1)
+    sf_b = two_diff_spatial_frequency(b)
+    reports = []
+    for row, mse, mse_low_, pair_means in zip(rows, mses, mse_lows, ssims):
+        sf_a = two_diff_spatial_frequency(row)
+        ssim = 0.0
+        for mean in pair_means:
+            ssim += float(mean)
+        reports.append(metrics.MetricReport(
+            mse=float(mse), mse_low=float(mse_low_), ssim=ssim / len(pair_means),
+            sf_a=sf_a, sf_b=sf_b, d_sf=sf_a - sf_b,
+        ))
+    return reports if a.ndim == 5 else reports[0]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 11, 11), (3, 1, 17, 23), (5, 3, 64, 64), (2, 1, 128, 128), (5, 1, 128, 128),
+     (6, 4, 1, 16, 16)],
+)
+@pytest.mark.parametrize("budget", ["default", "3-pairs", "1-pair", "under-1-pair"])
+def test_scorer_keeps_the_bytes_of_its_fresh_array_forms(monkeypatch, shape, budget):
+    """Every pair mean, spatial frequency and report field, byte for byte,
+    whatever the chunk budget: 17x23 frames are not a multiple of 4 wide,
+    5x1x128x128 ends its frame chunks on one frame, and the stack's 4-pair
+    rows are split by chunks of 3 pairs and spanned by the default's."""
+    pair_bytes = 5 * shape[-2] * shape[-1] * 8
+    budgets = {"3-pairs": 3 * pair_bytes, "1-pair": pair_bytes, "under-1-pair": pair_bytes - 8}
+    if budget in budgets:
+        monkeypatch.setattr(metrics, "_STACK_BYTES", budgets[budget])
+        monkeypatch.setattr(metrics, "_DIFF_BYTES", budgets[budget] // 5)
+    # uniform frames, not metric_pair's: on these, regrouping one sum of the
+    # formula moves some pair means, where on metric_pair's it moved none
+    a = _freeze(RngSeed(7100, 0).generator().random(shape))
+    b = _freeze(RngSeed(7100, 1).generator().random(shape[-4:]))
+    rows = len(shape) == 5
+    stack = a if rows else a[None]
+    got_means = metrics._ssim_plane_means(stack, b)
+    assert got_means.tobytes() == fresh_ssim_plane_means(stack, b).tobytes()
+    for x in [b] + list(stack):
+        assert repr(spatial_frequency(x)) == repr(two_diff_spatial_frequency(x))
+    got, want = metric_report(a, b), fresh_report(a, b)
+    if not rows:
+        got, want = [got], [want]
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+def per_run_ssim(a, b):
+    """SSIM of one run, its pairs in chunks of at most metrics._STACK_BYTES of maps."""
+    total = 0.0
+    for mean in fresh_ssim_plane_means(a[None], b, metrics._STACK_BYTES):
+        total += float(mean)
+    return total / (a.shape[0] * a.shape[1])
 
 
 def per_run_report(a, b):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisecal import RngSeed, gaussian_noise
+from noisecal import RngSeed, ddim_grid, gaussian_noise, toy_schedule
 from noisecal.cli import load_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -23,12 +23,15 @@ def load_script(path: Path):
 
 def check_study(out: str, tmp_path: Path) -> None:
     lines = out.strip().split("\n")
-    assert lines[0] == "eta,variance,t0,N,mse_low,mse,ssim,d_sf,high_mse_truth,objective,noise_var"
+    header = "eta,variance,t0,N,mse_low,mse,ssim,d_sf,high_mse_truth,objective,noise_var,calls"
+    assert lines[0] == header
     assert len(lines) == 1 + 8  # 2 etas x 2 variances x 1 t0 x 2 N
     for line in lines[1:]:
         values = line.split(",")
-        assert len(values) == 11
+        assert len(values) == 12
         assert all(math.isfinite(float(v)) for v in values)
+        t0, n = int(values[2]), int(values[3])
+        assert int(values[-1]) == n + len(ddim_grid(toy_schedule(), 30, t0))  # calls
 
 
 def check_toy_data(out: str, tmp_path: Path) -> None:
