@@ -9,10 +9,21 @@ after the N updates, calibrate_noise's result for the draw nc_sdedit makes at
 its grid start; calls is nc_sdedit's denoiser calls (trace.total_calls), N
 plus the length of its sampling grid.  Seed i is the toy instance RngSeed(7000+i), whose
 calibration and sampling draw from RngSeed(100+i).substream(1) and (2).
+
+k, G and N* are the closed form of one Gaussian component N(m, v I) at the
+cell's v and grid start, alike for both etas.  k is the factor by which each
+update shrinks the noise's low-band distance to its fixed point.  The eta=0
+pass outputs m + S*(x_t0 - sqrt(abar)*m), and G = S*(abar*v + 1 - abar) /
+(sqrt(abar)*v): once calibrated to its fixed point, the eta=0 output's low
+band lies G times as far from m as the reference's.  N* is the N at which
+that bias crosses zero, from 1 - k^N* = (1 + q)/G - q with q =
+abar*v/(1 - abar).  tests/test_oracles.py pins the whole pipeline to this
+closed form.
 """
 
 import argparse
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +46,26 @@ from noisecal import (
 
 ETAS = (0.0, 1.0)  # DDIM's deterministic sampler and the ancestral one
 COLUMNS = ("mse_low", "mse", "ssim", "d_sf", "high_mse_truth", "objective", "noise_var", "calls")
+LAW = ("k", "G", "N*")
+NUM_STEPS = 30
+
+
+def one_gaussian_law(v, t0):
+    """k, G and N* of one component of variance v, on the study's grid from t0."""
+    sched = toy_schedule()
+    grid = ddim_grid(sched, NUM_STEPS, t0)
+    abar = float(sched.alpha_bar[grid[0]])
+    k = (1.0 - abar) / (abar * v + 1.0 - abar)
+    gain = 1.0  # S, the product of every step's factor
+    for t, t_prev in zip(grid, grid[1:] + [0]):
+        a, a_prev = float(sched.alpha_bar[t]), float(sched.alpha_bar[t_prev])
+        g = math.sqrt(a) * v / (a * v + 1.0 - a)  # the clean estimate's gain
+        k_t = (1.0 - a) / (a * v + 1.0 - a)  # and its predicted noise's, over sqrt(1 - a)
+        step = math.sqrt(a_prev) * g + math.sqrt((1.0 - a_prev) / (1.0 - a)) * k_t
+        gain *= g if t_prev == 0 else step
+    big_g = gain * (abar * v + 1.0 - abar) / (math.sqrt(abar) * v)
+    q = abar * v / (1.0 - abar)
+    return k, big_g, math.log(1.0 - ((1.0 + q) / big_g - q)) / math.log(k)
 
 
 def cell(eta, v, t0, n, nu, seeds):
@@ -48,7 +79,7 @@ def cell(eta, v, t0, n, nu, seeds):
             raise RuntimeError(f"RngSeed({7000 + i}): the sharp field does not blur to the input")
         draws = RngSeed(100 + i)
         cal = CalibrationConfig(t0=t0, n_iters=n, nu=nu, rng=draws.substream(1))
-        samp = SamplerConfig(eta=eta, num_steps=30, rng=draws.substream(2))
+        samp = SamplerConfig(eta=eta, num_steps=NUM_STEPS, rng=draws.substream(2))
         out, trace = nc_sdedit(ref, cal, samp, den, sched)
         start = replace(cal, t0=ddim_grid(sched, samp.num_steps, t0)[0])  # where nc_sdedit calibrates
         eps, _ = calibrate_noise(ref, gaussian_noise(ref.shape, cal.rng), start, den, sched)
@@ -69,10 +100,10 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, default=10)
     args = ap.parse_args(argv)
 
-    print("eta,variance,t0,N," + ",".join(COLUMNS))
+    print("eta,variance,t0,N," + ",".join(COLUMNS + LAW))
     for eta, v, t0, n in itertools.product(ETAS, args.variance, args.t0, args.iters):
-        medians = cell(eta, v, t0, n, args.nu, args.seeds)
-        print(f"{eta},{v},{t0},{n}," + ",".join(f"{m:.4g}" for m in medians.values()))
+        values = [*cell(eta, v, t0, n, args.nu, args.seeds).values(), *one_gaussian_law(v, t0)]
+        print(f"{eta},{v},{t0},{n}," + ",".join(f"{x:.4g}" for x in values))
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from .denoiser import GmmDenoiser
 from .diffusion import SamplerConfig
 from .metrics import check_ssim_window, metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
-from .tensor import NumericError, RngSeed, _finite_number, _object, _read_json
+from .tensor import NumericError, RngSeed, _finite_number, _map, _object, _read_json
 from .vio import PnmFormatError, TensorFormatError, read_video, write_video
 
 EXIT_OK = 0
@@ -259,32 +257,24 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     # job order into stacks of at most _STACK_BYTES of video
     size = max(1, _STACK_BYTES // x_ref.nbytes)
     stacks = [runs[j : j + size] for j in range(0, len(runs), size)]
-    failed = threading.Event()  # set by a failing stack, so that no later stack starts work
 
-    def scored_stack(stack: list[tuple]) -> list[tuple]:
-        """Metric report and objectives of each run of one stack, in run order."""
-        if failed.is_set():
-            return []  # an earlier stack failed; the main thread raises its error first
-        try:
-            cals, samps = zip(*stack)
-            x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
-            return list(zip(metric_report(x0, x_ref), [trace.objectives for trace in traces]))
-        except Exception:
-            failed.set()
-            raise
+    def scored_stack(stack: list[tuple]) -> list[list[float]]:
+        """Each run's CSV values, in run order: mse_low, mse, ssim, d_sf, then the objectives."""
+        cals, samps = zip(*stack)
+        x0, traces = nc_sdedit(x_ref, cals, samps, d, s)
+        reports = metric_report(x0, x_ref)
+        return [[r.mse_low, r.mse, r.ssim, r.d_sf] + t.objectives for r, t in zip(reports, traces)]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        scored = [score for scores in pool.map(scored_stack, stacks) for score in scores]
-
+    rows = [row for scored in _map(scored_stack, stacks, threads) for row in scored]
     n_obj = cfg.n_iters + 1  # every run records the objective after 0..N updates
     header = ["t0", "nu", "seed", "mse_low", "mse", "ssim", "d_sf"]
     header += [f"obj{i}" for i in range(n_obj)]
     print(",".join(header))
-    rows = [[r.mse_low, r.mse, r.ssim, r.d_sf] for r, _ in scored]
-    for (t0, nu, k), row, (_, objs) in zip(jobs, rows, scored):
-        print(",".join([str(t0), repr(nu), str(k)] + [repr(v) for v in row + objs]))
+    for (t0, nu, k), row in zip(jobs, rows):
+        print(",".join([str(t0), repr(nu), str(k)] + [repr(v) for v in row]))
     for i, (t0, nu) in enumerate(cells):  # jobs run cell by cell, seeds innermost
-        means = np.mean(np.array(rows[i * seeds : (i + 1) * seeds], dtype=np.float64), axis=0)
+        metrics = [row[:4] for row in rows[i * seeds : (i + 1) * seeds]]
+        means = np.mean(np.array(metrics, dtype=np.float64), axis=0)
         row = [str(t0), repr(nu), "mean"] + [repr(float(v)) for v in means] + [""] * n_obj
         print(",".join(row))
     return EXIT_OK

@@ -8,14 +8,17 @@ with one config or stream per row; each row's bytes are those of its run.
 A stack's noise comes from one generator per fill, re-keyed for each row.
 The strict JSON reader that the run config and the mixture spec share lives
 here too: a key given twice, bad syntax, undecodable bytes and nesting too
-deep to parse are each a ValueError that names the file.
+deep to parse are each a ValueError that names the file.  So does _map, the
+one thread pool: the sweep's stacks and the frame writes run through it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,3 +213,27 @@ def l2_norm(x: VideoTensor) -> float:
     a long vector over threads, so its last bits depend on the thread count.
     """
     return float(np.sqrt(np.square(x).sum()))
+
+
+def _map(fn: Callable, items: Sequence, threads: int) -> list:
+    """[fn(item) for item in items] on min(threads, len(items)) threads: in the
+    calling thread when that is one.  On a pool, once an item has failed no
+    item not yet begun calls fn, and the first failure in item order is
+    raised.  The guard is in the worker: a worker freed by the failure could
+    begin the next item before the calling thread cancelled it."""
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def guarded(item):
+        if failed.is_set():
+            return None  # an earlier item failed, and its error is raised first
+        try:
+            return fn(item)
+        except Exception:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(guarded, items))

@@ -12,12 +12,11 @@ import math
 import os
 import re
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .tensor import VideoTensor, _freeze
+from .tensor import VideoTensor, _freeze, _map, _validate_shape
 
 _FRAME_RE = re.compile(r"^frame_(\d{5})\.(ppm|pgm)$")
 _TENSOR_MAGIC = b"VNT1"
@@ -153,10 +152,11 @@ def read_video(dir_path) -> VideoTensor:
 def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
     """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3).
 
-    Other frame files in the directory are removed.  threads > 1 writes from
-    a thread pool; the bytes on disk do not depend on it.  Returns the
-    tensor read_video reads back from the directory: x clamped and 8-bit
-    quantized.
+    Other frame files in the directory are removed.  The frames are written
+    on up to `threads` threads (tensor._map): once a write has failed, no
+    frame not yet begun is written, and the first failure is raised.  The
+    bytes on disk do not depend on it.  Returns the tensor read_video reads
+    back from the directory: x clamped and 8-bit quantized.
     """
     channels = x.shape[1]
     if channels not in (1, 3):
@@ -172,12 +172,7 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
     def write(i: int) -> None:  # into place at once: frames held by pool threads cost memory
         written[i] = write_pnm(x[i], paths[i])
 
-    if threads <= 1:
-        for i in range(len(paths)):
-            write(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(write, range(len(paths))))
+    _map(write, range(len(paths)), threads)
     return _freeze(written)
 
 
@@ -185,12 +180,24 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
 
 
 def write_tensor(x: VideoTensor, path) -> None:
-    """Persist a tensor: magic, u32 dim count, u32 dims, float32 payload (LE)."""
+    """Persist a tensor: magic, u32 dim count, u32 dims, float32 payload (LE).
+
+    Only what read_tensor reads is written: a video (F, C, H, W) whose
+    float32 payload is finite.  Any other x is a ValueError naming the path,
+    raised before any byte is written; a value beyond float32's range is one.
+    """
     path = Path(path)
     dims = x.shape
-    header = _TENSOR_MAGIC + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
-    payload = np.ascontiguousarray(x, dtype="<f4").tobytes()
-    _atomic_write_bytes(path, header + payload)
+    try:
+        _validate_shape(dims)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    with np.errstate(over="ignore"):  # a value beyond float32's range casts to Inf
+        values = np.ascontiguousarray(x, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: the float32 payload would hold NaN or Inf")
+    header = _TENSOR_MAGIC + struct.pack("<5I", 4, *dims)
+    _atomic_write_bytes(path, header + values.tobytes())
 
 
 def read_tensor(path, out: np.ndarray | None = None) -> VideoTensor:

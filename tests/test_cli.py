@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -918,6 +919,22 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     main(["sweep", "--config", str(cfg)] + args + ["--threads", "4"])
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_one_stack_sweep_runs_in_the_calling_thread(tmp_path, capsys, monkeypatch):
+    # four runs make one stack, and one stack needs no pool whatever --threads says
+    threads = []
+    real = cli.nc_sdedit
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "nc_sdedit", recorded)
+    cfg = setup_workdir(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--t0-list", "20,30", "--nu-list", "1.0"]
+    assert main(argv + ["--seeds", "2", "--threads", "2"]) == EXIT_OK
+    assert threads == [threading.get_ident()]
 
 
 def test_sweep_makes_one_denoiser_call_per_group_step(tmp_path, capsys, monkeypatch):

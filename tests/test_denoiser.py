@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -251,8 +252,11 @@ def test_from_json_spec_loader(tmp_path):
 def test_from_json_spec_checks_every_file_against_the_first(tmp_path, bad):
     # a later file's payload goes straight into its row of the means
     write_tensor(gaussian_noise((2, 1, 4, 4), RngSeed(13)), tmp_path / "m0.vnt")
-    second = np.full((2, 1, 4, 4), np.nan) if bad == "nan" else np.zeros((2, 1, 4, 3))
-    write_tensor(second, tmp_path / "m1.vnt")
+    if bad == "nan":  # write_tensor writes no NaN, so this file is written by hand
+        payload = np.full((2, 1, 4, 4), np.nan, dtype="<f4").tobytes()
+        (tmp_path / "m1.vnt").write_bytes(b"VNT1" + struct.pack("<5I", 4, 2, 1, 4, 4) + payload)
+    else:
+        write_tensor(np.zeros((2, 1, 4, 3)), tmp_path / "m1.vnt")
     spec = [{"weight": 1.0, "mean": "m0.vnt"}, {"weight": 1.0, "mean": "m1.vnt"}]
     (tmp_path / "mix.json").write_text(json.dumps(spec))
     with pytest.raises(ValueError, match="m1.vnt") as info:

@@ -2,8 +2,9 @@
 every name in __all__ is used by code outside the module that defines it, every
 top-level function and class of the package is named somewhere beyond its
 definition, private names stay inside their modules, JSON is parsed in one
-place, and every package name and config field the benchmark harness looks up
-exists; of its span targets, only four known to be stale may not."""
+place, threads are started in one place, and every package name and config
+field the benchmark harness looks up exists; of its span targets, only four
+known to be stale may not."""
 
 import ast
 import dataclasses
@@ -125,6 +126,21 @@ def test_private_names_are_imported_only_from_tensor():
     ]
     assert found == [], "private names imported from another module:\n" + "\n".join(found)
 
+
+def test_only_tensor_imports_threads():
+    # tensor._map is the package's one pool, and so its one rule for a failing item
+    found = set()
+    for path in sorted((ROOT / "src" / "noisecal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "concurrent") for name in names):
+                found.add(path.name)
+    assert found == {"tensor.py"}
 
 
 def test_json_is_parsed_in_one_place():

@@ -38,6 +38,10 @@ into new arrays, and the two must agree byte for byte.
 low_pass runs the row-axis transforms on the half-plane columns its mask
 keeps and zeroes the rest; the oracle keeps the rfft2/irfft2 form, which
 transforms every column, and the two must agree byte for byte.
+For one Gaussian component every stage is affine and commutes with the
+band projector, so the whole pipeline is a few scalar recurrences;
+one_gaussian_pipeline keeps that closed form, and calibrate_noise's noise
+and nc_sdedit's output must agree with it to roundoff.
 Each per-row job of a stack is one call per stack: the noise of every row
 comes from one generator re-keyed per row, the band split is one low_pass
 per distinct nu, and metric_report scores the whole stack against the one
@@ -50,6 +54,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +85,7 @@ from noisecal import (
     nc_sdedit,
     read_tensor,
     read_video,
+    toy_benchmark,
     toy_schedule,
     write_tensor,
     write_video,
@@ -723,6 +729,94 @@ def test_stacked_nc_sdedit_rows_equal_per_run_oracle(sched):
         one, one_trace = nc_sdedit(x_ref, cal, samp, d, sched)  # the stack of one
         assert one.tobytes() == want.tobytes()
         assert one_trace.objectives == objectives
+
+
+def one_gaussian_pipeline(x_ref, m, v, cal, samp, s):
+    """calibrate_noise's noise and nc_sdedit's output for one run under the
+    one component N(m, v I), from scalars and low_pass alone.
+
+    The clean estimate is affine, m + g*(x_t - sqrt(abar)*m), so every stage
+    is affine and commutes with the band projector P = low_pass at nu.  With
+    u = x_ref - m and k = (1-abar)/(abar*v + 1-abar) at the grid start, each
+    update takes the noise's low band a factor k of the way from its fixed
+    point sigma/(sqrt(abar)*v)*P u and leaves its high band where it is.
+    Each reverse step maps d_t = x_t - sqrt(abar_t)*m to
+    (sqrt(abar_prev)*g_t + c_t*k_t/sigma_t)*d_t + s_t*z_t, with s_t the
+    step's noise scale, c_t = sqrt(1 - abar_prev - s_t^2) and z_t the step's
+    own draw; the step to 0 returns m + g*d."""
+    grid = ddim_grid(s, samp.num_steps, cal.t0)
+    abar = float(s.alpha_bar[grid[0]])
+    sigma = np.sqrt(1.0 - abar)
+    k = (1.0 - abar) / (abar * v + 1.0 - abar)
+    u = x_ref - m
+    eps0 = gaussian_noise(x_ref.shape, cal.rng)
+    fixed_low = sigma / (np.sqrt(abar) * v) * low_pass(u, cal.nu)
+    eps = eps0 - (1.0 - k**cal.n_iters) * (low_pass(eps0, cal.nu) - fixed_low)
+    d = np.sqrt(abar) * u + sigma * eps
+    for t, t_prev in zip(grid, grid[1:] + [0]):
+        a, a_prev = float(s.alpha_bar[t]), float(s.alpha_bar[t_prev])
+        g = np.sqrt(a) * v / (a * v + 1.0 - a)
+        if t_prev == 0:
+            return eps, m + g * d
+        k_t = (1.0 - a) / (a * v + 1.0 - a)
+        s_t = samp.eta * np.sqrt((1.0 - a_prev) / (1.0 - a)) * np.sqrt(1.0 - a / a_prev)
+        c_t = np.sqrt(max(1.0 - a_prev - s_t**2, 0.0))
+        d = (np.sqrt(a_prev) * g + c_t * k_t / np.sqrt(1.0 - a)) * d
+        if s_t > 0:
+            d = d + s_t * gaussian_noise(x_ref.shape, samp.rng.substream(t))
+
+
+def one_gaussian_case(v, seed=7000):
+    """The one component's denoiser and mean, the first field of toy instance
+    RngSeed(seed), and that instance's reference."""
+    den, ref = toy_benchmark(RngSeed(seed), sigma2=v)
+    m = den.means[0]
+    return GmmDenoiser([(1.0, m, v)]), m, ref
+
+
+def assert_within_roundoff(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def one_gaussian_runs(t0s, nus, n, eta):
+    cals = [CalibrationConfig(t0=t0, n_iters=n, nu=nu, rng=RngSeed(100 + b).substream(1))
+            for b, (t0, nu) in enumerate(zip(t0s, nus))]
+    samps = [SamplerConfig(eta=eta, num_steps=30, rng=RngSeed(100 + b).substream(2))
+             for b in range(len(t0s))]
+    return cals, samps
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("n", [0, 3, 20, 200])
+@pytest.mark.parametrize("t0", [600, 800])
+@pytest.mark.parametrize("v", [0.03, 0.3])
+def test_one_gaussian_run_is_its_closed_form(v, t0, n, eta):
+    d, m, ref = one_gaussian_case(v)
+    s = toy_schedule()
+    (cal,), (samp,) = one_gaussian_runs([t0], [0.5], n, eta)
+    want_eps, want_out = one_gaussian_pipeline(ref, m, v, cal, samp, s)
+    start = replace(cal, t0=ddim_grid(s, samp.num_steps, t0)[0])  # where nc_sdedit calibrates
+    eps, _ = calibrate_noise(ref, gaussian_noise(ref.shape, cal.rng), start, d, s)
+    assert_within_roundoff(eps, want_eps)
+    out, _ = nc_sdedit(ref, cal, samp, d, s)
+    assert_within_roundoff(out, want_out)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("t0s", [(600, 600, 600), (800, 600, 800)], ids=["stack", "mixed-start"])
+@pytest.mark.parametrize("v", [0.03, 0.3])
+def test_one_gaussian_stack_rows_are_their_closed_forms(v, t0s, eta):
+    d, m, ref = one_gaussian_case(v)
+    s = toy_schedule()
+    cals, samps = one_gaussian_runs(t0s, [0.5, 0.25, 0.5], 3, eta)
+    starts = [replace(cal, t0=ddim_grid(s, 30, cal.t0)[0]) for cal in cals]
+    eps0 = gaussian_noise((len(cals),) + ref.shape, [cal.rng for cal in cals])
+    eps, _ = calibrate_noise(ref, eps0, starts, d, s)
+    out, _ = nc_sdedit(ref, cals, samps, d, s)
+    for eps_row, out_row, cal, samp in zip(eps, out, cals, samps):
+        want_eps, want_out = one_gaussian_pipeline(ref, m, v, cal, samp, s)
+        assert_within_roundoff(eps_row, want_eps)
+        assert_within_roundoff(out_row, want_out)
 
 
 def stacked_load(path):

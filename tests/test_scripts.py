@@ -1,5 +1,6 @@
-"""Every script runs end to end on tiny arguments, and the calibration study
-shows the paper's trade on the toy benchmark."""
+"""Every script runs end to end on tiny arguments, the calibration study
+shows the paper's trade on the toy benchmark, and its one-Gaussian law is
+that of the package's eta=0 pass."""
 
 import importlib.util
 import math
@@ -8,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisecal import RngSeed, ddim_grid, gaussian_noise, toy_schedule
+from noisecal import (
+    GmmDenoiser,
+    RngSeed,
+    SamplerConfig,
+    as_video,
+    ddim_grid,
+    denoise_from,
+    gaussian_noise,
+    toy_schedule,
+)
 from noisecal.cli import load_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -21,17 +31,23 @@ def load_script(path: Path):
     return module
 
 
+# the one-Gaussian law at t0=600 on the 30-step grid: k, G and N* by variance
+LAW_AT_600 = {0.03: (0.9361, 3.655, 3.84), 0.3: (0.5942, 1.535, 1.02)}
+
+
 def check_study(out: str, tmp_path: Path) -> None:
     lines = out.strip().split("\n")
     header = "eta,variance,t0,N,mse_low,mse,ssim,d_sf,high_mse_truth,objective,noise_var,calls"
-    assert lines[0] == header
+    assert lines[0] == header + ",k,G,N*"
     assert len(lines) == 1 + 8  # 2 etas x 2 variances x 1 t0 x 2 N
     for line in lines[1:]:
         values = line.split(",")
-        assert len(values) == 12
+        assert len(values) == 15
         assert all(math.isfinite(float(v)) for v in values)
-        t0, n = int(values[2]), int(values[3])
-        assert int(values[-1]) == n + len(ddim_grid(toy_schedule(), 30, t0))  # calls
+        v, t0, n = float(values[1]), int(values[2]), int(values[3])
+        assert int(values[-4]) == n + len(ddim_grid(toy_schedule(), 30, t0))  # calls
+        k, big_g, n_star = (float(x) for x in values[-3:])
+        assert (round(k, 4), round(big_g, 3), round(n_star, 2)) == LAW_AT_600[v]
 
 
 def check_toy_data(out: str, tmp_path: Path) -> None:
@@ -81,3 +97,21 @@ def test_study_noise_var_without_updates_is_the_draws_mean_square():
     study = load_script(SCRIPTS / "calibration_study.py")
     draw = gaussian_noise((1, 1, 16, 16), RngSeed(100).substream(1))
     assert study.cell(0.0, 0.03, t0=600, n=0, nu=0.5, seeds=1)["noise_var"] == np.mean(draw * draw)
+
+
+@pytest.mark.parametrize("v", [0.03, 0.3])
+@pytest.mark.parametrize("t0", [400, 600, 800])
+def test_study_law_gain_is_the_eta0_pass_of_one_gaussian(v, t0):
+    """G is S*(abar*v + 1 - abar)/(sqrt(abar)*v), where the package's eta=0
+    pass for one component N(m, v I) outputs m + S*(x_t0 - sqrt(abar)*m)."""
+    study = load_script(SCRIPTS / "calibration_study.py")
+    s = toy_schedule()
+    grid = ddim_grid(s, study.NUM_STEPS, t0)
+    abar = float(s.alpha_bar[grid[0]])
+    m = gaussian_noise((1, 1, 4, 4), RngSeed(5))
+    d = 0.5 + np.abs(gaussian_noise(m.shape, RngSeed(6)))  # x_t0 - sqrt(abar)*m, nowhere 0
+    samp = SamplerConfig(eta=0.0, num_steps=study.NUM_STEPS, rng=RngSeed(7))
+    out = denoise_from(as_video(np.sqrt(abar) * m + d), grid, GmmDenoiser([(1.0, m, v)]), s, samp)
+    _, big_g, _ = study.one_gaussian_law(v, t0)
+    gain = big_g * np.sqrt(abar) * v / (abar * v + 1.0 - abar)
+    np.testing.assert_allclose((out - m) / d, gain, rtol=1e-12, atol=0)

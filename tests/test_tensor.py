@@ -1,9 +1,13 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from noisecal import NumericError, RngSeed, as_video, gaussian_noise, l2_norm
+from noisecal.tensor import _map
 
 
 def test_as_video_accepts_rank4_and_freezes():
@@ -115,3 +119,51 @@ def test_stacked_noise_rows_are_each_streams_draw():
         gaussian_noise((3, 2, 1, 4, 5), seeds[0])
     with pytest.raises(ValueError):
         gaussian_noise((2, 1, 4, 5), seeds[:1])  # a run takes one stream, not a list
+
+
+# ---------------------------------------------------------------- _map
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_map_keeps_item_order(threads):
+    def late_first(i):  # the early items finish last
+        time.sleep(0.002 * (6 - i))
+        return i * i
+
+    assert _map(late_first, range(6), threads) == [i * i for i in range(6)]
+
+
+@pytest.mark.parametrize("threads,items", [(1, 3), (4, 1)], ids=["one-thread", "one-item"])
+def test_map_runs_in_the_calling_thread_when_one_worker_would_do(threads, items):
+    assert _map(lambda _: threading.get_ident(), range(items), threads) == [
+        threading.get_ident()
+    ] * items
+
+
+def test_map_runs_on_a_pool_for_more_items_than_one_thread():
+    idents = _map(lambda _: threading.get_ident(), range(3), 2)
+    assert threading.get_ident() not in idents
+
+
+def test_map_failure_stops_the_items_not_yet_begun():
+    """Item 0 fails once item 1 holds the other worker, and item 1 holds it
+    until item 0 has failed, so each worker is free for a later item only
+    after the failure: none of them may call fn, and item 0's error is the
+    one raised."""
+    began, one_began, zero_failing = set(), threading.Event(), threading.Event()
+
+    def fn(i):
+        began.add(i)
+        if i == 0:
+            one_began.wait(1)
+            zero_failing.set()
+            raise KeyError("item 0")
+        if i == 1:
+            one_began.set()
+            assert zero_failing.wait(10)
+            time.sleep(0.05)  # item 0's raise reaches its worker's guard
+        return i
+
+    with pytest.raises(KeyError, match="item 0"):
+        _map(fn, range(6), 2)
+    assert 0 in began and began <= {0, 1}

@@ -278,6 +278,30 @@ def test_tensor_rejects_non_finite_payload(tmp_path):
         read_tensor(p)
 
 
+def one_value(value, shape=(1, 1, 2, 2)):
+    x = np.full(shape, 0.5)
+    x.flat[1] = value
+    return x
+
+
+# what read_tensor would refuse: a payload beyond float32's range or NaN, or a rank not 4
+UNREADABLE = {
+    "above-float32": one_value(1e39),
+    "below-float32": one_value(-1e39),
+    "nan": one_value(np.nan),
+    "rank-3": np.full((1, 2, 2), 0.5),
+    "rank-5": np.full((1, 1, 1, 2, 2), 0.5),
+}
+
+
+@pytest.mark.parametrize("x", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_write_tensor_refuses_what_read_tensor_would_refuse(tmp_path, x):
+    p = tmp_path / "t.vnt"
+    with pytest.raises(ValueError, match="t.vnt"):
+        write_tensor(x, p)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its .tmp
+
+
 @pytest.mark.parametrize(
     "write,read", [(write_video, read_video), (write_tensor, read_tensor)], ids=["video", "tensor"]
 )
