@@ -37,7 +37,7 @@ def main(argv=None):
     (args.out / "gmm.json").write_text(json.dumps(spec, indent=2) + "\n")
 
     sharp = band_limited_field(shape, root.substream(2))
-    write_video(blurred(sharp), args.out / "input")  # write_pnm rounds to 8 bits
+    write_video(blurred(sharp), args.out / "input")  # write_video rounds to 8 bits
     write_video(sharp, args.out / "reference")
 
     cfg = {

@@ -188,7 +188,7 @@ class GmmDenoiser(Denoiser):
         w[w < np.finfo(np.float64).tiny] = 0.0  # no subnormal operand (see above)
         out = np.matmul(w[:, None, None, :], m)[:, :, 0]  # (B, F, D)
         gains = np.broadcast_to(gain, r.shape)  # each row of r with its own level's gain
-        rg = np.array([float(row @ g) for row, g in zip(r, gains)])[:, None]  # (B, 1)
+        rg = np.matmul(r[:, None, :], gains[:, :, None])[:, 0]  # (B, 1): each row's r . g alone
         for k in range(f):  # a frame at a time, so the product takes no full-size temporary
             out[:, k] += rg * x[:, k]
         return _freeze(out.reshape(x_t.shape))

@@ -43,8 +43,8 @@ class NoiseSchedule:
         """The one home of the timestep rule: t is one int in [low, T], or a
         list or tuple of them, one per row of a stack (B, F, C, H, W).  shape,
         when given, is the tensor t is for, whose B rows need B timesteps."""
-        named = [("timestep", t)]
-        if isinstance(t, (list, tuple)):
+        per_row = isinstance(t, (list, tuple))
+        if per_row:
             if shape is not None and len(shape) != 5:
                 raise ValueError(f"a timestep per row needs a (B, F, C, H, W) stack, got {shape}")
             rows = len(t) if shape is None else shape[0]
@@ -52,12 +52,13 @@ class NoiseSchedule:
                 raise ValueError(f"no timestep for row {len(t)} of a {rows}-row stack")
             if len(t) > rows:
                 raise ValueError(f"timestep {t[rows]!r} given for row {rows} of a {rows}-row stack")
-            named = [(f"row {b} timestep", t_b) for b, t_b in enumerate(t)]
-        for what, t_b in named:
+        for b, t_b in enumerate(t if per_row else [t]):
+            if isinstance(t_b, (int, np.integer)) and low <= t_b <= self.num_steps:
+                continue
+            what = f"row {b} timestep" if per_row else "timestep"  # named only on failure
             if not isinstance(t_b, (int, np.integer)):
                 raise ValueError(f"{what} must be an integer, got {t_b!r}")
-            if not low <= t_b <= self.num_steps:
-                raise ValueError(f"{what} {t_b} outside [{low}, {self.num_steps}]")
+            raise ValueError(f"{what} {t_b} outside [{low}, {self.num_steps}]")
 
     def _alpha_bar_at(self, t, low: int = 1, shape: tuple[int, ...] | None = None):
         """alpha_bar at t, checked by _check_t: one float64, or for a timestep

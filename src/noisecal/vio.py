@@ -1,13 +1,17 @@
 """Bit-exact file I/O: frame-directory videos, binary PNM codecs, raw tensors.
 
 Videos live on disk as directories of frame_00000.ppm (3-channel, P6) or
-frame_00000.pgm (1-channel, P5) files, 8-bit, maxval 255.  Tensors persist
-in a raw little-endian float32 container so noise and intermediates survive
-runs byte-for-byte.  All writes go through a temp file plus rename.
+frame_00000.pgm (1-channel, P5) files, 8-bit, maxval 255.  The frame codecs
+carry bytes, (H, W, C) uint8 pixels; read_video and write_video convert a
+whole video between those bytes and (F, C, H, W) float64 values v/255 at
+once.  Tensors persist in a raw little-endian float32 container so noise and
+intermediates survive runs byte-for-byte.  All writes go through a temp file
+plus rename, and a failed write removes its temp file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -32,8 +36,13 @@ class TensorFormatError(ValueError):
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error is the one raised
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- PNM (P5 grayscale / P6 RGB, binary, maxval 255) --
@@ -76,7 +85,7 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
 
 
 def read_pnm(path) -> np.ndarray:
-    """Read one P5/P6 file to a (C, H, W) float64 array, values v/255."""
+    """Read one P5/P6 file's pixels: a read-only (H, W, C) uint8 view of its bytes."""
     path = Path(path)
     blob = path.read_bytes()
     magic, width, height, _, pos = _read_pnm_header(blob, path)
@@ -85,33 +94,20 @@ def read_pnm(path) -> np.ndarray:
     size = len(blob) - pos  # bytes past the frame, such as a second image, are an error
     if size != need:
         raise PnmFormatError(f"{path}: payload has {size} bytes, expected {need}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
-    # channels first in C order, built by the one uint8 -> float64 conversion
-    frame = np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64)
-    frame /= 255.0
-    return frame
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
 
 
-def write_pnm(frame: np.ndarray, path) -> np.ndarray:
-    """Write a (C, H, W) array in [0, 1] as binary P5/P6, maxval 255.
-
-    Values are clamped to [0, 1] then quantized round-half-up, so 0.5 maps
-    to byte 128; goldens depend on this convention.  Returns the frame
-    read_pnm reads back from the file.
-    """
+def write_pnm(pixels: np.ndarray, path) -> None:
+    """Write (H, W, C) uint8 pixels as binary P5 (C = 1) or P6 (C = 3), maxval 255."""
     path = Path(path)
-    channels, height, width = frame.shape
+    height, width, channels = pixels.shape
     if channels not in (1, 3):
         raise ValueError(f"{path}: PNM supports 1 or 3 channels, got {channels}")
-    scaled = np.floor(np.clip(frame, 0.0, 1.0) * 255.0 + 0.5)
-    data = scaled.astype(np.uint8)
-    if channels == 1:
-        magic, payload = b"P5", data[0].tobytes()
-    else:
-        magic, payload = b"P6", data.transpose(1, 2, 0).tobytes()
+    if pixels.dtype != np.uint8:
+        raise TypeError(f"{path}: PNM pixels must be uint8, got {pixels.dtype}")
+    magic = b"P5" if channels == 1 else b"P6"
     header = magic + b"\n" + f"{width} {height}\n255\n".encode("ascii")
-    _atomic_write_bytes(path, header + payload)
-    return data / 255.0  # read_pnm's conversion of the same bytes
+    _atomic_write_bytes(path, header + pixels.tobytes())
 
 
 # -- frame directories --
@@ -138,25 +134,27 @@ def read_video(dir_path) -> VideoTensor:
     """Read a frame directory to a (F, C, H, W) tensor with values in [0, 1]."""
     dir_path = Path(dir_path)
     paths = _scan_frames(dir_path)
-    video = None
+    pixels = None
     for i, p in enumerate(paths):
-        frame = read_pnm(p)
-        if video is None:
-            video = np.empty((len(paths),) + frame.shape)  # each frame goes into place
-        elif frame.shape != video.shape[1:]:
-            raise PnmFormatError(f"{p}: frame shape {frame.shape} != first frame {video.shape[1:]}")
-        video[i] = frame
-    return _freeze(video)  # frozen in place: no second copy
+        frame = read_pnm(p).transpose(2, 0, 1)  # (C, H, W), a view of the file's bytes
+        if pixels is None:
+            pixels = np.empty((len(paths),) + frame.shape, np.uint8)  # each frame goes into place
+        elif frame.shape != pixels.shape[1:]:
+            raise PnmFormatError(f"{p}: frame shape {frame.shape} != first frame {pixels.shape[1:]}")
+        pixels[i] = frame
+    return _freeze(pixels / 255.0)  # the one conversion, frozen in place: no second copy
 
 
 def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
     """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3).
 
-    Other frame files in the directory are removed.  The frames are written
-    on up to `threads` threads (tensor._map): once a write has failed, no
-    frame not yet begun is written, and the first failure is raised.  The
-    bytes on disk do not depend on it.  Returns the tensor read_video reads
-    back from the directory: x clamped and 8-bit quantized.
+    Values are clamped to [0, 1] then quantized round-half-up to 8 bits, so
+    0.5 maps to byte 128; goldens depend on this convention.  Other frame
+    files in the directory are removed.  The frames are written on up to
+    `threads` threads (tensor._map): once a write has failed, no frame not
+    yet begun is written, and the first failure is raised.  The bytes on
+    disk do not depend on it.  Returns the tensor read_video reads back from
+    the directory.
     """
     channels = x.shape[1]
     if channels not in (1, 3):
@@ -167,12 +165,12 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
     paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(x.shape[0])]
     for stale in {p for p in dir_path.iterdir() if _FRAME_RE.match(p.name)} - set(paths):
         stale.unlink()
-    written = np.empty(x.shape)
-
-    def write(i: int) -> None:  # into place at once: frames held by pool threads cost memory
-        written[i] = write_pnm(x[i], paths[i])
-
-    _map(write, range(len(paths)), threads)
+    written = np.clip(x, 0.0, 1.0, out=np.empty(x.shape))  # the whole video at once
+    written *= 255.0
+    written += 0.5
+    pixels = np.floor(written, out=written).astype(np.uint8)
+    np.divide(pixels, 255.0, out=written)  # read_video's conversion of the same bytes
+    _map(lambda i: write_pnm(pixels[i].transpose(1, 2, 0), paths[i]), range(len(paths)), threads)
     return _freeze(written)
 
 

@@ -48,6 +48,11 @@ per distinct nu, and metric_report scores the whole stack against the one
 reference.  The oracles keep the per-row forms (a fresh generator per row,
 low_pass per row, and a run's report from its per-metric functions with the
 chunked SSIM of one run), and every row must equal its oracle byte for byte.
+The posterior takes every row's r . g in one stacked product; the oracle
+keeps the loop over the rows.  The frame codecs carry bytes, and read_video
+and write_video convert a whole video at once; the oracles keep the
+per-frame float forms of read_pnm and write_pnm, and the files and tensors
+must agree byte for byte.
 """
 
 import json
@@ -96,6 +101,7 @@ from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedul
 from noisecal.frequency import frequency_mask
 from noisecal.metrics import spatial_frequency
 from noisecal.tensor import _freeze, _require_same_shape
+from noisecal.vio import _read_pnm_header
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -491,11 +497,15 @@ def unflushed_posterior_mean(d, x_t, t, schedule):
     gain = root * d.variances / s
     weights = r * (1.0 - gain * root)
     out = np.matmul(weights[:, None, None, :], m)[:, :, 0]
-    gains = np.broadcast_to(gain, r.shape)
-    rg = np.array([float(row @ g) for row, g in zip(r, gains)])[:, None]
+    rg = per_row_rg(r, np.broadcast_to(gain, r.shape))
     for k in range(f):
         out[:, k] += rg * x[:, k]
     return out.reshape(x_t.shape), weights
+
+
+def per_row_rg(r, gains):
+    """The (B, 1) column of r . g as a Python loop over the rows."""
+    return np.array([float(row @ g) for row, g in zip(r, gains)])[:, None]
 
 
 def late_level_case(rows, t, shape=(2, 1, 8, 8), n=48):
@@ -537,6 +547,17 @@ def test_flushed_output_weights_keep_the_unflushed_bytes(rows, t):
     want, weights = unflushed_posterior_mean(d, x_t, t, SCHED)
     assert np.any((weights > 0) & (weights < TINY))  # the case reaches the flush
     assert d.posterior_mean(x_t, t, SCHED).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 24])
+@pytest.mark.parametrize("per_row_t", [False, True], ids=["one-level", "level-per-row"])
+def test_stacked_rg_keeps_the_per_row_loop_bytes(batch, per_row_t):
+    """posterior_mean takes every row's r . g in one stacked product; each
+    row's product is the loop's dot, byte for byte."""
+    d, stack = stacked_case(6080 + batch, batch, False, False)
+    t = [(600, 1000, 250, 800)[b % 4] for b in range(batch)] if per_row_t else 600
+    want, _ = unflushed_posterior_mean(d, stack, t, SCHED)
+    assert d.posterior_mean(stack, t, SCHED).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- stacked runs
@@ -925,6 +946,63 @@ def test_read_video_order_moves_metrics_only_in_the_last_digits(tmp_path):
         got, old = metric_report(a, b), metric_report(*last)
         for key, value in json.loads(got.to_json()).items():
             assert value == pytest.approx(getattr(old, key), rel=0, abs=1e-12), key
+
+
+# ---------------------------------------------------------------- frame I/O
+
+
+def float_read_pnm(path):
+    """read_pnm as it was: one frame's (C, H, W) float64 values v/255."""
+    blob = path.read_bytes()
+    magic, width, height, _, pos = _read_pnm_header(blob, path)
+    pixels = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, -1)
+    frame = np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64)
+    frame /= 255.0
+    return frame
+
+
+def float_write_pnm(frame, path):
+    """write_pnm as it was: one (C, H, W) frame clamped, quantized round-half-up
+    and written; returns the frame read back."""
+    channels, height, width = frame.shape
+    data = np.floor(np.clip(frame, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    magic = b"P5" if channels == 1 else b"P6"
+    header = magic + b"\n" + f"{width} {height}\n255\n".encode("ascii")
+    path.write_bytes(header + data.transpose(1, 2, 0).tobytes())
+    return data / 255.0
+
+
+def per_frame_write_video(x, dir_path):
+    dir_path.mkdir()
+    ext = "pgm" if x.shape[1] == 1 else "ppm"
+    return np.stack([float_write_pnm(f, dir_path / f"frame_{i:05d}.{ext}") for i, f in enumerate(x)])
+
+
+def per_frame_read_video(dir_path):
+    return np.stack([float_read_pnm(p) for p in sorted(dir_path.iterdir())])
+
+
+def frame_bytes(dir_path):
+    return {p.name: p.read_bytes() for p in dir_path.iterdir()}
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 5, 7), (2, 3, 5, 7), (4, 3, 8, 6), (1, 1, 1, 1)])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_video_io_keeps_the_bytes_of_its_per_frame_float_forms(tmp_path, shape, threads):
+    """write_video quantizes and read_video converts the whole video at once;
+    the oracles keep the per-frame float forms of read_pnm and write_pnm."""
+    x = gaussian_noise(shape, RngSeed(6500)) * 0.6 + 0.5
+    # exact ties at every other element: v * 255 is k + 0.5 with no rounding
+    k = np.arange(255)
+    ties = (k + 0.5) / 255.0
+    assert np.array_equal(ties * 255.0, k + 0.5)
+    x.flat[::2] = np.resize(ties[::-1], x.flat[::2].size)
+    assert x.size == 1 or (x.min() < 0.0 and x.max() > 1.0)
+    want = per_frame_write_video(x, tmp_path / "oracle")
+    got = write_video(x, tmp_path / "v", threads)
+    assert got.tobytes() == want.tobytes()
+    assert frame_bytes(tmp_path / "v") == frame_bytes(tmp_path / "oracle")
+    assert read_video(tmp_path / "v").tobytes() == per_frame_read_video(tmp_path / "v").tobytes()
 
 
 def filter_valid(img):

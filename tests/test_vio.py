@@ -1,6 +1,7 @@
 """Frame-directory, PNM, and raw tensor codecs."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,36 +25,45 @@ from noisecal.vio import read_pnm, write_pnm
 
 
 def test_read_pgm_hand_bytes(tmp_path):
-    p = tmp_path / "f.pgm"
+    p = tmp_path / "v" / "frame_00000.pgm"
+    p.parent.mkdir()
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
-    frame = read_pnm(p)
-    assert frame.shape == (1, 2, 2)
+    pixels = read_pnm(p)
+    assert pixels.shape == (2, 2, 1) and pixels.dtype == np.uint8
+    assert not pixels.flags.writeable
+    assert pixels.tobytes() == bytes([0, 255, 128, 64])
+    video = read_video(p.parent)  # the values are v/255
+    assert video.shape == (1, 1, 2, 2)
     np.testing.assert_allclose(
-        frame.ravel(), [0.0, 1.0, 0.50196078, 0.25098039], atol=1e-8
+        video.ravel(), [0.0, 1.0, 0.50196078, 0.25098039], atol=1e-8
     )
 
 
 def test_read_pnm_skips_comments(tmp_path):
     p = tmp_path / "f.pgm"
     p.write_bytes(b"P5\n# width then height\n2 1\n# maxval\n255\n" + bytes([7, 9]))
-    assert read_pnm(p).shape == (1, 1, 2)
+    pixels = read_pnm(p)
+    assert pixels.shape == (1, 2, 1)
+    assert pixels.tobytes() == bytes([7, 9])
 
 
 def test_write_pnm_quantization(tmp_path):
-    p = tmp_path / "f.pgm"
-    frame = np.array([[[1.0, -0.2, 0.5, 0.25098039215686274]]]).reshape(1, 1, 4)
-    write_pnm(frame, p)
-    blob = p.read_bytes()
+    # write_video owns the 8-bit convention; write_pnm writes its bytes
+    frame = np.array([1.0, -0.2, 0.5, 0.25098039215686274]).reshape(1, 1, 1, 4)
+    write_video(frame, tmp_path / "v")
+    blob = (tmp_path / "v" / "frame_00000.pgm").read_bytes()
     assert blob.startswith(b"P5\n4 1\n255\n")
     assert blob[-4:] == bytes([255, 0, 128, 64])  # clamp, then round half up
 
 
 def test_pnm_roundtrip_rgb(tmp_path):
-    rng = RngSeed(110)
-    x = np.floor(np.clip(gaussian_noise((1, 3, 6, 5), rng) * 0.2 + 0.5, 0, 1) * 255) / 255.0
+    pixels = RngSeed(110).generator().integers(0, 256, (6, 5, 3), dtype=np.uint8)
     p = tmp_path / "f.ppm"
-    write_pnm(x[0], p)
-    np.testing.assert_allclose(read_pnm(p), x[0], atol=1e-12)
+    write_pnm(pixels, p)
+    assert p.read_bytes().startswith(b"P6\n5 6\n255\n")
+    back = read_pnm(p)
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, pixels)
 
 
 BAD_HEADERS = {
@@ -102,7 +112,13 @@ def test_pnm_rejects_bytes_after_payload(tmp_path):
 
 def test_write_pnm_rejects_two_channels(tmp_path):
     with pytest.raises(ValueError, match="channels"):
-        write_pnm(np.zeros((2, 4, 4)), tmp_path / "f.pgm")
+        write_pnm(np.zeros((4, 4, 2), np.uint8), tmp_path / "f.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_pnm_rejects_values_that_are_not_bytes(tmp_path):
+    with pytest.raises(TypeError, match="uint8"):
+        write_pnm(np.zeros((4, 4, 1)), tmp_path / "f.pgm")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -166,8 +182,9 @@ def test_video_empty_dir(tmp_path):
 
 def test_video_shape_mismatch_names_frame(tmp_path):
     write_video(quantized_video((2, 1, 4, 4), 114), tmp_path / "v")
-    write_pnm(np.zeros((1, 3, 3)), tmp_path / "v" / "frame_00001.pgm")
-    with pytest.raises(PnmFormatError, match="frame_00001"):
+    write_pnm(np.zeros((3, 3, 1), np.uint8), tmp_path / "v" / "frame_00001.pgm")
+    # the shapes are named (C, H, W), as the tensor's frames are
+    with pytest.raises(PnmFormatError, match=r"frame_00001.*\(1, 3, 3\) != first frame \(1, 4, 4\)"):
         read_video(tmp_path / "v")
 
 
@@ -201,7 +218,7 @@ def test_video_rewrite_removes_stale_frames(tmp_path):
 
 def test_video_two_files_for_one_index_rejected(tmp_path):
     write_video(quantized_video((2, 1, 4, 4), 123), tmp_path / "v")
-    write_pnm(np.zeros((3, 4, 4)), tmp_path / "v" / "frame_00000.ppm")
+    write_pnm(np.zeros((4, 4, 3), np.uint8), tmp_path / "v" / "frame_00000.ppm")
     with pytest.raises(PnmFormatError, match="frame index 00000"):
         read_video(tmp_path / "v")
 
@@ -331,3 +348,28 @@ def test_no_tmp_files_left_behind(tmp_path):
     write_tensor(gaussian_noise((1, 1, 2, 2), RngSeed(120)), tmp_path / "t.vnt")
     leftovers = list(tmp_path.rglob("*.tmp"))
     assert leftovers == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_frame_write_leaves_no_tmp_file(tmp_path, threads):
+    (tmp_path / "v" / "frame_00002.pgm").mkdir(parents=True)  # the rename onto it fails
+    with pytest.raises(IsADirectoryError):
+        write_video(quantized_video((4, 1, 4, 4), 124), tmp_path / "v", threads)
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_failed_tensor_write_leaves_no_tmp_file(tmp_path):
+    (tmp_path / "t.vnt").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_tensor(gaussian_noise((1, 1, 2, 2), RngSeed(125)), tmp_path / "t.vnt")
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_failed_tmp_removal_does_not_hide_the_write_error(tmp_path, monkeypatch):
+    def refuse(self, missing_ok=False):
+        raise PermissionError(f"{self}: cannot remove")
+
+    (tmp_path / "t.vnt").mkdir()
+    monkeypatch.setattr(Path, "unlink", refuse)
+    with pytest.raises(IsADirectoryError):
+        write_tensor(gaussian_noise((1, 1, 2, 2), RngSeed(126)), tmp_path / "t.vnt")
