@@ -22,8 +22,7 @@ from .tensor import (
 )
 from .toy import band_limited_field, blurred, toy_benchmark, toy_schedule
 from .vio import (
-    PnmFormatError,
-    TensorFormatError,
+    FormatError,
     read_tensor,
     read_video,
     write_tensor,
@@ -33,13 +32,12 @@ from .vio import (
 __all__ = [
     "CalibrationConfig",
     "Denoiser",
+    "FormatError",
     "GmmDenoiser",
     "NoiseSchedule",
     "NumericError",
-    "PnmFormatError",
     "RngSeed",
     "SamplerConfig",
-    "TensorFormatError",
     "VideoTensor",
     "as_video",
     "band_limited_field",

@@ -2,8 +2,10 @@
 
 Configuration comes from a strict JSON file (unknown keys rejected); `--seed`
 overrides `sampler.seed`.  stdout carries machine-readable output only;
-diagnostics go to stderr.  Exit codes: 0 success, 1 configuration or flag
-error, 2 I/O error, 3 numeric failure.
+diagnostics go to stderr.  Exit codes follow the error's class: 0 success;
+2 an I/O error, an OSError or a FormatError (a frame or tensor file that
+breaks its format); 3 a numeric failure, a NumericError; 1 a configuration
+or flag error, any other ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .diffusion import SamplerConfig
 from .metrics import check_ssim_window, metric_report
 from .schedule import NoiseSchedule, ddim_grid, linear_beta_schedule
 from .tensor import NumericError, RngSeed, _finite_number, _map, _object, _read_json
-from .vio import PnmFormatError, TensorFormatError, read_video, write_video
+from .vio import FormatError, read_video, write_video
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,15 +50,11 @@ _SWEEP_RUN_LIMIT = 10_000
 _STACK_BYTES = 1 << 20
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are configuration errors (exit 1), not argparse's exit 2."""
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -83,16 +81,13 @@ def resolve_t0(raw, t_max: int) -> int:
 
     The resolved timestep must lie in [1, t_max]; nothing is clamped.
     """
-    try:
-        t0 = _finite_number(raw, "t0")
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    t0 = _finite_number(raw, "t0")
     if isinstance(raw, float):
         if not 0.0 <= raw <= 1.0:
-            raise ConfigError(f"fractional t0 must be in [0, 1], got {raw}")
+            raise ValueError(f"fractional t0 must be in [0, 1], got {raw}")
         t0 = round(raw * t_max)
     if not 1 <= t0 <= t_max:
-        raise ConfigError(f"t0={raw!r} resolves to timestep {t0}, outside [1, {t_max}]")
+        raise ValueError(f"t0={raw!r} resolves to timestep {t0}, outside [1, {t_max}]")
     return t0
 
 
@@ -101,7 +96,7 @@ def _num(block: dict, key: str, default, kind=float):
         return default
     v = _finite_number(block[key], key)
     if kind is int and not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
+        raise ValueError(f"{key} must be an integer, got {v!r}")
     return kind(v)
 
 
@@ -111,26 +106,23 @@ def load_config(path) -> RunConfig:
     that read a config use all of them.  The ranges of the run settings are
     checked by building the schedule, the sampling grid and the run configs."""
     path = Path(path)
-    try:
-        sections = {"schedule", "sampler", "calibration", "denoiser", "io"}
-        doc = _object(_read_json(path), str(path), sections)
-        sched = _object(doc.get("schedule", {}), "'schedule'", {"T", "beta_start", "beta_end"})
-        sampler = _object(doc.get("sampler", {}), "'sampler'", {"num_steps", "eta", "seed"})
-        cal = _object(doc.get("calibration", {}), "'calibration'", {"t0", "N", "nu"})
-        den = _object(doc.get("denoiser", {}), "'denoiser'", {"kind", "spec"}, {"kind", "spec"})
-        io_block = _object(doc.get("io", {}), "'io'", {"input"}, {"input"})
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    sections = {"schedule", "sampler", "calibration", "denoiser", "io"}
+    doc = _object(_read_json(path), str(path), sections)
+    sched = _object(doc.get("schedule", {}), "'schedule'", {"T", "beta_start", "beta_end"})
+    sampler = _object(doc.get("sampler", {}), "'sampler'", {"num_steps", "eta", "seed"})
+    cal = _object(doc.get("calibration", {}), "'calibration'", {"t0", "N", "nu"})
+    den = _object(doc.get("denoiser", {}), "'denoiser'", {"kind", "spec"}, {"kind", "spec"})
+    io_block = _object(doc.get("io", {}), "'io'", {"input"}, {"input"})
 
     t_max = _num(sched, "T", 1000, int)
     if not 1 <= t_max <= _T_LIMIT:
-        raise ConfigError(f"T must be in [1, {_T_LIMIT}], got {t_max}")
+        raise ValueError(f"T must be in [1, {_T_LIMIT}], got {t_max}")
     if den["kind"] != "gmm":
-        raise ConfigError(f"denoiser kind must be 'gmm', got {den['kind']!r}")
+        raise ValueError(f"denoiser kind must be 'gmm', got {den['kind']!r}")
 
     def _resolve(key: str, p) -> str:
         if not isinstance(p, str):
-            raise ConfigError(f"{key} must be a path string, got {p!r}")
+            raise ValueError(f"{key} must be a path string, got {p!r}")
         return str(path.parent / p)
 
     cfg = RunConfig(
@@ -146,11 +138,9 @@ def load_config(path) -> RunConfig:
         denoiser_spec=_resolve("denoiser.spec", den["spec"]),
         input_dir=_resolve("io.input", io_block["input"]),
     )
-    try:  # the library's own checks, before any input is read
-        ddim_grid(build_schedule(cfg), cfg.num_steps, cfg.t0)
-        _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    # the library's own checks, before any input is read
+    ddim_grid(build_schedule(cfg), cfg.num_steps, cfg.t0)
+    _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
     return cfg
 
 
@@ -165,11 +155,11 @@ def build_denoiser(cfg: RunConfig, n_frames: int, frame_shape: tuple | None = No
     frame_shape gives it; both are checked before any run starts."""
     d = GmmDenoiser.from_json_spec(cfg.denoiser_spec)
     if d.means.shape[1] not in (1, n_frames):
-        raise ConfigError(
+        raise ValueError(
             f"denoiser frames ({d.means.shape[1]}) do not match input frames ({n_frames})"
         )
     if frame_shape is not None and d.means.shape[2:] != frame_shape:
-        raise ConfigError(
+        raise ValueError(
             f"{cfg.denoiser_spec}: shape mismatch: mixture frames (C, H, W) are "
             f"{d.means.shape[2:]}, input frames are {frame_shape}"
         )
@@ -181,7 +171,7 @@ def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
     all its draws hang off rng.  nu=0 with N > 0 is an error: the library
     takes it, but its N denoiser calls would leave the noise as it was."""
     if nu == 0 and cfg.n_iters > 0:
-        raise ConfigError(f"nu=0 calibrates no band, so N={cfg.n_iters} updates change nothing")
+        raise ValueError(f"nu=0 calibrates no band, so N={cfg.n_iters} updates change nothing")
     cal = CalibrationConfig(
         t0=t0, n_iters=cfg.n_iters, nu=nu, rng=rng.substream(_STREAM_CALIBRATION)
     )
@@ -193,7 +183,7 @@ def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
 
 def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
     if Path(output_dir).resolve() == Path(cfg.input_dir).resolve():
-        raise ConfigError(f"--output {output_dir} is the input directory; it would be overwritten")
+        raise ValueError(f"--output {output_dir} is the input directory; it would be overwritten")
     x_ref = read_video(cfg.input_dir)
     check_ssim_window(x_ref.shape)  # frames too small for the report fail before any run
     s = build_schedule(cfg)
@@ -227,7 +217,7 @@ def _float_bits(x: float) -> int:
 def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads: int) -> int:
     n_runs = len(t0_list) * len(nu_list) * seeds
     if n_runs > _SWEEP_RUN_LIMIT:
-        raise ConfigError(
+        raise ValueError(
             f"a sweep runs at most {_SWEEP_RUN_LIMIT} runs (t0 values x nu values x seeds), "
             f"got {n_runs}"
         )
@@ -237,7 +227,7 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
     seen = set()
     for t0, nu in cells:
         if (t0, nu) in seen:
-            raise ConfigError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
+            raise ValueError(f"sweep cell t0={t0}, nu={nu!r} is listed twice")
         seen.add((t0, nu))
     jobs = [(t0, nu, k) for t0, nu in cells for k in range(seeds)]
     runs = []  # every run is built, and so checked, before any file is read
@@ -248,7 +238,7 @@ def cmd_sweep(cfg: RunConfig, t0_list: list, nu_list: list, seeds: int, threads:
                 rng = master.substream(_STREAM_SWEEP, t0, _float_bits(nu), k)
                 runs.append(_run_configs(cfg, rng, t0, nu))
         except ValueError as e:
-            raise ConfigError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
+            raise ValueError(f"sweep cell t0={t0}, nu={nu!r}: {e}") from None
     x_ref = read_video(cfg.input_dir)
     check_ssim_window(x_ref.shape)
     d = build_denoiser(cfg, x_ref.shape[0], x_ref.shape[1:])
@@ -351,13 +341,13 @@ def main(argv=None) -> int:
         if args.command == "enhance":
             return cmd_enhance(cfg, args.output, args.threads)
         return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)
-    except (PnmFormatError, TensorFormatError, OSError) as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as e:  # ConfigError included
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,12 +26,8 @@ _FRAME_RE = re.compile(r"^frame_(\d{5})\.(ppm|pgm)$")
 _TENSOR_MAGIC = b"VNT1"
 
 
-class PnmFormatError(ValueError):
-    """Malformed PNM header or payload."""
-
-
-class TensorFormatError(ValueError):
-    """Malformed raw tensor file."""
+class FormatError(ValueError):
+    """A frame or tensor file that breaks its format."""
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -45,19 +41,30 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+def _refuse_unreadable(path: Path, values: np.ndarray, what: str) -> None:
+    """A writer's check that its reader would read what it writes: unless
+    values are a video (F, C, H, W) and finite, a ValueError naming path."""
+    try:
+        _validate_shape(values.shape)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: {what} would hold NaN or Inf")
+
+
 # -- PNM (P5 grayscale / P6 RGB, binary, maxval 255) --
 
 
 def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int]:
     """Returns (magic, width, height, maxval, payload offset)."""
     if blob[:2] not in (b"P5", b"P6"):
-        raise PnmFormatError(f"{path}: not a binary PGM/PPM file")
+        raise FormatError(f"{path}: not a binary PGM/PPM file")
     magic = blob[:2]
     pos = 2
     fields: list[int] = []
     while len(fields) < 3:
         if pos >= len(blob):
-            raise PnmFormatError(f"{path}: truncated header")
+            raise FormatError(f"{path}: truncated header")
         ch = blob[pos : pos + 1]
         if ch.isspace():
             pos += 1
@@ -69,18 +76,18 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
             while pos < len(blob) and blob[pos : pos + 1].isdigit():
                 pos += 1
             if pos - start > 9:  # int() refuses beyond 4300 digits; no real frame is this big
-                raise PnmFormatError(f"{path}: header number has {pos - start} digits")
+                raise FormatError(f"{path}: header number has {pos - start} digits")
             fields.append(int(blob[start:pos]))
         else:
-            raise PnmFormatError(f"{path}: unexpected byte {ch!r} in header")
+            raise FormatError(f"{path}: unexpected byte {ch!r} in header")
     if pos >= len(blob) or not blob[pos : pos + 1].isspace():
-        raise PnmFormatError(f"{path}: header not terminated by whitespace")
+        raise FormatError(f"{path}: header not terminated by whitespace")
     pos += 1
     width, height, maxval = fields
     if maxval != 255:
-        raise PnmFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
+        raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
-        raise PnmFormatError(f"{path}: invalid dimensions {width}x{height}")
+        raise FormatError(f"{path}: invalid dimensions {width}x{height}")
     return magic, width, height, maxval, pos
 
 
@@ -93,7 +100,7 @@ def read_pnm(path) -> np.ndarray:
     need = width * height * channels
     size = len(blob) - pos  # bytes past the frame, such as a second image, are an error
     if size != need:
-        raise PnmFormatError(f"{path}: payload has {size} bytes, expected {need}")
+        raise FormatError(f"{path}: payload has {size} bytes, expected {need}")
     return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
 
 
@@ -120,7 +127,7 @@ def _scan_frames(dir_path: Path) -> list[Path]:
     for entry in sorted(dir_path.iterdir()):
         m = _FRAME_RE.match(entry.name)
         if m and found.setdefault(int(m.group(1)), entry) != entry:
-            raise PnmFormatError(f"{entry}: a second file for frame index {m.group(1)}")
+            raise FormatError(f"{entry}: a second file for frame index {m.group(1)}")
     if not found:
         raise FileNotFoundError(f"{dir_path}: no frame_NNNNN.ppm/.pgm files")
     count = max(found) + 1
@@ -140,26 +147,30 @@ def read_video(dir_path) -> VideoTensor:
         if pixels is None:
             pixels = np.empty((len(paths),) + frame.shape, np.uint8)  # each frame goes into place
         elif frame.shape != pixels.shape[1:]:
-            raise PnmFormatError(f"{p}: frame shape {frame.shape} != first frame {pixels.shape[1:]}")
+            raise FormatError(f"{p}: frame shape {frame.shape} != first frame {pixels.shape[1:]}")
         pixels[i] = frame
     return _freeze(pixels / 255.0)  # the one conversion, frozen in place: no second copy
 
 
 def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
-    """Write a (F, C, H, W) tensor as a frame directory (C must be 1 or 3).
+    """Write a (F, C, H, W) tensor as a frame directory.
 
-    Values are clamped to [0, 1] then quantized round-half-up to 8 bits, so
-    0.5 maps to byte 128; goldens depend on this convention.  Other frame
-    files in the directory are removed.  The frames are written on up to
-    `threads` threads (tensor._map): once a write has failed, no frame not
-    yet begun is written, and the first failure is raised.  The bytes on
-    disk do not depend on it.  Returns the tensor read_video reads back from
-    the directory.
+    Only what read_video reads is written: a video with 1 or 3 channels
+    whose values are finite.  Any other x is a ValueError naming the
+    directory, raised before the directory is touched.  Values are clamped
+    to [0, 1] then quantized round-half-up to 8 bits, so 0.5 maps to byte
+    128; goldens depend on this convention.  Other frame files in the
+    directory are removed.  The frames are written on up to `threads`
+    threads (tensor._map): once a write has failed, no frame not yet begun
+    is written, and the first failure is raised.  The bytes on disk do not
+    depend on it.  Returns the tensor read_video reads back from the
+    directory.
     """
+    dir_path = Path(dir_path)
+    _refuse_unreadable(dir_path, x, "the frames")
     channels = x.shape[1]
     if channels not in (1, 3):
-        raise ValueError(f"video has {channels} channels; PNM supports 1 or 3")
-    dir_path = Path(dir_path)
+        raise ValueError(f"{dir_path}: video has {channels} channels; PNM supports 1 or 3")
     dir_path.mkdir(parents=True, exist_ok=True)
     ext = "pgm" if channels == 1 else "ppm"
     paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(x.shape[0])]
@@ -185,16 +196,10 @@ def write_tensor(x: VideoTensor, path) -> None:
     raised before any byte is written; a value beyond float32's range is one.
     """
     path = Path(path)
-    dims = x.shape
-    try:
-        _validate_shape(dims)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
     with np.errstate(over="ignore"):  # a value beyond float32's range casts to Inf
         values = np.ascontiguousarray(x, dtype="<f4")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: the float32 payload would hold NaN or Inf")
-    header = _TENSOR_MAGIC + struct.pack("<5I", 4, *dims)
+    _refuse_unreadable(path, values, "the float32 payload")
+    header = _TENSOR_MAGIC + struct.pack("<5I", 4, *values.shape)
     _atomic_write_bytes(path, header + values.tobytes())
 
 
@@ -206,27 +211,27 @@ def read_tensor(path, out: np.ndarray | None = None) -> VideoTensor:
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != _TENSOR_MAGIC:
-        raise TensorFormatError(f"{path}: bad magic {blob[:4]!r}")
+        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 8:
-        raise TensorFormatError(f"{path}: truncated header")
+        raise FormatError(f"{path}: truncated header")
     (ndim,) = struct.unpack_from("<I", blob, 4)
     if ndim != 4:
-        raise TensorFormatError(f"{path}: expected 4 dims (F,C,H,W), got {ndim}")
+        raise FormatError(f"{path}: expected 4 dims (F,C,H,W), got {ndim}")
     if len(blob) < 8 + 4 * ndim:
-        raise TensorFormatError(f"{path}: truncated dimension list")
+        raise FormatError(f"{path}: truncated dimension list")
     dims = struct.unpack_from(f"<{ndim}I", blob, 8)
     if 0 in dims:
-        raise TensorFormatError(f"{path}: zero dimension in {dims}")
+        raise FormatError(f"{path}: zero dimension in {dims}")
     offset = 8 + 4 * ndim
     expected = math.prod(dims) * 4  # Python ints: no wraparound
     size = len(blob) - offset  # read in place: a slice of the blob would copy it
     if size != expected:
-        raise TensorFormatError(
+        raise FormatError(
             f"{path}: payload has {size} bytes, expected {expected} for dims {dims}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=offset).reshape(dims)
     if not np.isfinite(values).all():
-        raise TensorFormatError(f"{path}: payload holds NaN or Inf")
+        raise FormatError(f"{path}: payload holds NaN or Inf")
     if out is None:
         out = values.astype(np.float64)
         out.flags.writeable = False  # frozen in place: no second copy

@@ -32,7 +32,6 @@ from noisecal.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
-    ConfigError,
     build_schedule,
     load_config,
     main,
@@ -106,21 +105,21 @@ def test_resolve_t0_conventions():
     assert resolve_t0(600, 1000) == 600
     assert resolve_t0(0.6, 1000) == 600
     assert resolve_t0(1.0, 1000) == 1000
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"t0=0\.0 resolves to timestep 0, outside \[1, 1000\]"):
         resolve_t0(0.0, 1000)  # outside [1, T]: rejected, not clamped
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="t0=2000 resolves to timestep 2000, outside"):
         resolve_t0(2000, 1000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="t0=0 resolves to timestep 0, outside"):
         resolve_t0(0, 1000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="t0=-5 resolves to timestep -5, outside"):
         resolve_t0(-5, 1000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"t0=0\.0004 resolves to timestep 0, outside"):
         resolve_t0(0.0004, 1000)  # fraction that rounds to timestep 0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="t0 must be a finite number, got True"):
         resolve_t0(True, 1000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"fractional t0 must be in \[0, 1\], got 1\.5"):
         resolve_t0(1.5, 1000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="t0 must be a finite number, got '600'"):
         resolve_t0("600", 1000)
 
 
@@ -149,21 +148,21 @@ def test_load_config_resolves_paths_relative_to_file(tmp_path):
 def test_load_config_rejects_unknown_section(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"scheduler": {"T": 10}}))
-    with pytest.raises(ConfigError, match=r"unknown keys in .*cfg\.json: \['scheduler'\]"):
+    with pytest.raises(ValueError, match=r"unknown keys in .*cfg\.json: \['scheduler'\]"):
         load_config(p)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"sampler": {"num_steps": 5, "steps": 5}}))
-    with pytest.raises(ConfigError, match="unknown keys"):
+    with pytest.raises(ValueError, match="unknown keys"):
         load_config(p)
 
 
 def test_load_config_rejects_lonely_denoiser_kind(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"denoiser": {"kind": "gmm"}, "io": {"input": "frames"}}))
-    with pytest.raises(ConfigError, match=r"'denoiser' needs \['kind', 'spec'\]"):
+    with pytest.raises(ValueError, match=r"'denoiser' needs \['kind', 'spec'\]"):
         load_config(p)
 
 
@@ -172,7 +171,7 @@ def test_load_config_bounds_schedule_length(tmp_path, t_max):
     # checked before build_schedule, so the bad value never allocates
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"schedule": {"T": t_max}, **_MINIMAL}))
-    with pytest.raises(ConfigError, match="T must be in"):
+    with pytest.raises(ValueError, match="T must be in"):
         load_config(p)
     # the default betas drive alpha_bar to 0 long before 100000 steps
     betas = {"beta_start": 1e-7, "beta_end": 1e-5}
@@ -1049,7 +1048,7 @@ def test_sweep_over_the_run_limit_exits_before_any_cell_is_resolved(
 
         patched.setattr(cli, "resolve_t0", built)
         patched.setattr(cli, "_run_configs", built)
-        with pytest.raises(ConfigError) as error:
+        with pytest.raises(ValueError, match="a sweep runs at most 10000 runs") as error:
             cli.cmd_sweep(loaded, [30] * len(t0_list.split(",")), [1.0], int(seeds), 1)
         assert str(error.value) == message
     reads = []

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from doubles import ConstantDenoiser, CountingDenoiser
 from memory import traced_peak
 from noisecal import (
+    FormatError,
     GmmDenoiser,
     NoiseSchedule,
     RngSeed,
-    TensorFormatError,
     as_video,
     gaussian_noise,
     linear_beta_schedule,
@@ -262,7 +262,7 @@ def test_from_json_spec_checks_every_file_against_the_first(tmp_path, bad):
     with pytest.raises(ValueError, match="m1.vnt") as info:
         GmmDenoiser.from_json_spec(tmp_path / "mix.json")
     # NaN is the file's fault (exit 2); a shape that fits no row is the spec's (exit 1)
-    assert isinstance(info.value, TensorFormatError) == (bad == "nan")
+    assert isinstance(info.value, FormatError) == (bad == "nan")
 
 
 def test_from_json_spec_rejects_unknown_keys(tmp_path):

@@ -198,6 +198,22 @@ def test_ddim_step_to_zero_returns_clean_estimate(tiny_sched):
         assert out is x0_out
 
 
+def test_ddim_step_drops_a_residual_that_roundoff_makes_negative():
+    """At eta=1, sigma^2 equals 1 - alpha_bar[t_prev] up to roundoff; here the
+    residual variance reads -1.1e-16, whose square root is NaN, so the step
+    keeps only the estimate's term and the fresh noise."""
+    s = NoiseSchedule(alpha_bar=np.array([1.0, 0.5, 1e-300]))
+    sigma = np.sqrt((1.0 - 0.5) / (1.0 - 1e-300)) * np.sqrt(1.0 - 1e-300 / 0.5)
+    assert 1.0 - 0.5 - sigma**2 < 0
+    shape = (1, 1, 4, 4)
+    x_t = gaussian_noise(shape, RngSeed(41)) * s.signal_scale(2)
+    cfg = cfg_for(1.0, seed=6)
+    out, x0_hat = ddim_step(x_t, 2, 1, ConstantDenoiser(np.zeros(shape)), s, cfg)
+    assert np.isfinite(out).all()
+    noise = gaussian_noise(shape, cfg.rng.substream(2))
+    assert out.tobytes() == (np.sqrt(0.5) * x0_hat + sigma * noise).tobytes()
+
+
 def test_ddim_sigma_matches_ddpm_on_consecutive_steps(sched):
     # eta=1 with a gap of one step must reproduce the ancestral noise scale
     abar = sched.alpha_bar

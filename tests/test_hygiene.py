@@ -2,9 +2,9 @@
 every name in __all__ is used by code outside the module that defines it, every
 top-level function and class of the package is named somewhere beyond its
 definition, private names stay inside their modules, JSON is parsed in one
-place, threads are started in one place, and every package name and config
-field the benchmark harness looks up exists; of its span targets, only four
-known to be stale may not."""
+place, threads are started in one place, the package defines two exception
+classes, and every package name and config field the benchmark harness looks
+up exists; of its span targets, only four known to be stale may not."""
 
 import ast
 import dataclasses
@@ -141,6 +141,22 @@ def test_only_tensor_imports_threads():
             if any(name.split(".")[0] in ("threading", "concurrent") for name in names):
                 found.add(path.name)
     assert found == {"tensor.py"}
+
+
+def test_the_package_defines_two_exception_classes():
+    # one class per exit code beyond 1, which is any other ValueError: a frame
+    # or tensor file that breaks its format exits 2, a NaN or Inf exits 3
+    found = set()
+    for path in sorted((ROOT / "src" / "noisecal").glob("*.py")):
+        module = importlib.import_module(f"noisecal.{path.stem}")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.add((f"{path.stem}.{node.name}", cls.__bases__))
+    assert found == {
+        ("vio.FormatError", (ValueError,)),
+        ("tensor.NumericError", (ArithmeticError,)),
+    }
 
 
 def test_json_is_parsed_in_one_place():

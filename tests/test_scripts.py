@@ -1,9 +1,10 @@
 """Every script runs end to end on tiny arguments, the calibration study
-shows the paper's trade on the toy benchmark, and its one-Gaussian law is
-that of the package's eta=0 pass."""
+shows the paper's trade on the toy benchmark, its one-Gaussian law is that
+of the package's eta=0 pass, and the digest prints the same lines twice."""
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +60,21 @@ def check_toy_data(out: str, tmp_path: Path) -> None:
     assert out.startswith("wrote 2 mixture fields")
 
 
+def check_digest(out: str, tmp_path: Path) -> None:
+    # the digests themselves depend on the BLAS build, so only their form is checked
+    groups = [line.split("  ", 1) for line in out.strip().split("\n")]
+    assert [name for _, name in groups] == [
+        "workspace sweep-small", "enhance sweep-small", "metrics sweep-small", "sweep sweep-small",
+        "total",
+    ]
+    assert all(re.fullmatch("[0-9a-f]{64}", hexdigest) for hexdigest, _ in groups)
+    assert len({hexdigest for hexdigest, _ in groups}) == len(groups)
+
+
 # script name -> (argv, in which TMP stands for the test's tmp_path; check of stdout and files)
 TINY_RUNS = {
     "calibration_study": (["--seeds", "2", "--t0", "600", "--iters", "0", "1"], check_study),
+    "digest": (["--seed", "5", "--workload", "sweep-small"], check_digest),
     "make_toy_data": (
         ["TMP/ws", "--n-fields", "2", "--frames", "1", "--size", "12"], check_toy_data
     ),
@@ -74,6 +87,15 @@ def test_script_runs_on_tiny_arguments(capsys, tmp_path, path):
     argv, check = TINY_RUNS[path.stem]
     load_script(path).main([arg.replace("TMP", str(tmp_path)) for arg in argv])
     check(capsys.readouterr().out, tmp_path)
+
+
+def test_digest_prints_the_same_lines_on_a_second_run(capsys):
+    digest = load_script(SCRIPTS / "digest.py")
+    runs = []
+    for _ in range(2):
+        digest.main(["--seed", "5", "--workload", "sweep-small"])
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
 
 
 # The third cell of the study's grid, (eta=1, v=0.03), is thin: there no

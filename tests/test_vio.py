@@ -1,5 +1,6 @@
 """Frame-directory, PNM, and raw tensor codecs."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -8,9 +9,8 @@ import pytest
 
 from memory import traced_peak
 from noisecal import (
-    PnmFormatError,
+    FormatError,
     RngSeed,
-    TensorFormatError,
     as_video,
     gaussian_noise,
     read_tensor,
@@ -80,33 +80,33 @@ BAD_HEADERS = {
 def test_pnm_rejects_malformed_header(tmp_path, blob, match):
     p = tmp_path / "f.pgm"
     p.write_bytes(blob)
-    with pytest.raises(PnmFormatError, match=match):
+    with pytest.raises(FormatError, match=match):
         read_pnm(p)
 
 
 def test_pnm_rejects_overlong_header_number(tmp_path):
-    # 5000 digits: past what int() parses, so this must not surface as ValueError
+    # 5000 digits: past what int() parses, so this must not surface as int()'s ValueError
     p = tmp_path / "f.pgm"
     p.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
-    with pytest.raises(PnmFormatError, match="digits"):
+    with pytest.raises(FormatError, match="digits"):
         read_pnm(p)
 
 
 def test_pnm_rejects_short_payload(tmp_path):
     p = tmp_path / "f.pgm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
-    with pytest.raises(PnmFormatError, match="payload"):
+    with pytest.raises(FormatError, match="payload"):
         read_pnm(p)
 
 
 def test_pnm_rejects_bytes_after_payload(tmp_path):
     p = tmp_path / "f.pgm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]) + b"garbage")
-    with pytest.raises(PnmFormatError, match="payload has 11 bytes, expected 4"):
+    with pytest.raises(FormatError, match="payload has 11 bytes, expected 4"):
         read_pnm(p)
     # a second image concatenated after the first is trailing data too
     p.write_bytes(2 * (b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])))
-    with pytest.raises(PnmFormatError, match="f.pgm"):
+    with pytest.raises(FormatError, match="f.pgm"):
         read_pnm(p)
 
 
@@ -184,7 +184,7 @@ def test_video_shape_mismatch_names_frame(tmp_path):
     write_video(quantized_video((2, 1, 4, 4), 114), tmp_path / "v")
     write_pnm(np.zeros((3, 3, 1), np.uint8), tmp_path / "v" / "frame_00001.pgm")
     # the shapes are named (C, H, W), as the tensor's frames are
-    with pytest.raises(PnmFormatError, match=r"frame_00001.*\(1, 3, 3\) != first frame \(1, 4, 4\)"):
+    with pytest.raises(FormatError, match=r"frame_00001.*\(1, 3, 3\) != first frame \(1, 4, 4\)"):
         read_video(tmp_path / "v")
 
 
@@ -219,7 +219,7 @@ def test_video_rewrite_removes_stale_frames(tmp_path):
 def test_video_two_files_for_one_index_rejected(tmp_path):
     write_video(quantized_video((2, 1, 4, 4), 123), tmp_path / "v")
     write_pnm(np.zeros((4, 4, 3), np.uint8), tmp_path / "v" / "frame_00000.ppm")
-    with pytest.raises(PnmFormatError, match="frame index 00000"):
+    with pytest.raises(FormatError, match="frame index 00000"):
         read_video(tmp_path / "v")
 
 
@@ -227,6 +227,30 @@ def test_video_rejects_two_channels(tmp_path):
     x = gaussian_noise((1, 2, 4, 4), RngSeed(115))
     with pytest.raises(ValueError, match="channels"):
         write_video(x, tmp_path / "v")
+
+
+# what read_video could never return: a rank not 4, no frames, 2 channels, NaN or Inf
+UNWRITABLE = {
+    "rank-5": np.zeros((2, 3, 4, 4, 1)),
+    "rank-3": np.zeros((3, 4, 4)),
+    "no-frames": np.zeros((0, 1, 4, 4)),
+    "two-channels": np.zeros((1, 2, 4, 4)),
+    "nan": np.full((2, 1, 4, 4), np.nan),
+    "inf": np.full((2, 3, 4, 4), np.inf),
+}
+
+
+@pytest.mark.parametrize("x", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_write_video_refuses_what_read_video_would_refuse(tmp_path, x):
+    """Refused before the directory is touched: its frames keep their bytes,
+    and a directory that was not there is not made."""
+    write_video(quantized_video((5, 1, 4, 4), 126), tmp_path / "v")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "v").iterdir()}
+    for dir_path in (tmp_path / "v", tmp_path / "new"):
+        with pytest.raises(ValueError, match=re.escape(str(dir_path))):
+            write_video(x, dir_path)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "v").iterdir()} == before
+    assert not (tmp_path / "new").exists()
 
 
 # ---------------------------------------------------------------- tensors
@@ -255,7 +279,7 @@ def test_tensor_roundtrip_float32_exact(tmp_path):
 def test_tensor_bad_magic(tmp_path):
     p = tmp_path / "t.vnt"
     p.write_bytes(b"XNT1" + bytes(20))
-    with pytest.raises(TensorFormatError, match="magic"):
+    with pytest.raises(FormatError, match="magic"):
         read_tensor(p)
 
 
@@ -265,33 +289,36 @@ def test_tensor_truncated_payload(tmp_path):
     write_tensor(x, p)
     blob = p.read_bytes()
     p.write_bytes(blob[:-3])
-    with pytest.raises(TensorFormatError, match="payload"):
+    with pytest.raises(FormatError, match="payload"):
         read_tensor(p)
 
 
 def test_tensor_rejects_non_video_rank(tmp_path):
     p = tmp_path / "t.vnt"
     p.write_bytes(b"VNT1" + struct.pack("<I", 2) + struct.pack("<2I", 2, 2) + bytes(16))
-    with pytest.raises(TensorFormatError, match="dims"):
+    with pytest.raises(FormatError, match="dims"):
         read_tensor(p)
 
 
 # (65536,)*4 holds 2**64 elements: a wrapping product would pass an empty payload
-BAD_DIMS = {"zero-dim": (1, 0, 4, 4), "product-beyond-64-bits": (65536,) * 4}
+BAD_DIMS = {
+    "zero-dim": ((1, 0, 4, 4), "zero dimension"),
+    "product-beyond-64-bits": ((65536,) * 4, "payload has 0 bytes, expected 73786976294838206464"),
+}
 
 
-@pytest.mark.parametrize("dims", BAD_DIMS.values(), ids=BAD_DIMS.keys())
-def test_tensor_rejects_bad_dims(tmp_path, dims):
+@pytest.mark.parametrize("dims,match", BAD_DIMS.values(), ids=BAD_DIMS.keys())
+def test_tensor_rejects_bad_dims(tmp_path, dims, match):
     p = tmp_path / "t.vnt"
     p.write_bytes(b"VNT1" + struct.pack("<5I", 4, *dims))
-    with pytest.raises(TensorFormatError):
+    with pytest.raises(FormatError, match=match):
         read_tensor(p)
 
 
 def test_tensor_rejects_non_finite_payload(tmp_path):
     p = tmp_path / "t.vnt"
     p.write_bytes(b"VNT1" + struct.pack("<5I4f", 4, 1, 1, 2, 2, 0.5, float("nan"), 0.5, 0.5))
-    with pytest.raises(TensorFormatError, match="NaN"):
+    with pytest.raises(FormatError, match="NaN"):
         read_tensor(p)
 
 
