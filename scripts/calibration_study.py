@@ -51,11 +51,18 @@ NUM_STEPS = 30
 
 
 def one_gaussian_law(v, t0):
-    """k, G and N* of one component of variance v, on the study's grid from t0."""
+    """k, G and N* of one component of variance v, on the study's grid from t0.
+
+    A point component (v = 0) has k = 1 and no G or N*: both are nan.  A
+    one-step grid outputs the fitted estimate, so G = 1 and N* = inf."""
     sched = toy_schedule()
     grid = ddim_grid(sched, NUM_STEPS, t0)
     abar = float(sched.alpha_bar[grid[0]])
+    if v == 0:
+        return 1.0, math.nan, math.nan
     k = (1.0 - abar) / (abar * v + 1.0 - abar)
+    if len(grid) == 1:  # the log of roundoff in (1 + q)/G - q would give a finite N*
+        return k, 1.0, math.inf
     gain = 1.0  # S, the product of every step's factor
     for t, t_prev in zip(grid, grid[1:] + [0]):
         a, a_prev = float(sched.alpha_bar[t]), float(sched.alpha_bar[t_prev])

@@ -1,12 +1,17 @@
 """Bit-exact file I/O: frame-directory videos, binary PNM codecs, raw tensors.
 
 Videos live on disk as directories of frame_00000.ppm (3-channel, P6) or
-frame_00000.pgm (1-channel, P5) files, 8-bit, maxval 255.  The frame codecs
-carry bytes, (H, W, C) uint8 pixels; read_video and write_video convert a
-whole video between those bytes and (F, C, H, W) float64 values v/255 at
-once.  Tensors persist in a raw little-endian float32 container so noise and
-intermediates survive runs byte-for-byte.  All writes go through a temp file
-plus rename, and a failed write removes its temp file.
+frame_00000.pgm (1-channel, P5) files, 8-bit, maxval 255.  A frame file is
+its magic, then width, height and maxval, each a run of at most 9 digits,
+separated by whitespace and by # comments that run to the end of their
+line; maxval must be 255; one whitespace byte, then exactly W*H*C payload
+bytes.  The frame codecs carry bytes, (H, W, C) uint8 pixels; read_video and
+write_video convert a whole video between those bytes and (F, C, H, W)
+float64 values v/255 at once.  Tensors persist in a raw little-endian
+float32 container, a 24-byte header (magic VNT1, u32 4, four u32 dims) and
+the payload, so noise and intermediates survive runs byte-for-byte.  All
+writes go through a temp file plus rename, and a failed write removes its
+temp file.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .tensor import VideoTensor, _freeze, _map, _validate_shape
 
 _FRAME_RE = re.compile(r"^frame_(\d{5})\.(ppm|pgm)$")
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")  # separators, then a number
 _TENSOR_MAGIC = b"VNT1"
 
 
@@ -55,32 +61,25 @@ def _refuse_unreadable(path: Path, values: np.ndarray, what: str) -> None:
 # -- PNM (P5 grayscale / P6 RGB, binary, maxval 255) --
 
 
-def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int]:
-    """Returns (magic, width, height, maxval, payload offset)."""
+def read_pnm(path) -> np.ndarray:
+    """Read one P5/P6 file's pixels: a read-only (H, W, C) uint8 view of its bytes."""
+    path = Path(path)
+    blob = path.read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
         raise FormatError(f"{path}: not a binary PGM/PPM file")
-    magic = blob[:2]
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        if pos >= len(blob):
-            raise FormatError(f"{path}: truncated header")
-        ch = blob[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(blob) and blob[pos : pos + 1].isdigit():
-                pos += 1
-            if pos - start > 9:  # int() refuses beyond 4300 digits; no real frame is this big
-                raise FormatError(f"{path}: header number has {pos - start} digits")
-            fields.append(int(blob[start:pos]))
-        else:
-            raise FormatError(f"{path}: unexpected byte {ch!r} in header")
-    if pos >= len(blob) or not blob[pos : pos + 1].isspace():
+    for _ in range(3):  # width, height, maxval: each after whitespace and comments
+        m = _PNM_TOKEN.match(blob, pos)
+        digits, pos = m[1], m.end()
+        if not digits:
+            if pos == len(blob):
+                raise FormatError(f"{path}: truncated header")
+            raise FormatError(f"{path}: unexpected byte {blob[pos : pos + 1]!r} in header")
+        if len(digits) > 9:  # int() refuses beyond 4300 digits; no real frame is this big
+            raise FormatError(f"{path}: header number has {len(digits)} digits")
+        fields.append(int(digits))
+    if not blob[pos : pos + 1].isspace():  # b"" at the end of the file is not space
         raise FormatError(f"{path}: header not terminated by whitespace")
     pos += 1
     width, height, maxval = fields
@@ -88,15 +87,7 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
         raise FormatError(f"{path}: invalid dimensions {width}x{height}")
-    return magic, width, height, maxval, pos
-
-
-def read_pnm(path) -> np.ndarray:
-    """Read one P5/P6 file's pixels: a read-only (H, W, C) uint8 view of its bytes."""
-    path = Path(path)
-    blob = path.read_bytes()
-    magic, width, height, _, pos = _read_pnm_header(blob, path)
-    channels = 1 if magic == b"P5" else 3
+    channels = 1 if blob[:2] == b"P5" else 3
     need = width * height * channels
     size = len(blob) - pos  # bytes past the frame, such as a second image, are an error
     if size != need:
@@ -217,19 +208,18 @@ def read_tensor(path, out: np.ndarray | None = None) -> VideoTensor:
     (ndim,) = struct.unpack_from("<I", blob, 4)
     if ndim != 4:
         raise FormatError(f"{path}: expected 4 dims (F,C,H,W), got {ndim}")
-    if len(blob) < 8 + 4 * ndim:
+    if len(blob) < 24:
         raise FormatError(f"{path}: truncated dimension list")
-    dims = struct.unpack_from(f"<{ndim}I", blob, 8)
+    dims = struct.unpack_from("<4I", blob, 8)
     if 0 in dims:
         raise FormatError(f"{path}: zero dimension in {dims}")
-    offset = 8 + 4 * ndim
     expected = math.prod(dims) * 4  # Python ints: no wraparound
-    size = len(blob) - offset  # read in place: a slice of the blob would copy it
+    size = len(blob) - 24  # read in place: a slice of the blob would copy it
     if size != expected:
         raise FormatError(
             f"{path}: payload has {size} bytes, expected {expected} for dims {dims}"
         )
-    values = np.frombuffer(blob, dtype="<f4", offset=offset).reshape(dims)
+    values = np.frombuffer(blob, dtype="<f4", offset=24).reshape(dims)
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: payload holds NaN or Inf")
     if out is None:

@@ -52,7 +52,9 @@ The posterior takes every row's r . g in one stacked product; the oracle
 keeps the loop over the rows.  The frame codecs carry bytes, and read_video
 and write_video convert a whole video at once; the oracles keep the
 per-frame float forms of read_pnm and write_pnm, and the files and tensors
-must agree byte for byte.
+must agree byte for byte.  read_pnm takes the header's three numbers by one
+token pattern; the oracle keeps the byte scanner it replaces, and on any
+header the two must give the same pixels or the same FormatError message.
 """
 
 import json
@@ -101,7 +103,7 @@ from noisecal.cli import _STREAM_SWEEP, _float_bits, _run_configs, build_schedul
 from noisecal.frequency import frequency_mask
 from noisecal.metrics import spatial_frequency
 from noisecal.tensor import _freeze, _require_same_shape
-from noisecal.vio import _read_pnm_header
+from noisecal.vio import FormatError, read_pnm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -953,12 +955,112 @@ def test_read_video_order_moves_metrics_only_in_the_last_digits(tmp_path):
 
 def float_read_pnm(path):
     """read_pnm as it was: one frame's (C, H, W) float64 values v/255."""
-    blob = path.read_bytes()
-    magic, width, height, _, pos = _read_pnm_header(blob, path)
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, -1)
-    frame = np.ascontiguousarray(pixels.transpose(2, 0, 1), dtype=np.float64)
+    frame = np.ascontiguousarray(read_pnm(path).transpose(2, 0, 1), dtype=np.float64)
     frame /= 255.0
     return frame
+
+
+def scanned_pnm_header(blob, path):
+    """read_pnm's header as a byte scanner read it: (magic, width, height,
+    maxval, payload offset)."""
+    if blob[:2] not in (b"P5", b"P6"):
+        raise FormatError(f"{path}: not a binary PGM/PPM file")
+    magic = blob[:2]
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(blob):
+            raise FormatError(f"{path}: truncated header")
+        ch = blob[pos : pos + 1]
+        if ch.isspace():
+            pos += 1
+        elif ch == b"#":
+            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
+                pos += 1
+        elif ch.isdigit():
+            start = pos
+            while pos < len(blob) and blob[pos : pos + 1].isdigit():
+                pos += 1
+            if pos - start > 9:
+                raise FormatError(f"{path}: header number has {pos - start} digits")
+            fields.append(int(blob[start:pos]))
+        else:
+            raise FormatError(f"{path}: unexpected byte {ch!r} in header")
+    if pos >= len(blob) or not blob[pos : pos + 1].isspace():
+        raise FormatError(f"{path}: header not terminated by whitespace")
+    pos += 1
+    width, height, maxval = fields
+    if maxval != 255:
+        raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: invalid dimensions {width}x{height}")
+    return magic, width, height, maxval, pos
+
+
+def scanned_read_pnm(blob, path):
+    """read_pnm with the scanned header: (H, W, C) uint8 pixels."""
+    magic, width, height, _, pos = scanned_pnm_header(blob, path)
+    channels = 1 if magic == b"P5" else 3
+    need = width * height * channels
+    if len(blob) - pos != need:
+        raise FormatError(f"{path}: payload has {len(blob) - pos} bytes, expected {need}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(height, width, channels)
+
+
+SEPARATORS = [b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"]
+HEADER_GAP = st.lists(
+    st.sampled_from(SEPARATORS)
+    | st.binary(max_size=4).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n"),
+    min_size=1,
+    max_size=3,
+)
+HEADER_NUMBER = st.integers(1, 5).map(lambda n: str(n).encode()) | st.text(
+    "0123456789", min_size=1, max_size=12
+).map(str.encode)
+
+
+@st.composite
+def pnm_headers(draw):
+    """Header bytes from the format's token kinds: magic, separators and
+    comments, numbers, a stray byte now and then, and a cut at any point."""
+    rarely = st.sampled_from([False] * 7 + [True])
+    parts = [draw(st.sampled_from([b"P5", b"P6"]))]
+    if draw(rarely):
+        parts = [draw(st.sampled_from([b"P4", b"", b"P"]))]
+    maxval = (st.sampled_from([b"0255", b"65535"]) | HEADER_NUMBER) if draw(rarely) else st.just(b"255")
+    for number in (HEADER_NUMBER, HEADER_NUMBER, maxval):
+        gap = draw(HEADER_GAP)
+        if draw(rarely):  # "#" alone runs its comment on into what follows
+            stray = draw(st.sampled_from([b"\x00", b"x", b"-", b"+", b"\xff", b"#"]))
+            gap.insert(draw(st.integers(0, len(gap))), stray)
+        parts += gap + [draw(number)]
+    parts += draw(HEADER_GAP) if draw(rarely) else [draw(st.sampled_from(SEPARATORS))]
+    header = b"".join(parts)
+    return header[: draw(st.integers(0, len(header)))] if draw(rarely) else header
+
+
+@settings(max_examples=400, deadline=None)
+@given(header=pnm_headers())
+def test_read_pnm_header_matches_the_byte_scanner(tmp_path_factory, header):
+    path = tmp_path_factory.getbasetemp() / "header.pnm"
+    try:
+        magic, width, height, _, _ = scanned_pnm_header(header, path)
+        need = width * height * (1 if magic == b"P5" else 3)
+    except FormatError:
+        need = 0
+    # a frame too large to write gets a short payload, and the payload error
+    blob = header + (np.arange(min(need, 4096)) % 251).astype(np.uint8).tobytes()
+    path.write_bytes(blob)
+    try:
+        want = scanned_read_pnm(blob, path)
+    except FormatError as e:
+        with pytest.raises(FormatError) as got:
+            read_pnm(path)
+        assert str(got.value) == str(e)
+    else:
+        got = read_pnm(path)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def float_write_pnm(frame, path):

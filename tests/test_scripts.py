@@ -137,3 +137,36 @@ def test_study_law_gain_is_the_eta0_pass_of_one_gaussian(v, t0):
     _, big_g, _ = study.one_gaussian_law(v, t0)
     gain = big_g * np.sqrt(abar) * v / (abar * v + 1.0 - abar)
     np.testing.assert_allclose((out - m) / d, gain, rtol=1e-12, atol=0)
+
+
+def test_study_law_of_a_point_component_has_no_gain():
+    """At v = 0 the component is a point: each update leaves the noise's low
+    band where it is (k = 1), and the eta=0 pass outputs m whatever x_t0, so
+    neither G nor N* exists."""
+    study = load_script(SCRIPTS / "calibration_study.py")
+    k, big_g, n_star = study.one_gaussian_law(0.0, 600)
+    assert k == 1.0
+    assert math.isnan(big_g) and math.isnan(n_star)
+
+
+def test_study_law_of_a_one_step_grid_is_the_fitted_estimate():
+    """t0=34 starts the 30-step grid at its last step: the output is the
+    fitted estimate, whose low band keeps the reference's distance (G = 1),
+    so no N moves the bias through zero."""
+    study = load_script(SCRIPTS / "calibration_study.py")
+    assert len(ddim_grid(toy_schedule(), study.NUM_STEPS, 34)) == 1
+    k, big_g, n_star = study.one_gaussian_law(0.3, 34)
+    assert 0.0 < k < 1.0
+    assert (big_g, n_star) == (1.0, math.inf)
+
+
+@pytest.mark.parametrize("argv", [["--t0", "600", "--variance", "0"], ["--t0", "34", "--variance", "0.3"]])
+def test_study_runs_on_a_point_component_and_on_a_one_step_grid(capsys, argv):
+    study = load_script(SCRIPTS / "calibration_study.py")
+    study.main(argv + ["--seeds", "1", "--iters", "0"])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 + 2  # one row per eta
+    for line in lines[1:]:
+        values = line.split(",")
+        assert len(values) == 15
+        assert all(math.isfinite(float(v)) for v in values[4 : 4 + len(study.COLUMNS)])

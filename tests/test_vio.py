@@ -47,6 +47,14 @@ def test_read_pnm_skips_comments(tmp_path):
     assert pixels.tobytes() == bytes([7, 9])
 
 
+def test_read_pnm_takes_any_whitespace_and_a_comment_after_a_number(tmp_path):
+    p = tmp_path / "f.pgm"
+    p.write_bytes(b"P5\x0b4#c\n4\x0c255\n" + bytes(range(16)))  # VT, then FF
+    pixels = read_pnm(p)
+    assert pixels.shape == (4, 4, 1)
+    assert pixels.tobytes() == bytes(range(16))
+
+
 def test_write_pnm_quantization(tmp_path):
     # write_video owns the 8-bit convention; write_pnm writes its bytes
     frame = np.array([1.0, -0.2, 0.5, 0.25098039215686274]).reshape(1, 1, 1, 4)
@@ -73,6 +81,8 @@ BAD_HEADERS = {
     "unexpected-byte": (b"P5 4 x 4 255\n" + bytes(16), "unexpected byte"),
     "unterminated": (b"P5 4 4 255", "not terminated"),
     "zero-width": (b"P5 0 4 255\n", "invalid dimensions"),
+    "comment-to-end-of-file": (b"P5 4 4 #c", "truncated header"),
+    "stray-byte-after-comment": (b"P5 4 #c\nx", "unexpected byte b'x'"),
 }
 
 
@@ -290,6 +300,21 @@ def test_tensor_truncated_payload(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[:-3])
     with pytest.raises(FormatError, match="payload"):
+        read_tensor(p)
+
+
+# the header is 24 bytes: magic, a u32 4 and four u32 dims
+SHORT_TENSOR_HEADERS = {
+    "six-bytes": (b"VNT1" + bytes(2), "truncated header"),
+    "three-dims": (b"VNT1" + struct.pack("<4I", 4, 1, 1, 2), "truncated dimension list"),
+}
+
+
+@pytest.mark.parametrize("blob,match", SHORT_TENSOR_HEADERS.values(), ids=SHORT_TENSOR_HEADERS.keys())
+def test_tensor_rejects_short_header(tmp_path, blob, match):
+    p = tmp_path / "t.vnt"
+    p.write_bytes(blob)
+    with pytest.raises(FormatError, match=match):
         read_tensor(p)
 
 
