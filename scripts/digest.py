@@ -3,10 +3,12 @@
 Builds the workspaces of perfbench/workspace.py for --seed in a temp dir,
 then runs in process, on each workload: `enhance` at CLI seeds 7 and 8 and
 threads 1 and 2, `metrics` of each output against the reference, and a
-sweep workload's `sweep` at the same seeds and threads.  It prints one line
-per group (the workspace files; the frames, trace.csv and metrics.json of
-the enhance runs; the metrics stdout; the sweep stdout) and then a total, so
-a change that moves any byte names the group it moved.
+sweep workload's `sweep` at the same seeds and threads.  At threads 2 every
+sweep run is its own stack, so the rows also pass through the pool's
+workers.  It prints one line per group (the workspace files; the frames,
+trace.csv and metrics.json of the enhance runs; the metrics stdout; the
+sweep stdout) and then a total, so a change that moves any byte names the
+group it moved.
 
     PYTHONPATH=src python3 scripts/digest.py --seed 5 [--workload sweep-small]
 
@@ -22,8 +24,9 @@ import io
 import runpy
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from noisecal import cli
+from noisecal import cli, read_video
 
 WORKSPACE = Path(__file__).resolve().parents[1] / "perfbench" / "workspace.py"
 SEEDS = (7, 8)
@@ -58,6 +61,7 @@ def workload_groups(make_workspace, w, seed: int, tmp: Path) -> list[tuple[str, 
     ws = tmp / w.name
     config = make_workspace(w, seed, ws)
     groups = {"workspace": files(ws), "enhance": [], "metrics": [], "sweep": []}
+    run_bytes = read_video(ws / "input").nbytes  # a stack budget of one run's video
     for cli_seed in SEEDS:
         for threads in THREADS:
             tag = f"seed {cli_seed} threads {threads}"
@@ -69,7 +73,9 @@ def workload_groups(make_workspace, w, seed: int, tmp: Path) -> list[tuple[str, 
             if w.t0_list:
                 grid = ["--t0-list", ",".join(map(str, w.t0_list)),
                         "--nu-list", ",".join(map(str, w.nu_list)), "--seeds", str(w.seeds)]
-                groups["sweep"].append((tag, run(["sweep", *common, *grid])))
+                budget = run_bytes if threads > 1 else cli._STACK_BYTES
+                with mock.patch.object(cli, "_STACK_BYTES", budget):
+                    groups["sweep"].append((tag, run(["sweep", *common, *grid])))
     return [(f"{kind} {w.name}", digest(items)) for kind, items in groups.items() if items]
 
 

@@ -181,7 +181,7 @@ def _run_configs(cfg: RunConfig, rng: RngSeed, t0: int, nu: float):
     return cal, samp
 
 
-def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
+def cmd_enhance(cfg: RunConfig, output_dir: str) -> int:
     if Path(output_dir).resolve() == Path(cfg.input_dir).resolve():
         raise ValueError(f"--output {output_dir} is the input directory; it would be overwritten")
     x_ref = read_video(cfg.input_dir)
@@ -191,7 +191,7 @@ def cmd_enhance(cfg: RunConfig, output_dir: str, threads: int) -> int:
     cal, samp = _run_configs(cfg, RngSeed(cfg.seed), cfg.t0, cfg.nu)
     x0, trace = nc_sdedit(x_ref, cal, samp, d, s)
     out = Path(output_dir)
-    x0 = write_video(x0, out, threads)  # the frames as written, which metrics.json scores
+    x0 = write_video(x0, out)  # the frames as written, which metrics.json scores
     report = metric_report(x0, x_ref)
     (out / "trace.csv").write_text(trace.to_csv())
     (out / "metrics.json").write_text(report.to_json() + "\n")
@@ -307,13 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, help="override sampler.seed")
+        p.add_argument(  # enhance is one run, one stack: it runs in the calling thread
+            "--threads", type=_positive_int, default=1, help="parallelism over a sweep's stacks"
+        )
 
     p_enh = sub.add_parser("enhance", help="enhance a frame directory")
     add_common(p_enh)
     p_enh.add_argument("--output", required=True, help="directory for frames, trace and metrics")
-    p_enh.add_argument(
-        "--threads", type=_positive_int, default=1, help="frame-write parallelism"
-    )
 
     p_met = sub.add_parser("metrics", help="compare two frame directories")
     p_met.add_argument("dir_a")
@@ -324,9 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--t0-list", type=_numbers, required=True, help="comma-separated t0 values")
     p_swp.add_argument("--nu-list", type=_numbers, required=True, help="comma-separated nu values")
     p_swp.add_argument("--seeds", type=_positive_int, default=1, help="seeds per cell")
-    p_swp.add_argument(
-        "--threads", type=_positive_int, default=1, help="parallelism over stacks of runs"
-    )
     return parser
 
 
@@ -339,7 +336,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=RngSeed(args.seed).seed)  # checked before any read
         if args.command == "enhance":
-            return cmd_enhance(cfg, args.output, args.threads)
+            return cmd_enhance(cfg, args.output)
         return cmd_sweep(cfg, args.t0_list, args.nu_list, args.seeds, args.threads)
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

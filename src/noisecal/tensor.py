@@ -9,7 +9,7 @@ A stack's noise comes from one generator per fill, re-keyed for each row.
 The strict JSON reader that the run config and the mixture spec share lives
 here too: a key given twice, bad syntax, undecodable bytes and nesting too
 deep to parse are each a ValueError that names the file.  So does _map, the
-one thread pool: the sweep's stacks and the frame writes run through it.
+one thread pool, whose one user is the sweep: its stacks run through it.
 """
 
 from __future__ import annotations

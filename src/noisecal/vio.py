@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import VideoTensor, _freeze, _map, _validate_shape
+from .tensor import VideoTensor, _freeze, _validate_shape
 
 _FRAME_RE = re.compile(r"^frame_(\d{5})\.(ppm|pgm)$")
 _PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")  # separators, then a number
@@ -143,28 +143,28 @@ def read_video(dir_path) -> VideoTensor:
     return _freeze(pixels / 255.0)  # the one conversion, frozen in place: no second copy
 
 
-def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
+def write_video(x: VideoTensor, dir_path) -> VideoTensor:
     """Write a (F, C, H, W) tensor as a frame directory.
 
-    Only what read_video reads is written: a video with 1 or 3 channels
-    whose values are finite.  Any other x is a ValueError naming the
-    directory, raised before the directory is touched.  Values are clamped
-    to [0, 1] then quantized round-half-up to 8 bits, so 0.5 maps to byte
-    128; goldens depend on this convention.  Other frame files in the
-    directory are removed.  The frames are written on up to `threads`
-    threads (tensor._map): once a write has failed, no frame not yet begun
-    is written, and the first failure is raised.  The bytes on disk do not
-    depend on it.  Returns the tensor read_video reads back from the
-    directory.
+    Only what read_video reads is written: at most 100,000 frames of 1 or 3
+    channels, whose values are finite.  Any other x is a ValueError naming
+    the directory, raised before the directory is touched.  Values are
+    clamped to [0, 1] then quantized round-half-up to 8 bits, so 0.5 maps to
+    byte 128; goldens depend on this convention.  Other frame files in the
+    directory are removed.  The frames are written in order in the calling
+    thread, up to the first failed write, which is raised.  Returns the
+    tensor read_video reads back from the directory.
     """
     dir_path = Path(dir_path)
     _refuse_unreadable(dir_path, x, "the frames")
-    channels = x.shape[1]
+    frames, channels = x.shape[:2]
+    if frames > 100_000:  # frame_00000 .. frame_99999 is all that _FRAME_RE reads back
+        raise ValueError(f"{dir_path}: video has {frames} frames; frame names allow 100000")
     if channels not in (1, 3):
         raise ValueError(f"{dir_path}: video has {channels} channels; PNM supports 1 or 3")
     dir_path.mkdir(parents=True, exist_ok=True)
     ext = "pgm" if channels == 1 else "ppm"
-    paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(x.shape[0])]
+    paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(frames)]
     for stale in {p for p in dir_path.iterdir() if _FRAME_RE.match(p.name)} - set(paths):
         stale.unlink()
     written = np.clip(x, 0.0, 1.0, out=np.empty(x.shape))  # the whole video at once
@@ -172,7 +172,8 @@ def write_video(x: VideoTensor, dir_path, threads: int = 1) -> VideoTensor:
     written += 0.5
     pixels = np.floor(written, out=written).astype(np.uint8)
     np.divide(pixels, 255.0, out=written)  # read_video's conversion of the same bytes
-    _map(lambda i: write_pnm(pixels[i].transpose(1, 2, 0), paths[i]), range(len(paths)), threads)
+    for frame, path in zip(pixels, paths):
+        write_pnm(frame.transpose(1, 2, 0), path)
     return _freeze(written)
 
 

@@ -36,6 +36,7 @@ from noisecal import (
     write_tensor,
     write_video,
 )
+from noisecal import cli
 from noisecal.cli import main
 from noisecal.frequency import frequency_mask
 from noisecal.metrics import spatial_frequency
@@ -264,9 +265,11 @@ def test_acceptance_08_chain_statistics():
     assert time.perf_counter() - start < 60.0
 
 
-def test_acceptance_09_enhance_determinism(tmp_path):
+def test_acceptance_09_enhance_determinism(tmp_path, capsys, monkeypatch):
     """cmd_enhance: byte-identical frames across two runs and across
-    thread counts {1, max}."""
+    --threads {1, max}, which enhance, one run in one stack, ignores.
+    cmd_sweep: the same CSV when its stacks, one run each, run in the
+    calling thread and on max(2, n_cpu) threads."""
     raw = gaussian_noise((4, 3, 16, 16), RngSeed(300)) * 0.2 + 0.5
     write_video(as_video(np.floor(np.clip(raw, 0, 1) * 255) / 255.0), tmp_path / "input")
     for i, s in enumerate((301, 302)):
@@ -309,6 +312,15 @@ def test_acceptance_09_enhance_determinism(tmp_path):
         outputs.append((frames, (out_dir / "trace.csv").read_bytes()))
     assert outputs[0] == outputs[1], "identical reruns diverged"
     assert outputs[0] == outputs[2], f"thread count {n_cpu} changed the output"
+
+    monkeypatch.setattr(cli, "_STACK_BYTES", raw.nbytes)  # the input's bytes: one run a stack
+    sweeps = []
+    for threads in (1, max(2, n_cpu)):
+        argv = ["sweep", "--config", str(tmp_path / "cfg.json"), "--t0-list", "0.6"]
+        argv += ["--nu-list", "1.0", "--seeds", "2", "--threads", str(threads)]
+        assert main(argv) == 0
+        sweeps.append(capsys.readouterr().out)
+    assert sweeps[0] == sweeps[1], "the sweep's pool changed its rows"
 
 
 def test_acceptance_10_call_accounting():

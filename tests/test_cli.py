@@ -910,8 +910,11 @@ def test_sweep_rows_come_in_list_order(tmp_path, capsys, monkeypatch):
         assert [ln for ln in lines if ln.startswith(t0 + ",")] == rows(raw)
 
 
-def test_sweep_parallel_matches_serial(tmp_path, capsys):
+def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
+    # a budget of one run's video makes each of the four runs its own stack,
+    # so --threads 4 runs them on four workers
     cfg = setup_workdir(tmp_path)
+    monkeypatch.setattr(cli, "_STACK_BYTES", read_video(tmp_path / "input").nbytes)
     args = ["--t0-list", "20,30", "--nu-list", "1.0", "--seeds", "2"]
     main(["sweep", "--config", str(cfg)] + args + ["--threads", "1"])
     serial = capsys.readouterr().out

@@ -20,6 +20,7 @@ from noisecal import (
     gaussian_noise,
     toy_schedule,
 )
+from noisecal import cli
 from noisecal.cli import load_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -96,6 +97,26 @@ def test_digest_prints_the_same_lines_on_a_second_run(capsys):
         digest.main(["--seed", "5", "--workload", "sweep-small"])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_digest_sweep_at_two_threads_runs_every_run_as_its_own_stack(capsys, monkeypatch):
+    """So the digest covers the pool's workers: at each CLI seed, the threads-2
+    sweep hands _map its 24 runs (3 t0 x 2 nu x 4 seeds) as 24 stacks, and
+    gets back the rows the threads-1 sweep's one stack gave."""
+    calls = []
+    real = cli._map
+
+    def recorded(fn, items, threads):
+        scored = real(fn, items, threads)
+        calls.append((threads, len(items), [row for stack in scored for row in stack]))
+        return scored
+
+    monkeypatch.setattr(cli, "_map", recorded)
+    load_script(SCRIPTS / "digest.py").main(["--seed", "5", "--workload", "sweep-small"])
+    capsys.readouterr()
+    assert [(threads, n) for threads, n, _ in calls] == [(1, 1), (2, 24)] * 2  # seeds 7, 8
+    for (_, _, serial), (_, _, pooled) in zip(calls[::2], calls[1::2]):
+        assert pooled == serial
 
 
 # The third cell of the study's grid, (eta=1, v=0.03), is thin: there no

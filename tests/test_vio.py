@@ -165,11 +165,11 @@ def test_read_video_rgb_is_c_contiguous_and_round_trips_its_bytes(tmp_path):
         assert (tmp_path / "w" / frame.name).read_bytes() == frame.read_bytes()
 
 
-@pytest.mark.parametrize("channels,threads", [(1, 1), (3, 1), (3, 2)])
-def test_write_video_returns_what_read_video_reads_back(tmp_path, channels, threads):
+@pytest.mark.parametrize("channels", [1, 3])
+def test_write_video_returns_what_read_video_reads_back(tmp_path, channels):
     # out of range and between quantization levels: clamped and rounded as written
     x = as_video(gaussian_noise((3, channels, 5, 7), RngSeed(123)) * 0.6 + 0.5)
-    written = write_video(x, tmp_path / "v", threads)
+    written = write_video(x, tmp_path / "v")
     back = read_video(tmp_path / "v")
     assert written.tobytes() == back.tobytes()
     assert written.shape == back.shape and not written.flags.writeable
@@ -196,23 +196,6 @@ def test_video_shape_mismatch_names_frame(tmp_path):
     # the shapes are named (C, H, W), as the tensor's frames are
     with pytest.raises(FormatError, match=r"frame_00001.*\(1, 3, 3\) != first frame \(1, 4, 4\)"):
         read_video(tmp_path / "v")
-
-
-@pytest.mark.parametrize("channels", [1, 3])
-def test_video_threaded_write_matches_serial(tmp_path, channels):
-    x = quantized_video((5, channels, 4, 6), 116)
-    write_video(x, tmp_path / "serial")
-    write_video(x, tmp_path / "pooled", threads=3)
-    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
-    pooled = {p.name: p.read_bytes() for p in (tmp_path / "pooled").iterdir()}
-    assert len(serial) == 5
-    assert pooled == serial
-
-
-def test_video_threaded_write_raises_frame_error(tmp_path):
-    (tmp_path / "v" / "frame_00002.pgm").mkdir(parents=True)  # a frame path that cannot be replaced
-    with pytest.raises(OSError):
-        write_video(quantized_video((4, 1, 4, 4), 117), tmp_path / "v", threads=2)
 
 
 def test_video_rewrite_removes_stale_frames(tmp_path):
@@ -247,6 +230,7 @@ UNWRITABLE = {
     "two-channels": np.zeros((1, 2, 4, 4)),
     "nan": np.full((2, 1, 4, 4), np.nan),
     "inf": np.full((2, 3, 4, 4), np.inf),
+    "past-99999-frames": np.zeros((100_001, 1, 1, 1)),  # frame_100000 has six digits
 }
 
 
@@ -402,11 +386,10 @@ def test_no_tmp_files_left_behind(tmp_path):
     assert leftovers == []
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_failed_frame_write_leaves_no_tmp_file(tmp_path, threads):
+def test_failed_frame_write_leaves_no_tmp_file(tmp_path):
     (tmp_path / "v" / "frame_00002.pgm").mkdir(parents=True)  # the rename onto it fails
     with pytest.raises(IsADirectoryError):
-        write_video(quantized_video((4, 1, 4, 4), 124), tmp_path / "v", threads)
+        write_video(quantized_video((4, 1, 4, 4), 124), tmp_path / "v")
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
