@@ -62,20 +62,21 @@ def workload_groups(make_workspace, w, seed: int, tmp: Path) -> list[tuple[str, 
     config = make_workspace(w, seed, ws)
     groups = {"workspace": files(ws), "enhance": [], "metrics": [], "sweep": []}
     run_bytes = read_video(ws / "input").nbytes  # a stack budget of one run's video
+    grid = ["--t0-list", ",".join(map(str, w.t0_list)),
+            "--nu-list", ",".join(map(str, w.nu_list)), "--seeds", str(w.seeds)]
     for cli_seed in SEEDS:
-        for threads in THREADS:
-            tag = f"seed {cli_seed} threads {threads}"
-            common = ["--config", str(config), "--seed", str(cli_seed), "--threads", str(threads)]
-            out = tmp / f"{w.name}-{cli_seed}-{threads}"
-            run(["enhance", *common, "--output", str(out)])
-            groups["enhance"] += [(f"{tag} {name}", data) for name, data in files(out)]
-            groups["metrics"].append((tag, run(["metrics", str(out), str(ws / "reference")])))
-            if w.t0_list:
-                grid = ["--t0-list", ",".join(map(str, w.t0_list)),
-                        "--nu-list", ",".join(map(str, w.nu_list)), "--seeds", str(w.seeds)]
-                budget = run_bytes if threads > 1 else cli._STACK_BYTES
-                with mock.patch.object(cli, "_STACK_BYTES", budget):
-                    groups["sweep"].append((tag, run(["sweep", *common, *grid])))
+        tag, seed = f"seed {cli_seed}", ["--seed", str(cli_seed)]
+        for label, cfg in ((tag, config), (f"baseline {tag}", ws / "baseline.json")):
+            out = tmp / f"{w.name} {label}"
+            run(["enhance", "--config", str(cfg), *seed, "--output", str(out)])
+            groups["enhance"] += [(f"{label} {name}", data) for name, data in files(out)]
+        calibrated = tmp / f"{w.name} {tag}"
+        groups["metrics"].append((tag, run(["metrics", str(calibrated), str(ws / "reference")])))
+        for threads in THREADS if w.t0_list else ():  # a sweep workload only
+            budget = run_bytes if threads > 1 else cli._STACK_BYTES
+            with mock.patch.object(cli, "_STACK_BYTES", budget):
+                sweep = ["sweep", "--config", str(config), *seed, "--threads", str(threads), *grid]
+                groups["sweep"].append((f"{tag} threads {threads}", run(sweep)))
     return [(f"{kind} {w.name}", digest(items)) for kind, items in groups.items() if items]
 
 

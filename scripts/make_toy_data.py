@@ -1,10 +1,11 @@
 """Generate a synthetic working set for the CLI: a degraded input video,
 a mixture spec over sharp fields, and a ready-to-run enhance config.
 
-The dataset fields are band-limited random textures; the input video is a
-blurred draw from the same family, so enhancement has real headroom.  The
-config uses the toy schedule (`noisecal.toy_schedule`), which keeps enough
-signal at t0 for calibration to beat the plain baseline.
+The mixture's 16 fields, of variance 0.03, are band-limited random textures
+of 4 gray 16x16 frames; the input video is a blurred draw from the same
+family, so enhancement has real headroom.  The config uses the toy schedule
+(`noisecal.toy_schedule`), which keeps enough signal at t0 for calibration
+to beat the plain baseline.
 """
 
 import argparse
@@ -18,22 +19,18 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", type=Path, help="workspace directory to create")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n-fields", type=int, default=16, help="mixture size")
-    ap.add_argument("--frames", type=int, default=4)
-    ap.add_argument("--size", type=int, default=16, help="square frame edge")
-    ap.add_argument("--variance", type=float, default=0.03, help="component variance")
     args = ap.parse_args(argv)
 
     root = RngSeed(args.seed)
-    shape = (args.frames, 1, args.size, args.size)
+    shape = (4, 1, 16, 16)
     args.out.mkdir(parents=True, exist_ok=True)
 
     spec = []
-    for i in range(args.n_fields):
+    for i in range(16):
         field = band_limited_field(shape, root.substream(1, i))
         name = f"field_{i:03d}.vnt"
         write_tensor(field, args.out / name)
-        spec.append({"weight": 1.0, "mean": name, "variance": args.variance})
+        spec.append({"weight": 1.0, "mean": name, "variance": 0.03})
     (args.out / "gmm.json").write_text(json.dumps(spec, indent=2) + "\n")
 
     sharp = band_limited_field(shape, root.substream(2))
@@ -49,7 +46,7 @@ def main(argv=None):
     }
     (args.out / "enhance.json").write_text(json.dumps(cfg, indent=2) + "\n")
 
-    print(f"wrote {args.n_fields} mixture fields, input/, reference/, enhance.json")
+    print("wrote 16 mixture fields, input/, reference/, enhance.json")
     print(f"try: noisecal enhance --config {args.out / 'enhance.json'} --output {args.out / 'out'}")
 
 

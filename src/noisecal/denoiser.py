@@ -130,8 +130,8 @@ class GmmDenoiser(Denoiser):
         every frame of x_t, and the mixture is over whole videos, so the
         result equals that of the means repeated along the frame axis.
 
-        Each frame of each row is one matrix-vector product against the
-        (n, D) means of that frame, so no (n, F, C, H, W) temporary is built.
+        Frames meet their (n, D) means in matrix-vector products, and the
+        elementwise passes take chunks of frames: no (n, F, C, H, W) temporary.
         The squared residuals ||x - root*m_k||^2 are expanded around
         root*mbar, the scaled centre of the means, so that an offset common
         to all means does not cancel digits away.
@@ -168,9 +168,9 @@ class GmmDenoiser(Denoiser):
         dots = np.matmul(m, c[..., None])[..., 0]  # (B, F, n): m_kf . c_bf
         # the two dot products of a whole frame or video are numpy sums: BLAS
         # splits a long dot over threads, and the thread count would change its bits
-        cm = np.empty((b, c.shape[2]))  # one frame of c * mbar
-        for k in range(f):  # (m_kf - mbar_f) . c_bf, a frame at a time
-            dots[:, k] -= np.multiply(c[:, k], mbar[k], out=cm).sum(axis=1)[:, None]
+        step = max(1, (1 << 15) // c[:, 0].nbytes)  # frames whose c takes 32 KiB, at least 1
+        for k in range(0, f, step):  # (m_kf - mbar_f) . c_bf, a chunk of frames at a time
+            dots[:, k:k + step] -= (c[:, k:k + step] * mbar[k:k + step]).sum(axis=2)[..., None]
         # frame sums over materialised (F, n) arrays add in the same order for both
         msq = np.ascontiguousarray(np.broadcast_to(self._msq.T, (f, n)))
         cc = np.square(c, out=c).reshape(b, -1).sum(axis=1)[:, None]  # (B, 1): ||c_b||^2, in place
@@ -188,9 +188,9 @@ class GmmDenoiser(Denoiser):
         w[w < np.finfo(np.float64).tiny] = 0.0  # no subnormal operand (see above)
         out = np.matmul(w[:, None, None, :], m)[:, :, 0]  # (B, F, D)
         gains = np.broadcast_to(gain, r.shape)  # each row of r with its own level's gain
-        rg = np.matmul(r[:, None, :], gains[:, :, None])[:, 0]  # (B, 1): each row's r . g alone
-        for k in range(f):  # a frame at a time, so the product takes no full-size temporary
-            out[:, k] += rg * x[:, k]
+        rg = np.matmul(r[:, None, :], gains[:, :, None])  # (B, 1, 1): each row's r . g alone
+        for k in range(0, f, step):  # by chunks, so the product takes no full-size temporary
+            out[:, k:k + step] += rg * x[:, k:k + step]
         return _freeze(out.reshape(x_t.shape))
 
     def predict_eps(self, x_t: VideoTensor, t, schedule: NoiseSchedule) -> VideoTensor:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .tensor import VideoTensor, _freeze, _validate_shape
 
-_FRAME_RE = re.compile(r"^frame_(\d{5})\.(ppm|pgm)$")
+_FRAME_RE = re.compile(r"frame_([0-9]{5})\.(ppm|pgm)")  # matched whole, by fullmatch
 _PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")  # separators, then a number
 _TENSOR_MAGIC = b"VNT1"
 
@@ -116,7 +116,7 @@ def _scan_frames(dir_path: Path) -> list[Path]:
         raise FileNotFoundError(f"{dir_path}: not a directory")
     found: dict[int, Path] = {}
     for entry in sorted(dir_path.iterdir()):
-        m = _FRAME_RE.match(entry.name)
+        m = _FRAME_RE.fullmatch(entry.name)
         if m and found.setdefault(int(m.group(1)), entry) != entry:
             raise FormatError(f"{entry}: a second file for frame index {m.group(1)}")
     if not found:
@@ -165,7 +165,7 @@ def write_video(x: VideoTensor, dir_path) -> VideoTensor:
     dir_path.mkdir(parents=True, exist_ok=True)
     ext = "pgm" if channels == 1 else "ppm"
     paths = [dir_path / f"frame_{i:05d}.{ext}" for i in range(frames)]
-    for stale in {p for p in dir_path.iterdir() if _FRAME_RE.match(p.name)} - set(paths):
+    for stale in {p for p in dir_path.iterdir() if _FRAME_RE.fullmatch(p.name)} - set(paths):
         stale.unlink()
     written = np.clip(x, 0.0, 1.0, out=np.empty(x.shape))  # the whole video at once
     written *= 255.0

@@ -49,7 +49,8 @@ reference.  The oracles keep the per-row forms (a fresh generator per row,
 low_pass per row, and a run's report from its per-metric functions with the
 chunked SSIM of one run), and every row must equal its oracle byte for byte.
 The posterior takes every row's r . g in one stacked product; the oracle
-keeps the loop over the rows.  The frame codecs carry bytes, and read_video
+keeps the loop over the rows.  Its elementwise passes take a chunk of frames
+at a time; the oracle keeps the passes a frame at a time.  The frame codecs carry bytes, and read_video
 and write_video convert a whole video at once; the oracles keep the
 per-frame float forms of read_pnm and write_pnm, and the files and tensors
 must agree byte for byte.  read_pnm takes the header's three numbers by one
@@ -560,6 +561,71 @@ def test_stacked_rg_keeps_the_per_row_loop_bytes(batch, per_row_t):
     t = [(600, 1000, 250, 800)[b % 4] for b in range(batch)] if per_row_t else 600
     want, _ = unflushed_posterior_mean(d, stack, t, SCHED)
     assert d.posterior_mean(stack, t, SCHED).tobytes() == want.tobytes()
+
+
+def per_frame_posterior_mean(d, x_t, t, schedule):
+    """posterior_mean as it was while its two elementwise passes, c . mbar
+    into the dots and (r . g) x into the output, went one frame at a time."""
+    abar = schedule._alpha_bar_at(t, shape=x_t.shape).reshape(-1, 1)
+    xs = x_t[None] if x_t.ndim == 4 else x_t
+    n, (b, f) = len(d.means), xs.shape[:2]
+    root = np.sqrt(abar)
+    x = xs.reshape(b, f, -1)
+    m = np.broadcast_to(d.means.reshape(n, len(d._mbar), -1), (n,) + x.shape[1:])
+    m = m.transpose(1, 0, 2)
+    mbar = np.broadcast_to(d._mbar, x.shape[1:])
+    c = np.multiply(root[..., None], d._mbar, out=np.empty(x.shape))
+    np.subtract(x, c, out=c)
+    dots = np.matmul(m, c[..., None])[..., 0]
+    cm = np.empty((b, c.shape[2]))
+    for k in range(f):
+        dots[:, k] -= np.multiply(c[:, k], mbar[k], out=cm).sum(axis=1)[:, None]
+    msq = np.ascontiguousarray(np.broadcast_to(d._msq.T, (f, n)))
+    cc = np.square(c, out=c).reshape(b, -1).sum(axis=1)[:, None]
+    sq = cc - 2.0 * root * dots.sum(axis=1) + abar * msq.sum(axis=0)
+    s = abar * d.variances + (1.0 - abar)
+    log_r = np.log(d.weights) - sq / (2.0 * s) - 0.5 * x[0].size * np.log(s)
+    log_r -= log_r.max(axis=1, keepdims=True)
+    r = np.exp(log_r)
+    r /= r.sum(axis=1, keepdims=True)
+    gain = root * d.variances / s
+    w = r * (1.0 - gain * root)
+    w[w < TINY] = 0.0
+    out = np.matmul(w[:, None, None, :], m)[:, :, 0]
+    gains = np.broadcast_to(gain, r.shape)
+    rg = np.matmul(r[:, None, :], gains[:, :, None])[:, 0]
+    for k in range(f):
+        out[:, k] += rg * x[:, k]
+    return out.reshape(x_t.shape)
+
+
+# mean shape and frame count: acceptance 08's 2000 one-pixel frames and
+# one-frame means over 300 frames of 1x2x3 make one chunk of every frame,
+# 8x1x128x128 a chunk per frame, and 10x1x32x40 three chunks of 3 and one of 1
+PER_FRAME_CASES = {
+    "2000-pixels": ((2000, 1, 1, 1), 2000),
+    "one-frame-means": ((1, 1, 2, 3), 300),
+    "128x128": ((8, 1, 128, 128), 8),
+    "partial-chunk": ((10, 1, 32, 40), 10),
+}
+
+
+@pytest.mark.parametrize("case", [*PER_FRAME_CASES, "stack-of-40-frames"])
+def test_chunked_posterior_mean_keeps_the_per_frame_bytes(case):
+    """posterior_mean's elementwise passes take a chunk of frames at a time;
+    each product is elementwise and each (row, frame) sum is one pairwise sum
+    over the frame, so the bytes are those of the frame-at-a-time loops."""
+    if case in PER_FRAME_CASES:
+        mean_shape, frames = PER_FRAME_CASES[case]
+        variances = [0.04, 0.3, 0.0, 1.0]
+        d, x_t = noised_mixture(RngSeed(6700, frames), 4, mean_shape, variances, 0.3, 600, SCHED,
+                                frames)
+        t = 600
+    else:  # one chunk of 40 frames in each of 3 rows, at a level per row
+        d, x_t = stacked_case(6700, 3, False, False, shape=(40, 1, 4, 4))
+        t = [600, 1, 1000]
+    want = per_frame_posterior_mean(d, x_t, t, SCHED)
+    assert d.posterior_mean(x_t, t, SCHED).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- stacked runs

@@ -1,6 +1,7 @@
 """Every script runs end to end on tiny arguments, the calibration study
 shows the paper's trade on the toy benchmark, its one-Gaussian law is that
-of the package's eta=0 pass, and the digest prints the same lines twice."""
+of the package's eta=0 pass, and the digest runs each CLI path once per
+seed and prints the same lines twice."""
 
 import importlib.util
 import math
@@ -54,11 +55,12 @@ def check_study(out: str, tmp_path: Path) -> None:
 
 def check_toy_data(out: str, tmp_path: Path) -> None:
     ws = tmp_path / "ws"
+    fields = [f"field_{i:03d}.vnt" for i in range(16)]
     assert sorted(p.name for p in ws.iterdir()) == [
-        "enhance.json", "field_000.vnt", "field_001.vnt", "gmm.json", "input", "reference",
+        "enhance.json", *fields, "gmm.json", "input", "reference",
     ]
     assert load_config(ws / "enhance.json").input_dir == str(ws / "input")
-    assert out.startswith("wrote 2 mixture fields")
+    assert out.startswith("wrote 16 mixture fields")
 
 
 def check_digest(out: str, tmp_path: Path) -> None:
@@ -76,9 +78,7 @@ def check_digest(out: str, tmp_path: Path) -> None:
 TINY_RUNS = {
     "calibration_study": (["--seeds", "2", "--t0", "600", "--iters", "0", "1"], check_study),
     "digest": (["--seed", "5", "--workload", "sweep-small"], check_digest),
-    "make_toy_data": (
-        ["TMP/ws", "--n-fields", "2", "--frames", "1", "--size", "12"], check_toy_data
-    ),
+    "make_toy_data": (["TMP/ws", "--seed", "3"], check_toy_data),
 }
 
 
@@ -97,6 +97,49 @@ def test_digest_prints_the_same_lines_on_a_second_run(capsys):
         digest.main(["--seed", "5", "--workload", "sweep-small"])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_digest_runs_each_cli_path_once_per_seed(capsys, monkeypatch):
+    """At each CLI seed: enhance of the config and of its uncalibrated
+    baseline, metrics of the calibrated output, and the sweep at threads 1
+    and 2.  enhance and metrics start no thread, so no leg of theirs repeats
+    at another --threads."""
+    calls = []
+    real = cli.main
+
+    def recorded(argv):
+        calls.append(argv)
+        return real(argv)
+
+    monkeypatch.setattr(cli, "main", recorded)
+    load_script(SCRIPTS / "digest.py").main(["--seed", "5", "--workload", "sweep-small"])
+    capsys.readouterr()
+
+    def opt(argv, name):
+        return argv[argv.index(name) + 1] if name in argv else None
+
+    written = {}  # enhance output dir -> (seed, config file name)
+    legs = []
+    for argv in calls:
+        if argv[0] == "metrics":
+            legs.append(("metrics", *written[argv[1]], None))
+            continue
+        leg = (argv[0], opt(argv, "--seed"), Path(opt(argv, "--config")).name)
+        if argv[0] == "enhance":
+            written[opt(argv, "--output")] = leg[1:]
+        legs.append((*leg, opt(argv, "--threads")))
+    want = [
+        leg
+        for seed in ("7", "8")
+        for leg in [
+            ("enhance", seed, "config.json", None),
+            ("enhance", seed, "baseline.json", None),
+            ("metrics", seed, "config.json", None),
+            ("sweep", seed, "config.json", "1"),
+            ("sweep", seed, "config.json", "2"),
+        ]
+    ]
+    assert sorted(legs) == sorted(want)
 
 
 def test_digest_sweep_at_two_threads_runs_every_run_as_its_own_stack(capsys, monkeypatch):

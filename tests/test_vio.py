@@ -209,6 +209,20 @@ def test_video_rewrite_removes_stale_frames(tmp_path):
     np.testing.assert_allclose(read_video(tmp_path / "v"), x, atol=1e-12)
 
 
+def test_frame_names_take_five_ascii_digits_and_nothing_after(tmp_path):
+    # Arabic-Indic digits, and a frame name with a trailing newline: neither is
+    # a frame, so neither is read as one nor removed as a stale one
+    x = quantized_video((1, 1, 4, 4), 124)
+    write_video(x, tmp_path / "v")
+    others = ["frame_\u0660\u0660\u0660\u0660\u0661.pgm", "frame_00001.pgm\n"]
+    for name in others:
+        write_pnm(np.zeros((4, 4, 1), np.uint8), tmp_path / "v" / name)
+    back = read_video(tmp_path / "v")
+    assert back.shape == x.shape and back.tobytes() == x.tobytes()
+    write_video(x, tmp_path / "v")
+    assert sorted(p.name for p in (tmp_path / "v").iterdir()) == sorted(["frame_00000.pgm", *others])
+
+
 def test_video_two_files_for_one_index_rejected(tmp_path):
     write_video(quantized_video((2, 1, 4, 4), 123), tmp_path / "v")
     write_pnm(np.zeros((4, 4, 3), np.uint8), tmp_path / "v" / "frame_00000.ppm")
